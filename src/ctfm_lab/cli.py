@@ -23,7 +23,7 @@ from . import demod, scene, spectrum, waveform
 from .config import SimConfig, load_config
 from .errors import ConfigLoadError, ConfigurationError, CtfmLabError
 from .phase_analysis import PhaseReport, phase_table
-from .waveform import SampledSignal, SweepSchedule
+from .waveform import SampledSignal
 
 MODES = ("ddctfm", "ctfm", "ideal")
 
@@ -59,14 +59,6 @@ def _settle_duration(config: SimConfig) -> float:
     return config.lowpass.group_delay + config.lowpass.impulse_duration
 
 
-def _synthesize(config: SimConfig):
-    schedule = config.schedule
-    tx = waveform.synthesize_transmit(schedule, config.sample_rate)
-    lo = waveform.synthesize_lo(schedule, config.sample_rate)
-    rx = scene.synthesize_received(schedule, config.scene, config.sample_rate)
-    return schedule, tx, lo, rx
-
-
 def _ideal_output(config: SimConfig) -> SampledSignal:
     """The desired demodulator output: one continuous beat per echo.
 
@@ -76,11 +68,39 @@ def _ideal_output(config: SimConfig) -> SampledSignal:
     """
     echo = config.echoes[0]
     beat = scene.beat_frequency(waveform.sweep_rate(config.tx), echo.delay)
-    count = int(round(config.schedule.total_duration * config.sample_rate))
+    count = waveform.sample_count(config.schedule, config.sample_rate)
     t = np.arange(count) / config.sample_rate
     return SampledSignal(
         config.sample_rate, 0.5 * echo.amplitude * np.cos(2.0 * math.pi * beat * t)
     )
+
+
+@dataclass(frozen=True, eq=False)
+class _Pass:
+    """One synthesis and demodulation pass; every mode is a view of it."""
+
+    tx: SampledSignal
+    lo: SampledSignal
+    rx: SampledSignal
+    receiver: demod.DemodOutput
+    ideal: SampledSignal
+
+    def output(self, mode: str) -> SampledSignal:
+        """ctfm reads channel 1, ddctfm the stitched sum, ideal the yardstick."""
+        if mode == "ctfm":
+            return self.receiver.channel1
+        if mode == "ddctfm":
+            return self.receiver.sum
+        return self.ideal
+
+
+def _receive(config: SimConfig) -> _Pass:
+    schedule = config.schedule
+    tx = waveform.synthesize_transmit(schedule, config.sample_rate)
+    lo = waveform.synthesize_lo(schedule, config.sample_rate)
+    rx = scene.synthesize_received(schedule, config.scene, config.sample_rate)
+    receiver = demod.demodulate(tx, lo, rx, config.lowpass)
+    return _Pass(tx, lo, rx, receiver, _ideal_output(config))
 
 
 def _analysis_record(output: SampledSignal, config: SimConfig) -> SampledSignal:
@@ -88,8 +108,8 @@ def _analysis_record(output: SampledSignal, config: SimConfig) -> SampledSignal:
     return waveform.time_slice(output, start, output.duration)
 
 
-def _spectrum_report(record: SampledSignal, config: SimConfig):
-    spec = spectrum.dft_magnitude(record, config.zero_pad_factor)
+def _spectrum_report(record: SampledSignal, config: SimConfig, pad: int):
+    spec = spectrum.dft_magnitude(record, pad)
     peak = spectrum.find_peak(spec, config.band)
     span = 3.0 / config.tx.duration
     report = spectrum.sidelobe_report(spec, peak, span, SIDELOBE_FLOOR_DB)
@@ -121,152 +141,122 @@ def _observation_window(
     return waveform.time_slice(output, start, stop)
 
 
-def _mainlobe_width(window: SampledSignal, config: SimConfig) -> float:
-    pad = max(config.zero_pad_factor, WIDTH_PAD_FACTOR)
-    spec = spectrum.dft_magnitude(window, pad)
-    peak = spectrum.find_peak(spec, config.band)
-    span = 3.0 / config.tx.duration
-    report = spectrum.sidelobe_report(spec, peak, span, SIDELOBE_FLOOR_DB)
-    return report.mainlobe_width_3db
-
-
-@dataclass(frozen=True)
-class _ModeRun:
-    """Everything one synthesis + demodulation pass produced."""
-
-    schedule: SweepSchedule
-    tx: SampledSignal
-    lo: SampledSignal
-    rx: SampledSignal
-    output: SampledSignal
-    channel1: SampledSignal | None
-    channel2: SampledSignal | None
-
-
-def _execute(config: SimConfig, mode: str) -> _ModeRun:
-    """Synthesize the scene and produce the mode's analysis signal.
-
-    Channels are None for modes that bypass (part of) the receiver chain.
-    """
-    schedule, tx, lo, rx = _synthesize(config)
-    if mode == "ddctfm":
-        out = demod.demodulate(tx, lo, rx, config.lowpass)
-        output, channel1, channel2 = out.sum, out.channel1, out.channel2
-    elif mode == "ctfm":
-        channel1 = demod.ctfm_demodulate(tx, rx, config.lowpass)
-        output, channel2 = channel1, None
-    elif mode == "ideal":
-        output, channel1, channel2 = _ideal_output(config), None, None
-    else:
-        raise ConfigurationError(f"unknown mode {mode!r}; expected one of {MODES}")
-    return _ModeRun(
-        schedule=schedule,
-        tx=tx,
-        lo=lo,
-        rx=rx,
-        output=output,
-        channel1=channel1,
-        channel2=channel2,
-    )
-
-
-def _write(path: Path, text: str, manifest: list[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    manifest.append(str(path))
-
-
-def _signal_csv(signal: SampledSignal) -> str:
-    lines = ["time_s,value"]
-    times = signal.times()
-    for t, v in zip(times, signal.samples):
-        lines.append(f"{t:.17g},{v:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def _track_csv(times: np.ndarray, freqs: np.ndarray) -> str:
-    lines = ["time_s,freq_hz"]
-    for t, f in zip(times, freqs):
-        lines.append(f"{t:.17g},{f:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 def _frequency_tracks(config: SimConfig):
     """Analytic instantaneous-frequency tracks for plotting.
 
     Three tracks: the repeating transmit sweep, the oscillator extension
-    (only where active), and the first echo (only after arrival).
+    (only where active), and the first echo (only after arrival), each on
+    the grid and arrival rule the synthesizers sample.
     """
-    schedule = config.schedule
-    count = int(round(schedule.total_duration * config.sample_rate))
-    t = np.arange(count) / config.sample_rate
-    _, local = waveform.cycle_split(t, schedule.period)
+    schedule, fs = config.schedule, config.sample_rate
+    t = np.arange(waveform.sample_count(schedule, fs)) / fs
+    _, local = waveform.sample_grid(schedule, fs)
     tx_track = waveform.instantaneous_frequency(schedule.tx, local)
 
     active = local < schedule.lo.duration
-    lo_times = t[active]
     lo_track = waveform.instantaneous_frequency(schedule.lo, local[active])
 
-    tau = config.echoes[0].delay
-    arrived = t >= tau
-    _, echo_local = waveform.cycle_split(t[arrived] - tau, schedule.period)
+    arrived, echo_local = waveform.sample_grid(schedule, fs, config.echoes[0].delay)
     echo_track = waveform.instantaneous_frequency(schedule.tx, echo_local)
-    return (t, tx_track), (lo_times, lo_track), (t[arrived], echo_track)
+    return (t, tx_track), (t[active], lo_track), (t[arrived], echo_track)
 
 
-def _run(config: SimConfig, mode: str, out_dir: Path) -> tuple[ReportBundle, _ModeRun]:
-    state = _execute(config, mode)
-    record = _analysis_record(state.output, config)
-    spec, spectrum_report = _spectrum_report(record, config)
-    ledger = phase_table(state.schedule, config.echoes[0].delay)
+def _layout(state: _Pass, mode: str, spec, ledger, tracks, out_dir: Path):
+    """The (path, source) pairs one mode's directory holds, in manifest order."""
+    files = [
+        ("transmit.csv", state.tx),
+        ("local_oscillator.csv", state.lo),
+        ("received.csv", state.rx),
+    ]
+    if mode != "ideal":
+        files.append(("channel1.csv", state.receiver.channel1))
+    if mode == "ddctfm":
+        files.append(("channel2.csv", state.receiver.channel2))
+    files += [
+        ("output.csv", state.output(mode)),
+        ("spectrum.csv", spec),
+        ("phase_table.csv", ledger),
+        ("freq_track_tx.csv", tracks[0]),
+        ("freq_track_lo.csv", tracks[1]),
+        ("freq_track_echo.csv", tracks[2]),
+    ]
+    return [(out_dir / name, source) for name, source in files]
 
-    manifest: list[str] = []
-    _write(out_dir / "transmit.csv", _signal_csv(state.tx), manifest)
-    _write(out_dir / "local_oscillator.csv", _signal_csv(state.lo), manifest)
-    _write(out_dir / "received.csv", _signal_csv(state.rx), manifest)
-    if state.channel1 is not None:
-        _write(out_dir / "channel1.csv", _signal_csv(state.channel1), manifest)
-    if state.channel2 is not None:
-        _write(out_dir / "channel2.csv", _signal_csv(state.channel2), manifest)
-    _write(out_dir / "output.csv", _signal_csv(state.output), manifest)
-    _write(out_dir / "spectrum.csv", spec.to_csv(), manifest)
-    _write(out_dir / "phase_table.csv", ledger.to_table(), manifest)
-    tx_track, lo_track, echo_track = _frequency_tracks(config)
-    _write(out_dir / "freq_track_tx.csv", _track_csv(*tx_track), manifest)
-    _write(out_dir / "freq_track_lo.csv", _track_csv(*lo_track), manifest)
-    _write(out_dir / "freq_track_echo.csv", _track_csv(*echo_track), manifest)
-    bundle = ReportBundle(
-        phase_report=ledger,
-        spectrum_report=spectrum_report,
-        manifest=tuple(manifest),
-    )
-    return bundle, state
+
+def _text(source) -> str:
+    if isinstance(source, SampledSignal):
+        return waveform.csv_columns("time_s,value", source.times(), source.samples)
+    if isinstance(source, spectrum.Spectrum):
+        return source.to_csv()
+    if isinstance(source, PhaseReport):
+        return source.to_table()
+    return waveform.csv_columns("time_s,freq_hz", *source)
+
+
+def _export(files) -> None:
+    """Format each distinct source once and write it to every path showing it.
+
+    Sources are grouped by identity, so a signal two modes share (or one
+    mode lists twice) is formatted once; each text is dropped once written.
+    """
+    groups: dict[int, tuple[object, list[Path]]] = {}
+    for path, source in files:
+        groups.setdefault(id(source), (source, []))[1].append(path)
+    for source, paths in groups.values():
+        text = _text(source)
+        for path in paths:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
 
 
 def run(config: SimConfig, mode: str, out_dir: str | Path) -> ReportBundle:
     """Synthesize, demodulate per ``mode``, analyze, and write artifacts."""
-    bundle, _ = _run(config, mode, Path(out_dir))
-    return bundle
+    if mode not in MODES:
+        raise ConfigurationError(f"unknown mode {mode!r}; expected one of {MODES}")
+    state = _receive(config)
+    record = _analysis_record(state.output(mode), config)
+    spec, spectrum_report = _spectrum_report(record, config, config.zero_pad_factor)
+    ledger = phase_table(config.schedule, config.echoes[0].delay)
+    files = _layout(state, mode, spec, ledger, _frequency_tracks(config), Path(out_dir))
+    _export(files)
+    return ReportBundle(
+        phase_report=ledger,
+        spectrum_report=spectrum_report,
+        manifest=tuple(str(path) for path, _ in files),
+    )
 
 
 def run_compare(config: SimConfig, out_dir: str | Path) -> tuple[CompareRow, ...]:
-    """Run every mode on one configuration and tabulate the comparison."""
+    """Run every mode on one configuration and tabulate the comparison.
+
+    One receiver pass serves all three modes, and every artifact the mode
+    directories share is formatted once.
+    """
     out = Path(out_dir)
-    rows = []
+    state = _receive(config)
+    width_pad = max(config.zero_pad_factor, WIDTH_PAD_FACTOR)
+    tracks = _frequency_tracks(config)
+    ledger = None
+    rows, files = [], []
     for mode in ("ctfm", "ddctfm", "ideal"):
-        bundle, state = _run(config, mode, out / mode)
-        window = _observation_window(state.output, config, mode)
-        width = _mainlobe_width(window, config)
-        lobes = bundle.spectrum_report.sidelobes
-        strongest = max((lobe.ratio_db for lobe in lobes), default=None)
+        output = state.output(mode)
+        record = _analysis_record(output, config)
+        spec, report = _spectrum_report(record, config, config.zero_pad_factor)
+        if ledger is None:  # after the first readout, as ``run`` orders its errors
+            ledger = phase_table(config.schedule, config.echoes[0].delay)
+        files += _layout(state, mode, spec, ledger, tracks, out / mode)
+        window = _observation_window(output, config, mode)
+        _, window_report = _spectrum_report(window, config, width_pad)
+        strongest = max((lobe.ratio_db for lobe in report.sidelobes), default=None)
         rows.append(
             CompareRow(
                 mode=mode,
-                peak_frequency=bundle.spectrum_report.peak_frequency,
-                mainlobe_width_3db=width,
+                peak_frequency=report.peak_frequency,
+                mainlobe_width_3db=window_report.mainlobe_width_3db,
                 strongest_sidelobe_db=strongest,
             )
         )
+    _export(files)
     lines = ["mode,peak_freq_hz,mainlobe_width_3db_hz,strongest_sidelobe_db"]
     for row in rows:
         strongest = "" if row.strongest_sidelobe_db is None else f"{row.strongest_sidelobe_db:.17g}"
@@ -369,3 +359,7 @@ def compare_command(config_path: str, out_dir: str):
         return rows
 
     _analysis_guard(action)
+
+
+if __name__ == "__main__":
+    main()

@@ -25,17 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedRangeError
-from .waveform import TWO_PI, SweepSchedule, lo_phase, tx_phase
-
-
-def wrap_phase(theta):
-    """Reduce an angle to its unique representative in (-pi, pi]."""
-    arr = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"phase must be finite, got {theta!r}")
-    wrapped = np.mod(arr, TWO_PI)
-    wrapped = np.where(wrapped > math.pi, wrapped - TWO_PI, wrapped)
-    return float(wrapped) if np.isscalar(theta) else wrapped
+# wrap_phase is defined with the sweeps and re-exported from here.
+from .waveform import TWO_PI, SweepSchedule, lo_phase, tx_phase, wrap_phase
 
 
 def _boundary_tol(t: float, period: float) -> float:

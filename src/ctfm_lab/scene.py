@@ -18,9 +18,9 @@ from .waveform import (
     SampledSignal,
     SweepSchedule,
     _check_sample_rate,
-    local_times_on_grid,
     sample_count,
-    tx_phase,
+    sample_grid,
+    sweep_phase,
 )
 
 
@@ -68,16 +68,10 @@ def synthesize_received(
                 f"echo {i} delay {echo.delay} s must be below the sweep period "
                 f"{period} s; longer delays leave no valid beat segment"
             )
-    count = sample_count(schedule, sample_rate)
-    index = np.arange(count, dtype=float)
-    total = np.zeros(count)
+    total = np.zeros(sample_count(schedule, sample_rate))
     for echo in scene.echoes:
-        src = index - echo.delay * sample_rate
-        arrived = src >= 0.0
-        local = local_times_on_grid(
-            src[arrived], sample_rate, period, schedule.cycles
-        )
-        total[arrived] += echo.amplitude * np.cos(tx_phase(schedule.tx, local))
+        arrived, local = sample_grid(schedule, sample_rate, echo.delay)
+        total[arrived] += echo.amplitude * np.cos(sweep_phase(schedule.tx, local))
     return SampledSignal(sample_rate, total)
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NoPeakError, ShapeError
-from .waveform import SampledSignal
+from .waveform import SampledSignal, csv_columns
 
 _LOG_FLOOR = 1e-300
 
@@ -54,10 +54,7 @@ class Spectrum:
         return 1.0 / self.record_duration
 
     def to_csv(self) -> str:
-        lines = ["freq_hz,magnitude"]
-        for f, m in zip(self.bin_frequencies, self.magnitudes):
-            lines.append(f"{f:.17g},{m:.17g}")
-        return "\n".join(lines) + "\n"
+        return csv_columns("freq_hz,magnitude", self.bin_frequencies, self.magnitudes)
 
 
 class PeakEstimate(NamedTuple):
@@ -205,11 +202,12 @@ def sidelobe_report(
 
     low = max(peak.frequency - search_span, float(freqs[0]))
     high = min(peak.frequency + search_span, float(freqs[-1]))
+    # The grid is sorted, so the span [low, high] is one run of interior bins.
+    first = max(1, int(np.searchsorted(freqs, low, side="left")))
+    last = min(len(freqs) - 2, int(np.searchsorted(freqs, high, side="right")) - 1)
     sidelobes = []
-    for i in range(1, len(freqs) - 1):
+    for i in range(first, last + 1):
         f = freqs[i]
-        if not low <= f <= high:
-            continue
         if exclude_left <= f <= exclude_right:
             continue
         if not (mags[i] > mags[i - 1] and mags[i] >= mags[i + 1]):

@@ -6,7 +6,7 @@ frequency with the same slope and in phase continuity, covering the
 worst-case blind interval at the start of the next cycle.
 
 All phase values are unwrapped (reported as accumulated radians); wrapping
-into (-pi, pi] is a separate, explicit operation in ``phase_analysis``.
+into (-pi, pi] is a separate, explicit operation, ``wrap_phase``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,11 @@ def _require_finite(name: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class ChirpSpec:
-    """One linear frequency sweep: f_start -> f_end over ``duration`` seconds."""
+    """One linear frequency sweep: f_start -> f_end over ``duration`` seconds.
+
+    The transmit chirp and the oscillator extension that continues it past
+    its end are both sweeps of this kind; ``LocalOscSpec`` is an alias.
+    """
 
     f_start: float
     f_end: float
@@ -49,83 +53,69 @@ class ChirpSpec:
             raise DomainError("sweep frequencies must be nonnegative")
 
 
-@dataclass(frozen=True)
-class LocalOscSpec:
-    """The oscillator sweep that continues the transmit chirp past its end."""
-
-    f_start: float
-    f_end: float
-    duration: float
-    phase0: float
-
-    def __post_init__(self):
-        for name in ("f_start", "f_end", "duration", "phase0"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        if self.duration <= 0.0:
-            raise DomainError(f"duration must be positive, got {self.duration}")
-        if self.f_start < 0.0 or self.f_end < 0.0:
-            raise DomainError("sweep frequencies must be nonnegative")
+LocalOscSpec = ChirpSpec
 
 
-def sweep_rate(spec: ChirpSpec | LocalOscSpec) -> float:
+def sweep_rate(spec: ChirpSpec) -> float:
     """Frequency slope of a sweep in Hz/s: (f_end - f_start) / duration."""
     return (spec.f_end - spec.f_start) / spec.duration
 
 
-def tx_phase(spec: ChirpSpec, t_local):
-    """Unwrapped phase of the transmit sweep at local time ``t_local``.
-
-    ``t_local`` is measured from the start of the sweep and must lie in
-    [0, spec.duration].  Accepts a scalar or an ndarray.
-    """
-    return _sweep_phase(spec, t_local)
-
-
-def lo_phase(spec: LocalOscSpec, t_local):
-    """Unwrapped phase of the oscillator sweep at local time ``t_local``.
-
-    ``t_local`` is measured from the start of the oscillator window (the
-    transmit sweep's reset instant).
-    """
-    return _sweep_phase(spec, t_local)
-
-
-def _sweep_phase(spec, t_local):
+def _local_time(spec: ChirpSpec, t_local) -> np.ndarray:
     t = np.asarray(t_local, dtype=float)
     if np.any(t < 0.0) or np.any(t > spec.duration):
         raise DomainError(
             f"local time must lie in [0, {spec.duration}], got {t_local!r}"
         )
+    return t
+
+
+def sweep_phase(spec: ChirpSpec, t_local):
+    """Unwrapped phase of a sweep at local time ``t_local``.
+
+    ``t_local`` is measured from the start of the sweep (for the oscillator,
+    from the transmit sweep's reset instant) and must lie in
+    [0, spec.duration].  Accepts a scalar or an ndarray.
+    """
+    t = _local_time(spec, t_local)
     mu = sweep_rate(spec)
     phase = spec.phase0 + TWO_PI * (spec.f_start * t + 0.5 * mu * t * t)
     return float(phase) if np.isscalar(t_local) else phase
 
 
-def instantaneous_frequency(spec: ChirpSpec | LocalOscSpec, t_local):
+tx_phase = lo_phase = sweep_phase
+
+
+def instantaneous_frequency(spec: ChirpSpec, t_local):
     """Instantaneous frequency f_start + rate * t of a sweep, in Hz."""
-    t = np.asarray(t_local, dtype=float)
-    if np.any(t < 0.0) or np.any(t > spec.duration):
-        raise DomainError(
-            f"local time must lie in [0, {spec.duration}], got {t_local!r}"
-        )
-    freq = spec.f_start + sweep_rate(spec) * t
+    freq = spec.f_start + sweep_rate(spec) * _local_time(spec, t_local)
     return float(freq) if np.isscalar(t_local) else freq
+
+
+def wrap_phase(theta):
+    """Reduce an angle to its unique representative in (-pi, pi]."""
+    arr = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"phase must be finite, got {theta!r}")
+    wrapped = np.mod(arr, TWO_PI)
+    wrapped = np.where(wrapped > math.pi, wrapped - TWO_PI, wrapped)
+    return float(wrapped) if np.isscalar(theta) else wrapped
 
 
 def phase_continuous_extension(
     tx: ChirpSpec, f_end: float, duration: float
-) -> LocalOscSpec:
+) -> ChirpSpec:
     """Derive the oscillator sweep that continues ``tx`` seamlessly.
 
     Start frequency and initial phase are never chosen by the caller: the
     sweep starts where the transmit chirp ends, at the transmit chirp's
     final (unwrapped) phase.
     """
-    return LocalOscSpec(
+    return ChirpSpec(
         f_start=tx.f_end,
         f_end=f_end,
         duration=duration,
-        phase0=tx_phase(tx, tx.duration),
+        phase0=sweep_phase(tx, tx.duration),
     )
 
 
@@ -134,7 +124,7 @@ class SweepSchedule:
     """A repeating transmit sweep paired with its oscillator extension."""
 
     tx: ChirpSpec
-    lo: LocalOscSpec
+    lo: ChirpSpec
     cycles: int
 
     def __post_init__(self):
@@ -157,7 +147,7 @@ class SweepSchedule:
             raise ConfigurationError(
                 f"oscillator slope {mu_lo} Hz/s must match transmit slope {mu_tx} Hz/s"
             )
-        mismatch = _wrapped(lo.phase0 - tx_phase(tx, tx.duration))
+        mismatch = wrap_phase(lo.phase0 - sweep_phase(tx, tx.duration))
         if abs(mismatch) > CONTINUITY_TOL:
             raise ConfigurationError(
                 f"oscillator initial phase breaks continuity with the transmit "
@@ -180,15 +170,6 @@ def make_schedule(
     return SweepSchedule(
         tx=tx, lo=phase_continuous_extension(tx, lo_f_end, lo_duration), cycles=cycles
     )
-
-
-def _wrapped(theta: float) -> float:
-    w = math.fmod(theta, TWO_PI)
-    if w > math.pi:
-        w -= TWO_PI
-    elif w <= -math.pi:
-        w += TWO_PI
-    return w
 
 
 def cycle_split(t, period: float):
@@ -238,6 +219,13 @@ class SampledSignal:
         return self.t0 + np.arange(self.samples.size) / self.sample_rate
 
 
+def csv_columns(header: str, first, second) -> str:
+    """Two numeric columns as CSV text, every value in round-trip ``.17g``."""
+    row = "{:.17g},{:.17g}".format
+    rows = map(row, np.asarray(first).tolist(), np.asarray(second).tolist())
+    return "\n".join([header, *rows]) + "\n"
+
+
 def time_slice(signal: SampledSignal, t_start: float, t_stop: float) -> SampledSignal:
     """Samples with t_start <= t < t_stop (relative to the signal's clock)."""
     if t_stop <= t_start:
@@ -284,11 +272,23 @@ def local_times_on_grid(
     return local
 
 
-def _sample_grid(schedule: SweepSchedule, sample_rate: float) -> np.ndarray:
-    count = sample_count(schedule, sample_rate)
-    return local_times_on_grid(
-        np.arange(count), sample_rate, schedule.period, schedule.cycles
+def sample_grid(
+    schedule: SweepSchedule, sample_rate: float, delay: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where a copy of the sweep stream delayed by ``delay`` is on the grid.
+
+    Returns the mask of sample indices at which the copy has arrived
+    (index - delay * sample_rate >= 0) and the per-cycle local time of the
+    sweep it plays there.  Every synthesizer and frequency track samples
+    through this one rule.
+    """
+    src = np.arange(sample_count(schedule, sample_rate), dtype=float)
+    src -= delay * sample_rate
+    arrived = src >= 0.0
+    local = local_times_on_grid(
+        src[arrived], sample_rate, schedule.period, schedule.cycles
     )
+    return arrived, local
 
 
 def synthesize_transmit(schedule: SweepSchedule, sample_rate: float) -> SampledSignal:
@@ -298,8 +298,8 @@ def synthesize_transmit(schedule: SweepSchedule, sample_rate: float) -> SampledS
     phase resets to ``phase0`` at each cycle start.
     """
     _check_sample_rate(sample_rate, schedule.tx)
-    local = _sample_grid(schedule, sample_rate)
-    return SampledSignal(sample_rate, np.cos(tx_phase(schedule.tx, local)))
+    _, local = sample_grid(schedule, sample_rate)
+    return SampledSignal(sample_rate, np.cos(sweep_phase(schedule.tx, local)))
 
 
 def synthesize_lo(schedule: SweepSchedule, sample_rate: float) -> SampledSignal:
@@ -309,8 +309,8 @@ def synthesize_lo(schedule: SweepSchedule, sample_rate: float) -> SampledSignal:
     treat transmit and oscillator signals as equal-length streams.
     """
     _check_sample_rate(sample_rate, schedule.lo)
-    local = _sample_grid(schedule, sample_rate)
+    _, local = sample_grid(schedule, sample_rate)
     active = local < schedule.lo.duration
     samples = np.zeros_like(local)
-    samples[active] = np.cos(lo_phase(schedule.lo, local[active]))
+    samples[active] = np.cos(sweep_phase(schedule.lo, local[active]))
     return SampledSignal(sample_rate, samples)

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import ctfm_lab as lab
+from ctfm_lab import demod, scene, waveform
 from ctfm_lab.cli import main, run, run_compare
 
 
@@ -92,7 +97,87 @@ class TestRunApi:
             assert Path(p1).read_bytes() == Path(p2).read_bytes(), (p1, p2)
 
 
+def tree_bytes(root):
+    root = Path(root)
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+class TestFrequencyTracks:
+    def test_tracks_sit_on_the_synthesizers_grid(self, paper_config_path, tmp_path):
+        """The tx and echo tracks are read off the very local times at which
+        synthesize_transmit and synthesize_received evaluate the sweep."""
+        config = lab.load_config(paper_config_path)
+        schedule, fs = config.schedule, config.sample_rate
+        index = np.arange(waveform.sample_count(schedule, fs), dtype=float)
+        local = waveform.local_times_on_grid(index, fs, schedule.period, schedule.cycles)
+        tx = lab.synthesize_transmit(schedule, fs)
+        assert np.array_equal(np.cos(lab.tx_phase(schedule.tx, local)), tx.samples)
+
+        delay = config.echoes[0].delay
+        src = index - delay * fs
+        arrived = src >= 0.0
+        echo_local = waveform.local_times_on_grid(
+            src[arrived], fs, schedule.period, schedule.cycles
+        )
+        rx = lab.synthesize_received(schedule, lab.Scene((lab.Echo(delay),)), fs)
+        assert np.array_equal(
+            np.cos(lab.tx_phase(schedule.tx, echo_local)), rx.samples[arrived]
+        )
+
+        run(config, "ideal", tmp_path)
+        _, rows = read_csv_columns(tmp_path / "freq_track_tx.csv")
+        track = np.array([float(row[1]) for row in rows])
+        assert np.array_equal(track, lab.instantaneous_frequency(schedule.tx, local))
+        _, rows = read_csv_columns(tmp_path / "freq_track_echo.csv")
+        track = np.array([float(row[1]) for row in rows])
+        assert np.array_equal(
+            track, lab.instantaneous_frequency(schedule.tx, echo_local)
+        )
+
+
 class TestCompare:
+    def test_one_receiver_pass_serves_every_mode(
+        self, paper_config_path, tmp_path, monkeypatch
+    ):
+        calls = {}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(waveform, "synthesize_transmit")
+        counting(waveform, "synthesize_lo")
+        counting(scene, "synthesize_received")
+        counting(demod, "demodulate")
+        counting(demod, "ctfm_demodulate")
+        run_compare(lab.load_config(paper_config_path), tmp_path / "cmp")
+        assert calls == {
+            "synthesize_transmit": 1,
+            "synthesize_lo": 1,
+            "synthesize_received": 1,
+            "demodulate": 1,
+        }
+
+    def test_mode_directories_match_single_mode_runs(
+        self, paper_config_path, tmp_path
+    ):
+        config = lab.load_config(paper_config_path)
+        run_compare(config, tmp_path / "cmp")
+        for mode in ("ctfm", "ddctfm", "ideal"):
+            run(config, mode, tmp_path / "single" / mode)
+            compared = tree_bytes(tmp_path / "cmp" / mode)
+            assert compared == tree_bytes(tmp_path / "single" / mode), mode
+            assert len(compared) == {"ctfm": 10, "ddctfm": 11, "ideal": 9}[mode]
+
     def test_resolution_ordering_and_ratio(self, paper_config_path, tmp_path):
         config = lab.load_config(paper_config_path)
         rows = {row.mode: row for row in run_compare(config, tmp_path / "cmp")}
@@ -118,6 +203,23 @@ class TestCompare:
 
 
 class TestCommandLine:
+    def test_module_entry_point_runs_the_cli(self):
+        src = str(Path(lab.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "ctfm_lab.cli", "--help"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "Usage:" in result.stdout
+        assert "compare" in result.stdout
+
     def test_simulate_success(self, runner, paper_config_path, tmp_path):
         result = runner.invoke(
             main,

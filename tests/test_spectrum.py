@@ -4,12 +4,39 @@ import numpy as np
 import pytest
 
 import ctfm_lab as lab
+from ctfm_lab import spectrum as spectrum_module
+from ctfm_lab.waveform import csv_columns
 from oracles import SAMPLE_RATE
 
 
 def tone(freq, duration, rate=SAMPLE_RATE, amplitude=1.0):
     t = np.arange(int(round(duration * rate))) / rate
     return lab.SampledSignal(rate, amplitude * np.cos(2 * np.pi * freq * t))
+
+
+def full_scan_sidelobes(spec, peak, search_span, floor_db):
+    """Reference catalog: visit every interior bin, keep those in the span."""
+    freqs, mags = spec.bin_frequencies, spec.magnitudes
+    peak_index = int(np.argmin(np.abs(freqs - peak.frequency)))
+    _, lobe_left, lobe_right = spectrum_module._mainlobe_extent(spec, peak_index)
+    guard = 1.0 / (math.pi * 10.0 ** (floor_db / 20.0) * spec.record_duration)
+    exclude_left = min(lobe_left, peak.frequency - guard)
+    exclude_right = max(lobe_right, peak.frequency + guard)
+    low = max(peak.frequency - search_span, float(freqs[0]))
+    high = min(peak.frequency + search_span, float(freqs[-1]))
+    lobes = []
+    for i in range(1, len(freqs) - 1):
+        if not low <= freqs[i] <= high or exclude_left <= freqs[i] <= exclude_right:
+            continue
+        if not (mags[i] > mags[i - 1] and mags[i] >= mags[i + 1]):
+            continue
+        estimate = spectrum_module._interpolate_bin(spec, i)
+        if estimate.magnitude <= 0.0:
+            continue
+        ratio_db = 20.0 * math.log10(estimate.magnitude / peak.magnitude)
+        if ratio_db >= floor_db:
+            lobes.append(lab.Sidelobe(estimate.frequency, min(ratio_db, 0.0)))
+    return tuple(lobes)
 
 
 class TestDftMagnitude:
@@ -126,6 +153,42 @@ class TestSidelobeReport:
         assert lobe.frequency == pytest.approx(36.0, abs=0.05)
         assert lobe.ratio_db == pytest.approx(20 * math.log10(0.25), abs=0.5)
 
+    @pytest.mark.parametrize("search_span", [1.0, 10.0, 3.0 / 0.3, 1e4])
+    def test_span_scan_matches_a_full_grid_scan(self, spectrum_096, search_span):
+        peak = lab.find_peak(spectrum_096, (10.0, 50.0))
+        report = lab.sidelobe_report(spectrum_096, peak, search_span, -30.0)
+        assert report.sidelobes == full_scan_sidelobes(
+            spectrum_096, peak, search_span, -30.0
+        )
+
+    def test_span_past_both_grid_ends_matches_a_full_grid_scan(self):
+        # A 100 Hz record: a span of 1 kHz reaches past DC and Nyquist.
+        t = np.arange(300) / 100.0
+        samples = np.cos(2 * np.pi * 5.0 * t) + 0.3 * np.cos(2 * np.pi * 12.0 * t)
+        spec = lab.dft_magnitude(lab.SampledSignal(100.0, samples), 4)
+        peak = lab.find_peak(spec, (1.0, 49.0))
+        report = lab.sidelobe_report(spec, peak, 1000.0, -40.0)
+        assert report.sidelobes
+        assert report.sidelobes == full_scan_sidelobes(spec, peak, 1000.0, -40.0)
+
+    @pytest.mark.parametrize(
+        "search_span, expected_bins",
+        [(5.5, ()), (6.0, (4, 16)), (100.0, (1, 4, 16, 19))],
+    )
+    def test_span_bounds_are_inclusive_and_clamped_to_the_interior(
+        self, search_span, expected_bins
+    ):
+        # Isolated spikes on a 1 Hz grid: the peak at 10 Hz, lobes at 4 and
+        # 16 Hz (exactly 6 Hz away) and at the first and last interior bins.
+        mags = np.full(21, 0.01)
+        mags[10] = 1.0
+        mags[[1, 4, 16, 19]] = 0.5
+        spec = lab.Spectrum(np.arange(21.0), mags, record_duration=100.0, zero_pad_factor=1)
+        peak = lab.PeakEstimate(10.0, 1.0)
+        report = lab.sidelobe_report(spec, peak, search_span, floor_db=-20.0)
+        ratio = 20.0 * math.log10(0.5)
+        assert report.sidelobes == tuple(lab.Sidelobe(float(i), ratio) for i in expected_bins)
+
     def test_ratios_never_exceed_zero(self, spectrum_096):
         peak = lab.find_peak(spectrum_096, (10.0, 50.0))
         report = lab.sidelobe_report(spectrum_096, peak, search_span=10.0, floor_db=-30.0)
@@ -206,3 +269,9 @@ class TestSerialization:
         freq, mag = lines[17].split(",")
         assert float(freq) == pytest.approx(spectrum_096.bin_frequencies[16], rel=1e-15)
         assert float(mag) == pytest.approx(spectrum_096.magnitudes[16], rel=1e-15)
+
+    def test_writer_matches_per_row_formatting(self):
+        first = np.array([0.0, -0.0, 0.1, 1e-310, 1e300, np.pi, np.nan, np.inf])
+        second = np.array([100.00000000000001, -np.inf, 2.5, -1e-5, 7.0, 0.3, 1.0, 3.0])
+        expected = "h1,h2\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(first, second))
+        assert csv_columns("h1,h2", first, second) == expected
