@@ -32,8 +32,9 @@ MODES = ("ddctfm", "ctfm", "ideal")
 # genuine artifact lines are cataloged.
 SIDELOBE_FLOOR_DB = -12.0
 
-# Zero-pad factor used when measuring mainlobe widths of short observation
-# windows, whose native grids are far too coarse for a -3 dB readout.
+# Least zero-pad factor used when measuring mainlobe widths of short
+# observation windows, whose native grids are far too coarse for a -3 dB
+# readout; ``spectrum.mainlobe_width`` rounds the transform up to a power of two.
 WIDTH_PAD_FACTOR = 64
 
 
@@ -108,8 +109,8 @@ def _analysis_record(output: SampledSignal, config: SimConfig) -> SampledSignal:
     return waveform.time_slice(output, start, output.duration)
 
 
-def _spectrum_report(record: SampledSignal, config: SimConfig, pad: int):
-    spec = spectrum.dft_magnitude(record, pad)
+def _spectrum_report(record: SampledSignal, config: SimConfig):
+    spec = spectrum.dft_magnitude(record, config.zero_pad_factor)
     peak = spectrum.find_peak(spec, config.band)
     span = 3.0 / config.tx.duration
     report = spectrum.sidelobe_report(spec, peak, span, SIDELOBE_FLOOR_DB)
@@ -183,14 +184,16 @@ def _layout(state: _Pass, mode: str, spec, ledger, tracks, out_dir: Path):
     return [(out_dir / name, source) for name, source in files]
 
 
-def _text(source) -> str:
+def _text(source, columns: dict) -> str:
     if isinstance(source, SampledSignal):
-        return waveform.csv_columns("time_s,value", source.times(), source.samples)
+        return waveform.csv_columns(
+            "time_s,value", source.times(), source.samples, columns
+        )
     if isinstance(source, spectrum.Spectrum):
-        return source.to_csv()
+        return source.to_csv(columns)
     if isinstance(source, PhaseReport):
         return source.to_table()
-    return waveform.csv_columns("time_s,freq_hz", *source)
+    return waveform.csv_columns("time_s,freq_hz", *source, columns)
 
 
 def _export(files) -> None:
@@ -198,12 +201,15 @@ def _export(files) -> None:
 
     Sources are grouped by identity, so a signal two modes share (or one
     mode lists twice) is formatted once; each text is dropped once written.
+    Columns are keyed by their bytes, so the time column of the signals and
+    the tx track, or the frequency column of the spectra, is formatted once.
     """
     groups: dict[int, tuple[object, list[Path]]] = {}
     for path, source in files:
         groups.setdefault(id(source), (source, []))[1].append(path)
+    columns: dict = {}
     for source, paths in groups.values():
-        text = _text(source)
+        text = _text(source, columns)
         for path in paths:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
@@ -215,7 +221,7 @@ def run(config: SimConfig, mode: str, out_dir: str | Path) -> ReportBundle:
         raise ConfigurationError(f"unknown mode {mode!r}; expected one of {MODES}")
     state = _receive(config)
     record = _analysis_record(state.output(mode), config)
-    spec, spectrum_report = _spectrum_report(record, config, config.zero_pad_factor)
+    spec, spectrum_report = _spectrum_report(record, config)
     ledger = phase_table(config.schedule, config.echoes[0].delay)
     files = _layout(state, mode, spec, ledger, _frequency_tracks(config), Path(out_dir))
     _export(files)
@@ -241,18 +247,18 @@ def run_compare(config: SimConfig, out_dir: str | Path) -> tuple[CompareRow, ...
     for mode in ("ctfm", "ddctfm", "ideal"):
         output = state.output(mode)
         record = _analysis_record(output, config)
-        spec, report = _spectrum_report(record, config, config.zero_pad_factor)
+        spec, report = _spectrum_report(record, config)
         if ledger is None:  # after the first readout, as ``run`` orders its errors
             ledger = phase_table(config.schedule, config.echoes[0].delay)
         files += _layout(state, mode, spec, ledger, tracks, out / mode)
         window = _observation_window(output, config, mode)
-        _, window_report = _spectrum_report(window, config, width_pad)
+        width = spectrum.mainlobe_width(window, config.band, width_pad)
         strongest = max((lobe.ratio_db for lobe in report.sidelobes), default=None)
         rows.append(
             CompareRow(
                 mode=mode,
                 peak_frequency=report.peak_frequency,
-                mainlobe_width_3db=window_report.mainlobe_width_3db,
+                mainlobe_width_3db=width,
                 strongest_sidelobe_db=strongest,
             )
         )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError
-from .waveform import SampledSignal, SweepSchedule, sweep_rate
+from .waveform import GRID_SLACK, SampledSignal, SweepSchedule, sweep_rate
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,17 @@ def check_cutoff(schedule: SweepSchedule, lowpass: LowpassSpec) -> None:
 
 
 def _check_aligned(*signals: SampledSignal) -> None:
+    """Same rate and length, and start times on one sample grid.
+
+    Start times may differ by rounding, up to ``GRID_SLACK`` of a sample
+    period, the slack ``time_slice`` allows.
+    """
     first = signals[0]
     for other in signals[1:]:
         if (
             other.sample_rate != first.sample_rate
             or len(other) != len(first)
-            or other.t0 != first.t0
+            or not abs(other.t0 - first.t0) * first.sample_rate < GRID_SLACK
         ):
             raise ShapeError(
                 "signals must share sample rate, length, and start time: "

@@ -22,12 +22,16 @@ _LOG_FLOOR = 1e-300
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """One-sided DFT magnitude on a uniform frequency grid."""
+    """One-sided DFT magnitude on a uniform frequency grid.
+
+    ``zero_pad_factor`` is the transform length over the record length: an
+    integer for ``dft_magnitude``, any ratio >= 1 for a power-of-two grid.
+    """
 
     bin_frequencies: np.ndarray
     magnitudes: np.ndarray
     record_duration: float
-    zero_pad_factor: int
+    zero_pad_factor: float
 
     def __post_init__(self):
         freqs = np.asarray(self.bin_frequencies, dtype=float)
@@ -53,8 +57,10 @@ class Spectrum:
         """Resolution of the un-padded record, 1 / record_duration."""
         return 1.0 / self.record_duration
 
-    def to_csv(self) -> str:
-        return csv_columns("freq_hz,magnitude", self.bin_frequencies, self.magnitudes)
+    def to_csv(self, cache: dict | None = None) -> str:
+        return csv_columns(
+            "freq_hz,magnitude", self.bin_frequencies, self.magnitudes, cache
+        )
 
 
 class PeakEstimate(NamedTuple):
@@ -79,15 +85,20 @@ class SpectrumReport:
 
 def dft_magnitude(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
     """Rectangular-window DFT magnitude, zero padded, on [0, Nyquist]."""
+    _check_padding(signal, "zero_pad_factor", zero_pad_factor)
+    return _transform(signal, zero_pad_factor * len(signal), zero_pad_factor)
+
+
+def _check_padding(signal: SampledSignal, name: str, factor) -> None:
     if len(signal) < 1:
         raise ShapeError("signal must contain at least one sample")
-    if not isinstance(zero_pad_factor, int) or zero_pad_factor < 1:
-        raise DomainError(
-            f"zero_pad_factor must be a positive integer, got {zero_pad_factor}"
-        )
-    padded = zero_pad_factor * len(signal)
-    mags = np.abs(np.fft.rfft(signal.samples, padded))
-    freqs = np.fft.rfftfreq(padded, 1.0 / signal.sample_rate)
+    if not isinstance(factor, int) or factor < 1:
+        raise DomainError(f"{name} must be a positive integer, got {factor}")
+
+
+def _transform(signal: SampledSignal, points: int, zero_pad_factor: float) -> Spectrum:
+    mags = np.abs(np.fft.rfft(signal.samples, points))
+    freqs = np.fft.rfftfreq(points, 1.0 / signal.sample_rate)
     return Spectrum(
         bin_frequencies=freqs,
         magnitudes=mags,
@@ -147,6 +158,11 @@ def find_peak(spec: Spectrum, band: tuple[float, float]) -> PeakEstimate:
     return _interpolate_bin(spec, int(selected[int(np.argmax(sub))]))
 
 
+def _peak_bin(spec: Spectrum, peak: PeakEstimate) -> int:
+    """The grid bin nearest a refined peak: the lobe the extents grow from."""
+    return int(np.argmin(np.abs(spec.bin_frequencies - peak.frequency)))
+
+
 def _mainlobe_extent(spec: Spectrum, peak_index: int) -> tuple[float, float, float]:
     """(-3 dB width, left edge, right edge) of the lobe around a bin."""
     mags = spec.magnitudes
@@ -192,8 +208,7 @@ def sidelobe_report(
     mags = spec.magnitudes
     if peak.magnitude <= 0.0:
         raise NoPeakError("peak magnitude must be positive")
-    peak_index = int(np.argmin(np.abs(freqs - peak.frequency)))
-    width, lobe_left, lobe_right = _mainlobe_extent(spec, peak_index)
+    width, lobe_left, lobe_right = _mainlobe_extent(spec, _peak_bin(spec, peak))
 
     floor_ratio = 10.0 ** (floor_db / 20.0)
     window_guard = 1.0 / (math.pi * floor_ratio * spec.record_duration)
@@ -224,3 +239,20 @@ def sidelobe_report(
         sidelobes=tuple(sidelobes),
         mainlobe_width_3db=width,
     )
+
+
+def mainlobe_width(
+    signal: SampledSignal, band: tuple[float, float], min_pad_factor: int
+) -> float:
+    """-3 dB width of the strongest lobe inside ``band``, and nothing else.
+
+    The transform length is the smallest power of two >= ``min_pad_factor``
+    times the record.  ``factor * N`` itself can carry a large prime factor
+    (64 * 14015 = 2**6 * 5 * 2803), which sends the FFT down its much
+    slower Bluestein path.  The peak bin is picked as ``sidelobe_report``
+    picks it; no sidelobe is cataloged.
+    """
+    _check_padding(signal, "min_pad_factor", min_pad_factor)
+    points = 1 << (min_pad_factor * len(signal) - 1).bit_length()
+    spec = _transform(signal, points, points / len(signal))
+    return _mainlobe_extent(spec, _peak_bin(spec, find_peak(spec, band)))[0]

@@ -23,6 +23,9 @@ TWO_PI = 2.0 * math.pi
 # Relative tolerance for the phase/slope continuity invariants of a schedule.
 CONTINUITY_TOL = 1e-9
 
+# Offsets below this fraction of a sample period count as on the sample grid.
+GRID_SLACK = 1e-9
+
 
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
@@ -219,10 +222,22 @@ class SampledSignal:
         return self.t0 + np.arange(self.samples.size) / self.sample_rate
 
 
-def csv_columns(header: str, first, second) -> str:
-    """Two numeric columns as CSV text, every value in round-trip ``.17g``."""
-    row = "{:.17g},{:.17g}".format
-    rows = map(row, np.asarray(first).tolist(), np.asarray(second).tolist())
+def _formatted(column, cache: dict) -> list[str]:
+    values = np.asarray(column)
+    key = (values.dtype.str, values.tobytes())
+    if key not in cache:
+        cache[key] = list(map("{:.17g}".format, values.tolist()))
+    return cache[key]
+
+
+def csv_columns(header: str, first, second, cache: dict | None = None) -> str:
+    """Two numeric columns as CSV text, every value in round-trip ``.17g``.
+
+    ``cache`` maps a column's exact dtype and bytes to its formatted values;
+    texts that share a cache format a column they have in common once.
+    """
+    cache = {} if cache is None else cache
+    rows = map(",".join, zip(_formatted(first, cache), _formatted(second, cache)))
     return "\n".join([header, *rows]) + "\n"
 
 
@@ -230,8 +245,10 @@ def time_slice(signal: SampledSignal, t_start: float, t_stop: float) -> SampledS
     """Samples with t_start <= t < t_stop (relative to the signal's clock)."""
     if t_stop <= t_start:
         raise DomainError(f"empty slice [{t_start}, {t_stop})")
-    i0 = max(0, math.ceil((t_start - signal.t0) * signal.sample_rate - 1e-9))
-    i1 = min(len(signal), math.ceil((t_stop - signal.t0) * signal.sample_rate - 1e-9))
+    start = (t_start - signal.t0) * signal.sample_rate
+    stop = (t_stop - signal.t0) * signal.sample_rate
+    i0 = max(0, math.ceil(start - GRID_SLACK))
+    i1 = min(len(signal), math.ceil(stop - GRID_SLACK))
     if i1 <= i0:
         raise DomainError(f"slice [{t_start}, {t_stop}) contains no samples")
     return SampledSignal(

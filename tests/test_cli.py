@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import ctfm_lab as lab
-from ctfm_lab import demod, scene, waveform
+from ctfm_lab import cli, demod, scene, spectrum, waveform
 from ctfm_lab.cli import main, run, run_compare
 
 
@@ -200,6 +200,135 @@ class TestCompare:
             "strongest_sidelobe_db",
         ]
         assert [row[0] for row in rows] == ["ctfm", "ddctfm", "ideal"]
+
+
+def assert_per_row_csv(path, header, first, second):
+    """``path`` holds one ``.17g`` row per value pair, formatted row by row."""
+    expected = [header] + ["{:.17g},{:.17g}".format(a, b) for a, b in zip(first, second)]
+    text = Path(path).read_text()
+    assert text.endswith("\n"), path
+    lines = text[:-1].split("\n")
+    assert len(lines) == len(expected), path
+    bad = next((i for i, pair in enumerate(zip(lines, expected)) if pair[0] != pair[1]), None)
+    assert bad is None, (path, bad, lines[bad], expected[bad])
+
+
+class TestCompareReadouts:
+    """Tolerance fixed before tuning: each width within 2e-4 relative of a
+    64x ``dft_magnitude`` + ``sidelobe_report`` readout of the same window."""
+
+    WIDTH_RTOL = 2e-4
+
+    @pytest.fixture(scope="class")
+    def compared(self, paper_config_path, tmp_path_factory):
+        config = lab.load_config(paper_config_path)
+        out = tmp_path_factory.mktemp("cmp")
+        calls = []
+        original = np.fft.rfft
+
+        def recording(a, n=None, *args, **kwargs):
+            calls.append((len(a), n))
+            return original(a, n, *args, **kwargs)
+
+        np.fft.rfft = recording
+        try:
+            rows = run_compare(config, out)
+        finally:
+            np.fft.rfft = original
+        _, table = read_csv_columns(out / "compare.csv")
+        references = {mode: self.reference(config, mode) for mode in cli.MODES}
+        return config, {row.mode: row for row in rows}, table, calls, references
+
+    @staticmethod
+    def reference(config, mode):
+        """(main report, 64x window width, record length, window length)."""
+        output = cli._receive(config).output(mode)
+        span = 3.0 / config.tx.duration
+
+        def report(signal, pad):
+            spec = spectrum.dft_magnitude(signal, pad)
+            peak = spectrum.find_peak(spec, config.band)
+            return spectrum.sidelobe_report(spec, peak, span, cli.SIDELOBE_FLOOR_DB)
+
+        record = cli._analysis_record(output, config)
+        window = cli._observation_window(output, config, mode)
+        width = report(window, 64).mainlobe_width_3db
+        return report(record, config.zero_pad_factor), width, len(record), len(window)
+
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_width_within_tolerance_of_the_64x_readout(self, compared, mode):
+        _, rows, table, _, references = compared
+        width = references[mode][1]
+        assert rows[mode].mainlobe_width_3db == pytest.approx(width, rel=self.WIDTH_RTOL)
+        line = {row[0]: row for row in table}[mode]
+        assert float(line[2]) == rows[mode].mainlobe_width_3db
+
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_peak_and_sidelobe_columns_are_the_main_readouts(self, compared, mode):
+        _, rows, table, _, references = compared
+        main = references[mode][0]
+        strongest = max((lobe.ratio_db for lobe in main.sidelobes), default=None)
+        assert rows[mode].peak_frequency == main.peak_frequency
+        assert rows[mode].strongest_sidelobe_db == strongest
+        line = {row[0]: row for row in table}[mode]
+        assert float(line[1]) == main.peak_frequency
+        if strongest is None:
+            assert line[3] == ""
+        else:
+            assert float(line[3]) == strongest
+
+    def test_width_transforms_are_powers_of_two_at_least_64x(self, compared):
+        config, _, _, calls, references = compared
+        expected = []
+        for mode in cli.MODES:
+            _, _, record, window = references[mode]
+            expected.append((record, config.zero_pad_factor * record))
+            width_calls = [n for length, n in calls if length == window and n & (n - 1) == 0]
+            assert width_calls, mode
+            n = width_calls[0]
+            assert 64 * window <= n < 128 * window, (mode, n)
+            expected.append((window, n))
+        assert sorted(calls) == sorted(expected)
+
+
+class TestExportBytes:
+    """Each two-column file equals a per-row ``.17g`` rendering of its source."""
+
+    @pytest.fixture(scope="class")
+    def compared(self, paper_config_path, tmp_path_factory):
+        config = lab.load_config(paper_config_path)
+        out = tmp_path_factory.mktemp("cmp")
+        run_compare(config, out)
+        return config, out, cli._receive(config)
+
+    def test_signals(self, compared):
+        _, out, state = compared
+        for name, signal in [
+            ("ideal/transmit.csv", state.tx),
+            ("ddctfm/channel2.csv", state.receiver.channel2),
+            ("ddctfm/output.csv", state.receiver.sum),
+            ("ideal/output.csv", state.ideal),
+        ]:
+            assert_per_row_csv(out / name, "time_s,value", signal.times(), signal.samples)
+
+    def test_spectra(self, compared):
+        config, out, state = compared
+        for mode in ("ctfm", "ddctfm", "ideal"):
+            record = cli._analysis_record(state.output(mode), config)
+            spec = spectrum.dft_magnitude(record, config.zero_pad_factor)
+            assert_per_row_csv(
+                out / mode / "spectrum.csv",
+                "freq_hz,magnitude",
+                spec.bin_frequencies,
+                spec.magnitudes,
+            )
+
+    def test_frequency_tracks(self, compared):
+        config, out, _ = compared
+        tx, lo, echo = cli._frequency_tracks(config)
+        assert 0 < len(lo[0]) < len(tx[0])  # the lo track is a subset of the time column
+        for name, (t, f) in [("tx", tx), ("lo", lo), ("echo", echo)]:
+            assert_per_row_csv(out / "ctfm" / f"freq_track_{name}.csv", "time_s,freq_hz", t, f)
 
 
 class TestCommandLine:

@@ -101,6 +101,23 @@ class TestMix:
         with pytest.raises(lab.ShapeError):
             lab.mix(make_signal([1.0, 2.0]), make_signal([1.0, 2.0], t0=0.5))
 
+    @pytest.mark.parametrize(
+        "t0", [0.1 + 0.2, 0.3 + 0.5e-9 / SAMPLE_RATE, 0.3 - 0.5e-9 / SAMPLE_RATE]
+    )
+    def test_start_times_within_grid_slack_accepted(self, t0):
+        """Start times computed two ways differ by rounding, not by samples."""
+        reference = make_signal([1.0, 2.0], t0=0.3)
+        assert t0 != reference.t0
+        product = lab.mix(reference, make_signal([3.0, 4.0], t0=t0))
+        assert product.t0 == reference.t0
+        np.testing.assert_array_equal(product.samples, [3.0, 8.0])
+
+    @pytest.mark.parametrize("samples_off", [1, -1, 1e-6])
+    def test_start_times_off_the_grid_rejected(self, samples_off):
+        t0 = 0.3 + samples_off / SAMPLE_RATE
+        with pytest.raises(lab.ShapeError):
+            lab.mix(make_signal([1.0, 2.0], t0=0.3), make_signal([1.0, 2.0], t0=t0))
+
     def test_product_of_cosines_splits_into_sum_and_difference(self):
         # One second at 4 kHz keeps 40 Hz and 100 Hz on exact bins, so the
         # 60 Hz and 140 Hz product lines appear at amplitude 1/2 each.
