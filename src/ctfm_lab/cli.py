@@ -150,16 +150,21 @@ def _frequency_tracks(config: SimConfig):
     the grid and arrival rule the synthesizers sample.
     """
     schedule, fs = config.schedule, config.sample_rate
-    t = np.arange(waveform.sample_count(schedule, fs)) / fs
-    _, local = waveform.sample_grid(schedule, fs)
-    tx_track = waveform.instantaneous_frequency(schedule.tx, local)
+    grid = waveform.sample_grid(schedule, fs, (0.0, config.echoes[0].delay))
+    (_, local), (arrival, echo_local) = grid.arrivals
+    t = np.arange(grid.count) / fs
+    tx_track = grid.tile(waveform.instantaneous_frequency(schedule.tx, local))
 
-    active = local < schedule.lo.duration
-    lo_track = waveform.instantaneous_frequency(schedule.lo, local[active])
+    in_window = local < schedule.lo.duration
+    lo_block = np.zeros_like(local)
+    lo_block[in_window] = waveform.instantaneous_frequency(schedule.lo, local[in_window])
+    active = grid.tile(in_window)
+    lo_track = grid.tile(lo_block)[active]
 
-    arrived, echo_local = waveform.sample_grid(schedule, fs, config.echoes[0].delay)
-    echo_track = waveform.instantaneous_frequency(schedule.tx, echo_local)
-    return (t, tx_track), (t[active], lo_track), (t[arrived], echo_track)
+    echo_block = np.zeros(grid.stop)
+    echo_block[arrival:] = waveform.instantaneous_frequency(schedule.tx, echo_local)
+    echo_track = grid.tile(echo_block)[arrival:]
+    return (t, tx_track), (t[active], lo_track), (t[arrival:], echo_track)
 
 
 def _layout(state: _Pass, mode: str, spec, ledger, tracks, out_dir: Path):

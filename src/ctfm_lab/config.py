@@ -4,7 +4,8 @@ Format: one ``key = value`` pair per line, ``#`` starts a comment, keys use
 dots for grouping (``tx.f_start``, ``echoes.0.delay``).  The oscillator's
 start frequency and initial phase are always derived from the transmit
 sweep and cannot be set.  Every cross-field invariant is checked at load
-time and reported with the offending key path.
+time and reported with the offending key path; the first echo's delay
+must not exceed ``lo.duration``, so that the handoff ledger exists.
 
 Keys and defaults:
 
@@ -33,6 +34,7 @@ from pathlib import Path
 
 from .demod import LowpassSpec, check_cutoff
 from .errors import ConfigLoadError, CtfmLabError
+from .phase_analysis import check_ledger_delay
 from .scene import Echo, Scene
 from .waveform import ChirpSpec, SweepSchedule, make_schedule
 
@@ -196,6 +198,7 @@ def _build(values: dict) -> SimConfig:
         "lo",
         lambda: make_schedule(tx, values["lo.f_end"], values["lo.duration"], cycles),
     )
+    domain("echoes.0.delay", lambda: check_ledger_delay(schedule, echoes[0].delay))
     sample_rate = values["sample_rate"]
     if sample_rate < 4.0 * max(tx.f_start, tx.f_end, values["lo.f_end"]):
         raise ConfigLoadError(

@@ -121,7 +121,7 @@ def _check_aligned(*signals: SampledSignal) -> None:
 def mix(a: SampledSignal, b: SampledSignal) -> SampledSignal:
     """Element-wise product of two aligned signals."""
     _check_aligned(a, b)
-    return SampledSignal(a.sample_rate, a.samples * b.samples, a.t0)
+    return SampledSignal._fresh(a.sample_rate, a.samples * b.samples, a.t0)
 
 
 def lowpass_filter(signal: SampledSignal, spec: LowpassSpec) -> SampledSignal:
@@ -137,7 +137,7 @@ def lowpass_filter(signal: SampledSignal, spec: LowpassSpec) -> SampledSignal:
         )
     h = design_lowpass(spec)
     filtered = np.convolve(signal.samples, h)[: len(signal)]
-    return SampledSignal(signal.sample_rate, filtered, signal.t0)
+    return SampledSignal._fresh(signal.sample_rate, filtered, signal.t0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +160,7 @@ def demodulate(
     _check_aligned(tx, lo, rx)
     channel1 = lowpass_filter(mix(tx, rx), lowpass)
     channel2 = lowpass_filter(mix(lo, rx), lowpass)
-    combined = SampledSignal(
+    combined = SampledSignal._fresh(
         channel1.sample_rate, channel1.samples + channel2.samples, channel1.t0
     )
     return DemodOutput(

@@ -183,6 +183,19 @@ class PhaseReport:
         return "\n".join(lines) + "\n"
 
 
+def check_ledger_delay(schedule: SweepSchedule, tau: float) -> None:
+    """Reject a delay whose handoff falls after the oscillator window closes.
+
+    The loader applies this bound to the first echo, so every configuration
+    that loads has a ledger.
+    """
+    if tau > schedule.lo.duration:
+        raise UnsupportedRangeError(
+            f"echo delay {tau} s must not exceed the oscillator window "
+            f"{schedule.lo.duration} s for the handoff ledger"
+        )
+
+
 def phase_table(schedule: SweepSchedule, tau: float) -> PhaseReport:
     """Evaluate the stitch-boundary ledger at the first handoff pair.
 
@@ -191,11 +204,7 @@ def phase_table(schedule: SweepSchedule, tau: float) -> PhaseReport:
     at every later handoff.
     """
     _check_tau(schedule, tau)
-    if tau >= schedule.lo.duration:
-        raise UnsupportedRangeError(
-            f"echo delay {tau} s must be below the oscillator window "
-            f"{schedule.lo.duration} s for the handoff ledger"
-        )
+    check_ledger_delay(schedule, tau)
     if schedule.cycles < 2:
         raise DomainError("the ledger needs at least two cycles")
     period = schedule.period

@@ -18,7 +18,6 @@ from .waveform import (
     SampledSignal,
     SweepSchedule,
     _check_sample_rate,
-    sample_count,
     sample_grid,
     sweep_phase,
 )
@@ -56,9 +55,14 @@ def synthesize_received(
 ) -> SampledSignal:
     """Sample the received signal: the sum of delayed transmit copies.
 
-    Each echo is evaluated in closed form at every sample instant (no
-    resampling), so fractional-sample delays are exact.  Samples before an
-    echo's first arrival are zero.
+    Each echo is evaluated in closed form at sample instants (no
+    resampling), and samples before its first arrival are zero.  The sum,
+    echoes added in scene order onto zero, is evaluated up to the end of
+    the first whole-sample run after the last arrival and tiled from there
+    (``waveform.sample_grid``).  Whole-sample delays give exactly the
+    per-sample values.  A fractional delay's local time is read near the
+    record start, where it carries less rounding than at a late sample; it
+    stays within 1e-10 * sum(|amplitude|) of per-sample evaluation.
     """
     _check_sample_rate(sample_rate, schedule.tx)
     period = schedule.period
@@ -68,11 +72,11 @@ def synthesize_received(
                 f"echo {i} delay {echo.delay} s must be below the sweep period "
                 f"{period} s; longer delays leave no valid beat segment"
             )
-    total = np.zeros(sample_count(schedule, sample_rate))
-    for echo in scene.echoes:
-        arrived, local = sample_grid(schedule, sample_rate, echo.delay)
-        total[arrived] += echo.amplitude * np.cos(sweep_phase(schedule.tx, local))
-    return SampledSignal(sample_rate, total)
+    grid = sample_grid(schedule, sample_rate, [echo.delay for echo in scene.echoes])
+    block = np.zeros(grid.stop)
+    for echo, (first, local) in zip(scene.echoes, grid.arrivals):
+        block[first:] += echo.amplitude * np.cos(sweep_phase(schedule.tx, local))
+    return SampledSignal._fresh(sample_rate, grid.tile(block))
 
 
 def beat_frequency(sweep_slope: float, delay: float) -> float:

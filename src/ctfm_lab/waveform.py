@@ -199,16 +199,30 @@ class SampledSignal:
     t0: float = 0.0
 
     def __post_init__(self):
+        self._adopt(np.array(self.samples, dtype=float))
+
+    def _adopt(self, arr: np.ndarray) -> None:
         if self.sample_rate <= 0.0:
             raise DomainError(f"sample_rate must be positive, got {self.sample_rate}")
-        arr = np.asarray(self.samples, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ShapeError(
                 f"samples must be a non-empty 1-d sequence, got shape {arr.shape}"
             )
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
+
+    @classmethod
+    def _fresh(cls, sample_rate: float, samples: np.ndarray, t0: float = 0.0):
+        """Wrap an array the package has just built, without copying it.
+
+        Only for arrays no caller holds: the public constructor copies, so
+        that later writes to the caller's array cannot leak in.
+        """
+        signal = object.__new__(cls)
+        object.__setattr__(signal, "sample_rate", sample_rate)
+        object.__setattr__(signal, "t0", t0)
+        signal._adopt(np.asarray(samples, dtype=float))
+        return signal
 
     def __len__(self) -> int:
         return self.samples.size
@@ -223,18 +237,22 @@ class SampledSignal:
 
 
 def _formatted(column, cache: dict) -> list[str]:
-    values = np.asarray(column)
-    key = (values.dtype.str, values.tobytes())
+    values = np.asarray(column, dtype=float)
+    key = values.tobytes()
     if key not in cache:
-        cache[key] = list(map("{:.17g}".format, values.tolist()))
+        # Distinct by bit pattern, so -0.0 and 0.0 keep their own text.
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        texts = list(map("{:.17g}".format, bits.view(np.float64).tolist()))
+        cache[key] = np.array(texts, dtype=object)[inverse.ravel()].tolist()
     return cache[key]
 
 
 def csv_columns(header: str, first, second, cache: dict | None = None) -> str:
     """Two numeric columns as CSV text, every value in round-trip ``.17g``.
 
-    ``cache`` maps a column's exact dtype and bytes to its formatted values;
-    texts that share a cache format a column they have in common once.
+    Each distinct value of a column is formatted once.  ``cache`` maps a
+    column's exact float64 bytes to its formatted values; texts that share
+    a cache format a column they have in common once.
     """
     cache = {} if cache is None else cache
     rows = map(",".join, zip(_formatted(first, cache), _formatted(second, cache)))
@@ -289,23 +307,59 @@ def local_times_on_grid(
     return local
 
 
-def sample_grid(
-    schedule: SweepSchedule, sample_rate: float, delay: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Where a copy of the sweep stream delayed by ``delay`` is on the grid.
+@dataclass(frozen=True, eq=False)
+class SampleGrid:
+    """Delayed copies of the sweep stream on the first ``stop`` samples.
 
-    Returns the mask of sample indices at which the copy has arrived
-    (index - delay * sample_rate >= 0) and the per-cycle local time of the
-    sweep it plays there.  Every synthesizer and frequency track samples
-    through this one rule.
+    A copy delayed by d is zero before sample ceil(d * sample_rate), the
+    first index with index - d * sample_rate >= 0.  From ``start``, the
+    latest arrival, the record repeats every run of whole cycles spanning
+    whole samples, and ``stop`` ends the first such run (or the record, if
+    no shorter run exists).  ``arrivals`` holds per delay its arrival index
+    and the local times (``local_times_on_grid``) from there up to ``stop``.
     """
-    src = np.arange(sample_count(schedule, sample_rate), dtype=float)
-    src -= delay * sample_rate
-    arrived = src >= 0.0
-    local = local_times_on_grid(
-        src[arrived], sample_rate, schedule.period, schedule.cycles
-    )
-    return arrived, local
+
+    count: int
+    start: int
+    stop: int
+    arrivals: tuple[tuple[int, np.ndarray], ...]
+
+    def tile(self, block: np.ndarray) -> np.ndarray:
+        """The record whose first ``stop`` samples are ``block``.
+
+        Later samples repeat ``block[start:]``, copied in doubling chunks.
+        """
+        record = np.empty(self.count, dtype=block.dtype)
+        record[: self.stop] = block
+        filled = self.stop
+        while filled < self.count:
+            chunk = min(filled - self.start, self.count - filled)
+            record[filled : filled + chunk] = record[self.start : self.start + chunk]
+            filled += chunk
+        return record
+
+
+def sample_grid(
+    schedule: SweepSchedule, sample_rate: float, delays=(0.0,)
+) -> SampleGrid:
+    """The one grid and arrival rule every synthesizer and track samples by.
+
+    A period spans ``period * sample_rate`` samples, a binary fraction
+    num/den, so the shortest run spanning whole samples is den cycles, num
+    samples: one cycle at 1,200 samples per period, two at 1,200.5.
+    """
+    count = sample_count(schedule, sample_rate)
+    run = (schedule.period * sample_rate).as_integer_ratio()[0]
+    firsts = [min(math.ceil(d * sample_rate), count) for d in delays]
+    start = max(firsts, default=0)
+    stop = min(count, start + run)
+    arrivals = []
+    for delay, first in zip(delays, firsts):
+        src = np.arange(first, stop, dtype=float)
+        src -= delay * sample_rate
+        local = local_times_on_grid(src, sample_rate, schedule.period, schedule.cycles)
+        arrivals.append((first, local))
+    return SampleGrid(count, start, stop, tuple(arrivals))
 
 
 def synthesize_transmit(schedule: SweepSchedule, sample_rate: float) -> SampledSignal:
@@ -315,8 +369,10 @@ def synthesize_transmit(schedule: SweepSchedule, sample_rate: float) -> SampledS
     phase resets to ``phase0`` at each cycle start.
     """
     _check_sample_rate(sample_rate, schedule.tx)
-    _, local = sample_grid(schedule, sample_rate)
-    return SampledSignal(sample_rate, np.cos(sweep_phase(schedule.tx, local)))
+    grid = sample_grid(schedule, sample_rate)
+    (_, local), = grid.arrivals
+    block = np.cos(sweep_phase(schedule.tx, local))
+    return SampledSignal._fresh(sample_rate, grid.tile(block))
 
 
 def synthesize_lo(schedule: SweepSchedule, sample_rate: float) -> SampledSignal:
@@ -326,8 +382,9 @@ def synthesize_lo(schedule: SweepSchedule, sample_rate: float) -> SampledSignal:
     treat transmit and oscillator signals as equal-length streams.
     """
     _check_sample_rate(sample_rate, schedule.lo)
-    _, local = sample_grid(schedule, sample_rate)
+    grid = sample_grid(schedule, sample_rate)
+    (_, local), = grid.arrivals
     active = local < schedule.lo.duration
-    samples = np.zeros_like(local)
-    samples[active] = np.cos(sweep_phase(schedule.lo, local[active]))
-    return SampledSignal(sample_rate, samples)
+    block = np.zeros_like(local)
+    block[active] = np.cos(sweep_phase(schedule.lo, local[active]))
+    return SampledSignal._fresh(sample_rate, grid.tile(block))

@@ -26,6 +26,17 @@ def reference_schedule() -> lab.SweepSchedule:
 
 
 @pytest.fixture(scope="session")
+def grid_schedule():
+    """Builds a 100 -> 200 Hz sweep over a given period, 0.1 s extension."""
+
+    def build(period, cycles, phase0=0.0):
+        tx = lab.ChirpSpec(F_START, F_END, period, phase0)
+        return lab.make_schedule(tx, F_END + 10.0 / period, 0.1, cycles)
+
+    return build
+
+
+@pytest.fixture(scope="session")
 def reference_lowpass() -> lab.LowpassSpec:
     return lab.LowpassSpec(cutoff=50.0, tap_count=257, sample_rate=SAMPLE_RATE)
 

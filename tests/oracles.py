@@ -52,6 +52,12 @@ SPECTRUM_DELAY = 0.096  # delay used for the spectrum study
 LEDGER_DELAY = 0.093  # delay used for the phase-ledger walkthrough
 
 
+# (period, sample rate) pairs whose period spans 1,200 samples, 1,200.5 (two
+# cycles span whole samples) and fl(0.3 * 4001) = 1200.3000000000002, whose
+# shortest whole-sample run of cycles is longer than any record.
+SYNTHESIS_GRIDS = ((0.3, 4000.0), (0.25, 4802.0), (0.3, 4001.0))
+
+
 def reference_ledger_pi() -> dict[str, Fraction]:
     """Exact ledger for the reference sweep with the 93 ms echo, in pi units."""
     tau = frac(LEDGER_DELAY)
@@ -76,3 +82,38 @@ def reference_ledger_pi() -> dict[str, Fraction]:
         "channel 1 phase at handoff": tx_restarted - echo_at_handoff,
         "channel 2 phase at handoff": lo_at_handoff - echo_at_handoff,
     }
+
+
+def received_on_index_grid(
+    indices, sample_rate, period, cycles, f_start, f_end, phase0, echoes
+) -> list[float]:
+    """Received samples at integer ``indices`` under the index-space model.
+
+    Every quantity the package derives in floating point enters as that
+    double, read exactly: D = fl(delay * fs) and P = fl(period * fs).  An
+    echo is zero before n - D >= 0; there its local time is
+    (n - D - k * P) / fs, with k = floor((n - D) / P) clipped to
+    [0, cycles - 1].  Everything after that is evaluated in mpmath at 40
+    digits, so the result carries no rounding of the package's own.
+    ``echoes`` is a sequence of (delay, amplitude) pairs.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        fs, per_cycle = mpmath.mpf(sample_rate), mpmath.mpf(period * sample_rate)
+        f0 = mpmath.mpf(f_start)
+        rate = (mpmath.mpf(f_end) - f0) / mpmath.mpf(period)
+        shifts = [(mpmath.mpf(d * sample_rate), mpmath.mpf(a)) for d, a in echoes]
+        values = []
+        for n in indices:
+            total = mpmath.mpf(0)
+            for shift, amplitude in shifts:
+                src = n - shift
+                if src < 0:
+                    continue
+                k = min(max(mpmath.floor(src / per_cycle), 0), cycles - 1)
+                t = (src - k * per_cycle) / fs
+                phase = phase0 + 2 * mpmath.pi * (f0 * t + rate * t * t / 2)
+                total += amplitude * mpmath.cos(phase)
+            values.append(float(total))
+    return values

@@ -390,6 +390,23 @@ class TestCommandLine:
         assert result.exit_code == 0, result.output
         assert "ideal" in result.output
 
+    @pytest.mark.parametrize("command", ["simulate", "compare", "phase-table"])
+    def test_echo_delay_past_the_oscillator_window_exits_2(
+        self, runner, paper_config_path, tmp_path, command
+    ):
+        late = tmp_path / "late.cfg"
+        late.write_text(
+            paper_config_path.read_text().replace(
+                "echoes.0.delay = 0.096", "echoes.0.delay = 0.15"
+            )
+        )
+        result = runner.invoke(
+            main, [command, "--config", str(late), "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "echoes.0.delay" in result.output
+        assert not (tmp_path / "o").exists()
+
     def test_config_error_exits_2(self, runner, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("tx.f_start = 100\n")

@@ -117,6 +117,24 @@ class TestParseConfig:
         with pytest.raises(lab.ConfigLoadError, match="band"):
             parse_config(MINIMAL + "\nspectrum.band_low = 60\n")
 
+    @pytest.mark.parametrize("delay", ["0.1200001", "0.15", "0.29"])
+    def test_first_echo_delay_past_the_oscillator_window_rejected(self, delay, tmp_path):
+        """Below the period but past lo.duration: the handoff ledger every
+        mode reports cannot exist, so the loader names the key and the bound."""
+        path = tmp_path / "late.cfg"
+        path.write_text(MINIMAL.replace("0.096", delay))
+        with pytest.raises(lab.ConfigLoadError) as excinfo:
+            lab.load_config(path)
+        assert excinfo.value.field == "echoes.0.delay"
+        assert "must not exceed the oscillator window 0.12 s" in str(excinfo.value)
+
+    def test_first_echo_delay_at_the_oscillator_window_accepted(self):
+        assert parse_config(MINIMAL.replace("0.096", "0.12")).echoes[0].delay == 0.12
+
+    def test_later_echoes_may_pass_the_oscillator_window(self):
+        config = parse_config(MINIMAL + "echoes.1.delay = 0.2\n")
+        assert config.echoes[1].delay == 0.2
+
     def test_cycles_lower_bound(self):
         with pytest.raises(lab.ConfigLoadError, match="cycles"):
             parse_config(MINIMAL.replace("cycles = 12", "cycles = 1"))

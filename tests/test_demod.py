@@ -147,6 +147,12 @@ class TestDemodulate:
             demod_096.channel1.samples + demod_096.channel2.samples,
         )
 
+    def test_every_output_is_read_only(self, demod_096):
+        for signal in (demod_096.channel1, demod_096.channel2, demod_096.sum):
+            assert not signal.samples.flags.writeable
+            with pytest.raises(ValueError):
+                signal.samples[0] = 1.0
+
     def test_group_delay_reported(self, demod_096, reference_lowpass):
         assert demod_096.group_delay == reference_lowpass.group_delay
 

@@ -74,13 +74,19 @@ cycles = {cycles}
 echoes.0.delay = {delay}
 """
 
-    def test_delay_beyond_the_oscillator_window_is_an_analysis_error(self, tmp_path):
-        """Loadable (delay < period) but the dual-demodulator handoff ledger
-        cannot exist, so the run surfaces the failure instead of fabricating
-        a report."""
-        config = parse_config(self.BASE.format(cycles=12, delay=0.15))
-        with pytest.raises(lab.UnsupportedRangeError):
-            run(config, "ddctfm", tmp_path / "out")
+    def test_delay_beyond_the_oscillator_window_is_a_config_error(self):
+        """Below the period, but past the oscillator window no handoff ledger
+        exists, so the loader rejects the delay instead of every mode failing
+        later."""
+        with pytest.raises(lab.ConfigLoadError) as excinfo:
+            parse_config(self.BASE.format(cycles=12, delay=0.15))
+        assert excinfo.value.field == "echoes.0.delay"
+        assert "oscillator window 0.12 s" in str(excinfo.value)
+
+    def test_delay_at_the_oscillator_window_runs(self, tmp_path):
+        config = parse_config(self.BASE.format(cycles=12, delay=0.12))
+        bundle = run(config, "ddctfm", tmp_path / "out")
+        assert bundle.phase_report.discontinuities
 
     def test_minimal_two_cycle_run(self, tmp_path):
         config = parse_config(self.BASE.format(cycles=2, delay=0.096))

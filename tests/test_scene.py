@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctfm_lab as lab
-from oracles import SAMPLE_RATE, cos_of_pi_units, sweep_phase_pi
+from ctfm_lab import waveform
+from oracles import (
+    SAMPLE_RATE,
+    SYNTHESIS_GRIDS,
+    cos_of_pi_units,
+    received_on_index_grid,
+    sweep_phase_pi,
+)
 
 
 def single_echo_scene(delay, amplitude=1.0):
@@ -112,6 +119,98 @@ class TestSynthesizeReceived:
                 lab.synthesize_received(
                     reference_schedule, single_echo_scene(delay), SAMPLE_RATE
                 )
+
+
+def per_sample_received(schedule, scene, sample_rate):
+    """Every sample evaluated on its own, echoes added in order onto zero."""
+    index = np.arange(waveform.sample_count(schedule, sample_rate), dtype=float)
+    total = np.zeros(index.size)
+    for echo in scene.echoes:
+        src = index - echo.delay * sample_rate
+        arrived = src >= 0.0
+        local = waveform.local_times_on_grid(
+            src[arrived], sample_rate, schedule.period, schedule.cycles
+        )
+        total[arrived] += echo.amplitude * np.cos(lab.tx_phase(schedule.tx, local))
+    return total
+
+
+echo_lists = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=0.24),
+        st.floats(min_value=-2.0, max_value=2.0),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestTiledReceived:
+    """Tolerances fixed before tuning: rx within 1e-10 * sum|A| of per-sample
+    evaluation, bit-identical for whole-sample delays on a whole-sample
+    period and wherever no whole-sample run is shorter than the record, and
+    no further from the index-space model than per-sample evaluation."""
+
+    def test_whole_sample_delays_match_per_sample_evaluation_exactly(
+        self, reference_schedule
+    ):
+        scene = lab.Scene(
+            (lab.Echo(0.096, 0.8), lab.Echo(0.05, -1.3), lab.Echo(0.2, 0.4))
+        )
+        rx = lab.synthesize_received(reference_schedule, scene, SAMPLE_RATE)
+        np.testing.assert_array_equal(
+            rx.samples, per_sample_received(reference_schedule, scene, SAMPLE_RATE)
+        )
+
+    @given(
+        grid=st.sampled_from(SYNTHESIS_GRIDS),
+        cycles=st.integers(min_value=1, max_value=40),
+        phase0=st.floats(min_value=-math.pi, max_value=math.pi),
+        echoes=echo_lists,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fractional_delays_within_tolerance(
+        self, grid_schedule, grid, cycles, phase0, echoes
+    ):
+        period, fs = grid
+        schedule = grid_schedule(period, cycles, phase0)
+        scene = lab.Scene(tuple(lab.Echo(d, a) for d, a in echoes))
+        rx = lab.synthesize_received(schedule, scene, fs).samples
+        reference = per_sample_received(schedule, scene, fs)
+        bound = 1e-10 * sum(abs(a) for _, a in echoes)
+        assert np.max(np.abs(rx - reference)) <= bound
+        if grid == SYNTHESIS_GRIDS[2]:
+            np.testing.assert_array_equal(rx, reference)
+
+    @given(
+        grid=st.sampled_from(SYNTHESIS_GRIDS),
+        cycles=st.integers(min_value=2, max_value=3),
+        phase0=st.floats(min_value=-math.pi, max_value=math.pi),
+        echoes=echo_lists,
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_no_further_from_the_index_model(
+        self, grid_schedule, grid, cycles, phase0, echoes
+    ):
+        """Against the model evaluated in mpmath at every sample."""
+        period, fs = grid
+        schedule = grid_schedule(period, cycles, phase0)
+        scene = lab.Scene(tuple(lab.Echo(d, a) for d, a in echoes))
+        rx = lab.synthesize_received(schedule, scene, fs).samples
+        exact = np.array(
+            received_on_index_grid(
+                range(rx.size),
+                fs,
+                period,
+                cycles,
+                schedule.tx.f_start,
+                schedule.tx.f_end,
+                phase0,
+                echoes,
+            )
+        )
+        reference = per_sample_received(schedule, scene, fs)
+        assert np.max(np.abs(rx - exact)) <= np.max(np.abs(reference - exact))
 
 
 class TestRangeHelpers:

@@ -275,3 +275,14 @@ class TestSerialization:
         second = np.array([100.00000000000001, -np.inf, 2.5, -1e-5, 7.0, 0.3, 1.0, 3.0])
         expected = "h1,h2\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(first, second))
         assert csv_columns("h1,h2", first, second) == expected
+
+    def test_repeated_values_keep_their_per_row_text(self):
+        """Each distinct bit pattern is formatted once and put back in place:
+        -0.0 stays apart from 0.0, and repeats come back in row order."""
+        cycle = np.array([0.0, -0.0, 0.1, np.nan, np.inf, -np.inf, 0.1, 1e-310, -0.0])
+        first = np.tile(cycle, 5)
+        second = np.roll(first, 3) * 3.0
+        expected = "h1,h2\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(first, second))
+        cache = {}
+        assert csv_columns("h1,h2", first, second, cache) == expected
+        assert csv_columns("h1,h2", first, second, cache) == expected

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctfm_lab as lab
-from oracles import frac, sweep_phase_pi
+from ctfm_lab import waveform
+from oracles import SYNTHESIS_GRIDS, frac, sweep_phase_pi
 
 REL = 1e-9
 
@@ -210,6 +211,13 @@ class TestSynthesizeTransmit:
         with pytest.raises(lab.ConfigurationError, match="sample rate"):
             lab.synthesize_transmit(reference_schedule(), 700.0)
 
+    def test_constructor_copies_the_callers_array(self):
+        values = np.arange(5.0)
+        signal = lab.SampledSignal(4000.0, values)
+        values[0] = 99.0
+        assert signal.samples[0] == 0.0
+        assert values.flags.writeable
+
     def test_signal_is_immutable(self, reference_tx):
         with pytest.raises(ValueError):
             reference_tx.samples[0] = 2.0
@@ -245,6 +253,47 @@ class TestSynthesizeLo:
         lab.synthesize_transmit(schedule, 900.0)
         with pytest.raises(lab.ConfigurationError, match="sample rate"):
             lab.synthesize_lo(schedule, 900.0)
+
+
+def per_sample_local(schedule, sample_rate):
+    """The local time of every sample, each computed on its own."""
+    index = np.arange(waveform.sample_count(schedule, sample_rate), dtype=float)
+    return waveform.local_times_on_grid(
+        index, sample_rate, schedule.period, schedule.cycles
+    )
+
+
+class TestTiledSynthesis:
+    @given(
+        grid=st.sampled_from(SYNTHESIS_GRIDS),
+        cycles=st.integers(min_value=1, max_value=30),
+        phase0=st.floats(min_value=-math.pi, max_value=math.pi),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_sample_evaluation_exactly(
+        self, grid_schedule, grid, cycles, phase0
+    ):
+        """Tiling one run repeats values that per-sample evaluation computes
+        identically: a local time n - k * P is exact for P = 1,200 and
+        1,200.5, and with no whole-sample run every sample is evaluated."""
+        period, fs = grid
+        schedule = grid_schedule(period, cycles, phase0)
+        local = per_sample_local(schedule, fs)
+        tx = lab.synthesize_transmit(schedule, fs)
+        np.testing.assert_array_equal(
+            tx.samples, np.cos(lab.tx_phase(schedule.tx, local))
+        )
+        active = local < schedule.lo.duration
+        expected = np.zeros_like(local)
+        expected[active] = np.cos(lab.lo_phase(schedule.lo, local[active]))
+        np.testing.assert_array_equal(lab.synthesize_lo(schedule, fs).samples, expected)
+
+    @pytest.mark.parametrize("grid, stop", zip(SYNTHESIS_GRIDS, (1200, 2401, 12003)))
+    def test_one_run_is_evaluated(self, grid_schedule, grid, stop):
+        """One cycle, two cycles, or the whole 10-cycle record."""
+        period, fs = grid
+        sampled = waveform.sample_grid(grid_schedule(period, 10), fs)
+        assert (sampled.start, sampled.stop) == (0, stop)
 
 
 class TestTimeSlice:
