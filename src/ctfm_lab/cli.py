@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 analysis error.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -63,17 +64,19 @@ def _settle_duration(config: SimConfig) -> float:
 def _ideal_output(config: SimConfig) -> SampledSignal:
     """The desired demodulator output: one continuous beat per echo.
 
-    Uses the first echo, at the mixer's product amplitude, with no phase
-    discontinuities; this is the yardstick the stitched output is judged
-    against.
+    Each echo contributes its beat at the mixer's product amplitude, with
+    no phase discontinuities; this is the yardstick the stitched output is
+    judged against.  The sum starts from the first echo's term, so a
+    single echo gives that term exactly.
     """
-    echo = config.echoes[0]
-    beat = scene.beat_frequency(waveform.sweep_rate(config.tx), echo.delay)
+    rate = waveform.sweep_rate(config.tx)
     count = waveform.sample_count(config.schedule, config.sample_rate)
     t = np.arange(count) / config.sample_rate
-    return SampledSignal(
-        config.sample_rate, 0.5 * echo.amplitude * np.cos(2.0 * math.pi * beat * t)
+    beats = (
+        0.5 * echo.amplitude * np.cos(2.0 * math.pi * scene.beat_frequency(rate, echo.delay) * t)
+        for echo in config.echoes
     )
+    return SampledSignal._fresh(config.sample_rate, functools.reduce(np.add, beats))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,6 +130,10 @@ def _observation_window(
     only within one valid beat segment (period minus delay); the ideal
     tone over the whole settled record.  Mainlobe widths measured on these
     windows express each mode's usable frequency resolution.
+
+    With several echoes the ctfm and ddctfm windows still start at the
+    first echo's arrival (``echoes[0]``), as the phase ledger does; later
+    echoes do not move them.
     """
     if mode == "ideal":
         return _analysis_record(output, config)

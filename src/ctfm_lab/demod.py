@@ -10,6 +10,7 @@ blind window, so a plain sample-wise sum concatenates the valid segments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,9 +120,17 @@ def _check_aligned(*signals: SampledSignal) -> None:
 
 
 def mix(a: SampledSignal, b: SampledSignal) -> SampledSignal:
-    """Element-wise product of two aligned signals."""
+    """Element-wise product of two aligned signals.
+
+    Where both inputs repeat, from the later start with a run both runs
+    divide, so does the product: it is computed over one such run and tiled.
+    """
     _check_aligned(a, b)
-    return SampledSignal._fresh(a.sample_rate, a.samples * b.samples, a.t0)
+    (start_a, run_a), (start_b, run_b) = a._repeat, b._repeat
+    start, run = max(start_a, start_b), math.lcm(run_a, run_b)
+    stop = min(len(a), start + run)
+    product = a.samples[:stop] * b.samples[:stop]
+    return SampledSignal._fresh(a.sample_rate, product, a.t0, start, len(a))
 
 
 def lowpass_filter(signal: SampledSignal, spec: LowpassSpec) -> SampledSignal:
@@ -129,6 +138,14 @@ def lowpass_filter(signal: SampledSignal, spec: LowpassSpec) -> SampledSignal:
 
     The output is not advanced to compensate the filter delay: callers
     shift their analysis windows by ``spec.group_delay`` instead.
+
+    Output n depends only on inputs up to n, so an input that repeats from
+    ``start`` with period ``run`` gives an output that repeats from
+    ``start + taps - 1``.  Only the first ``start + taps - 1 + run`` samples
+    are filtered and the rest is tiled.  Each full-overlap output is one
+    contiguous dot product over the taps, so equal input windows give
+    bit-equal outputs.  A signal with no known repetition, or one whose run
+    does not end before the record, is filtered in full.
     """
     if spec.sample_rate != signal.sample_rate:
         raise ShapeError(
@@ -136,8 +153,13 @@ def lowpass_filter(signal: SampledSignal, spec: LowpassSpec) -> SampledSignal:
             f"{signal.sample_rate} Hz"
         )
     h = design_lowpass(spec)
-    filtered = np.convolve(signal.samples, h)[: len(signal)]
-    return SampledSignal._fresh(signal.sample_rate, filtered, signal.t0)
+    start, run = signal._repeat
+    settled = start + h.size - 1  # the first output whose taps all repeat
+    stop = min(len(signal), settled + run)
+    filtered = np.convolve(signal.samples[:stop], h)[:stop]
+    return SampledSignal._fresh(
+        signal.sample_rate, filtered, signal.t0, settled, len(signal)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +178,12 @@ def demodulate(
     rx: SampledSignal,
     lowpass: LowpassSpec,
 ) -> DemodOutput:
-    """Run the full dual-channel chain and add the channel outputs."""
+    """Run the full dual-channel chain and add the channel outputs.
+
+    Each channel is mixed and filtered over one run of its repeating inputs
+    and tiled (``mix``, ``lowpass_filter``), bit-identical to filtering the
+    whole record; the sum adds the two tiled channels.
+    """
     _check_aligned(tx, lo, rx)
     channel1 = lowpass_filter(mix(tx, rx), lowpass)
     channel2 = lowpass_filter(mix(lo, rx), lowpass)

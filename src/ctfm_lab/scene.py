@@ -76,7 +76,7 @@ def synthesize_received(
     block = np.zeros(grid.stop)
     for echo, (first, local) in zip(scene.echoes, grid.arrivals):
         block[first:] += echo.amplitude * np.cos(sweep_phase(schedule.tx, local))
-    return SampledSignal._fresh(sample_rate, grid.tile(block))
+    return SampledSignal._fresh(sample_rate, block, start=grid.start, count=grid.count)
 
 
 def beat_frequency(sweep_slope: float, delay: float) -> float:

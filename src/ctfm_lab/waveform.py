@@ -192,16 +192,23 @@ def cycle_split(t, period: float):
 
 @dataclass(frozen=True, eq=False)
 class SampledSignal:
-    """A uniformly sampled real waveform.  Immutable after construction."""
+    """A uniformly sampled real waveform.  Immutable after construction.
+
+    ``_repeat`` is a private ``(start, run)``: from ``start + run`` on, each
+    sample equals the one ``run`` earlier.  Only ``_fresh`` records a
+    shorter run; every other signal, and any run that does not end before
+    the record does, has ``(0, len)``: the run is the whole record.
+    """
 
     sample_rate: float
     samples: np.ndarray
     t0: float = 0.0
 
     def __post_init__(self):
-        self._adopt(np.array(self.samples, dtype=float))
+        arr = np.array(self.samples, dtype=float)
+        self._adopt(arr, (0, arr.size))
 
-    def _adopt(self, arr: np.ndarray) -> None:
+    def _adopt(self, arr: np.ndarray, repeat: tuple[int, int]) -> None:
         if self.sample_rate <= 0.0:
             raise DomainError(f"sample_rate must be positive, got {self.sample_rate}")
         if arr.ndim != 1 or arr.size < 1:
@@ -210,18 +217,32 @@ class SampledSignal:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "_repeat", repeat)
 
     @classmethod
-    def _fresh(cls, sample_rate: float, samples: np.ndarray, t0: float = 0.0):
+    def _fresh(
+        cls,
+        sample_rate: float,
+        samples: np.ndarray,
+        t0: float = 0.0,
+        start: int = 0,
+        count: int | None = None,
+    ):
         """Wrap an array the package has just built, without copying it.
 
         Only for arrays no caller holds: the public constructor copies, so
-        that later writes to the caller's array cannot leak in.
+        that later writes to the caller's array cannot leak in.  With a
+        ``count`` beyond its length, ``samples`` is the first run of a
+        longer record: it is tiled from ``start`` out to ``count`` samples
+        (``_tile``), and the signal records that repetition.
         """
+        block = np.asarray(samples, dtype=float)
+        count = block.size if count is None else count
+        repeat = (start, block.size - start) if block.size < count else (0, count)
         signal = object.__new__(cls)
         object.__setattr__(signal, "sample_rate", sample_rate)
         object.__setattr__(signal, "t0", t0)
-        signal._adopt(np.asarray(samples, dtype=float))
+        signal._adopt(_tile(block, start, count), repeat)
         return signal
 
     def __len__(self) -> int:
@@ -234,6 +255,24 @@ class SampledSignal:
     def times(self) -> np.ndarray:
         """Sample instants ``t0 + i / sample_rate``."""
         return self.t0 + np.arange(self.samples.size) / self.sample_rate
+
+
+def _tile(block: np.ndarray, start: int, count: int) -> np.ndarray:
+    """The ``count``-sample record whose first ``len(block)`` are ``block``.
+
+    Later samples repeat ``block[start:]``, copied in doubling chunks.  A
+    block that already spans the record is returned as it is.
+    """
+    if block.size == count:
+        return block
+    record = np.empty(count, dtype=block.dtype)
+    record[: block.size] = block
+    filled = block.size
+    while filled < count:
+        chunk = min(filled - start, count - filled)
+        record[filled : filled + chunk] = record[start : start + chunk]
+        filled += chunk
+    return record
 
 
 def _formatted(column, cache: dict) -> list[str]:
@@ -325,18 +364,8 @@ class SampleGrid:
     arrivals: tuple[tuple[int, np.ndarray], ...]
 
     def tile(self, block: np.ndarray) -> np.ndarray:
-        """The record whose first ``stop`` samples are ``block``.
-
-        Later samples repeat ``block[start:]``, copied in doubling chunks.
-        """
-        record = np.empty(self.count, dtype=block.dtype)
-        record[: self.stop] = block
-        filled = self.stop
-        while filled < self.count:
-            chunk = min(filled - self.start, self.count - filled)
-            record[filled : filled + chunk] = record[self.start : self.start + chunk]
-            filled += chunk
-        return record
+        """The record whose first ``stop`` samples are ``block``."""
+        return _tile(block, self.start, self.count)
 
 
 def sample_grid(
@@ -372,7 +401,7 @@ def synthesize_transmit(schedule: SweepSchedule, sample_rate: float) -> SampledS
     grid = sample_grid(schedule, sample_rate)
     (_, local), = grid.arrivals
     block = np.cos(sweep_phase(schedule.tx, local))
-    return SampledSignal._fresh(sample_rate, grid.tile(block))
+    return SampledSignal._fresh(sample_rate, block, start=grid.start, count=grid.count)
 
 
 def synthesize_lo(schedule: SweepSchedule, sample_rate: float) -> SampledSignal:
@@ -387,4 +416,4 @@ def synthesize_lo(schedule: SweepSchedule, sample_rate: float) -> SampledSignal:
     active = local < schedule.lo.duration
     block = np.zeros_like(local)
     block[active] = np.cos(sweep_phase(schedule.lo, local[active]))
-    return SampledSignal._fresh(sample_rate, grid.tile(block))
+    return SampledSignal._fresh(sample_rate, block, start=grid.start, count=grid.count)

@@ -202,6 +202,60 @@ class TestCompare:
         assert [row[0] for row in rows] == ["ctfm", "ddctfm", "ideal"]
 
 
+def two_echo_config(paper_config_path):
+    """paper.cfg plus a second echo at 60 ms (a 20 Hz beat), amplitude 0.7."""
+    text = Path(paper_config_path).read_text()
+    return lab.parse_config(text + "echoes.1.delay = 0.06\nechoes.1.amplitude = 0.7\n")
+
+
+class TestMultiEcho:
+    @pytest.fixture(scope="class")
+    def compared(self, paper_config_path, tmp_path_factory):
+        out = tmp_path_factory.mktemp("two-echo")
+        config = two_echo_config(paper_config_path)
+        return config, run_compare(config, out), out
+
+    def test_ideal_spectrum_has_a_line_at_each_beat(self, compared):
+        config, rows, out = compared
+        ideal = cli._receive(config).ideal
+        spec = spectrum.dft_magnitude(cli._analysis_record(ideal, config), 4)
+        lines = {
+            beat: spectrum.find_peak(spec, (beat - 2.0, beat + 2.0))
+            for beat in (20.0, 32.0)
+        }
+        for beat, peak in lines.items():
+            assert peak.frequency == pytest.approx(beat, abs=0.01)
+        assert lines[20.0].magnitude / lines[32.0].magnitude == pytest.approx(0.7, rel=0.01)
+        assert {row.mode: row for row in rows}["ideal"].peak_frequency == pytest.approx(
+            32.0, abs=0.01
+        )
+
+    def test_single_echo_ideal_is_the_one_beat_exactly(self, paper_config_path):
+        """Bit-equal to 0.5 * A * cos(2 pi rate tau t): the sum starts from
+        the first term, not from zero (which would turn -0.0 into 0.0)."""
+        config = lab.load_config(paper_config_path)
+        t = np.arange(14_400) / 4000.0
+        beat = 0.5 * 1.0 * np.cos(2.0 * np.pi * (100.0 / 0.3 * 0.096) * t)
+        ideal = cli._ideal_output(config).samples
+        assert ideal.tobytes() == beat.tobytes()
+
+    def test_ledger_and_windows_follow_the_first_echo(self, compared, paper_config_path):
+        """A later echo moves neither the phase ledger nor the ctfm and
+        ddctfm observation windows: both stay keyed to ``echoes[0]``."""
+        config, _, out = compared
+        single = lab.load_config(paper_config_path)
+        ledger = lab.phase_table(config.schedule, 0.096).to_table()
+        for mode in ("ctfm", "ddctfm", "ideal"):
+            assert (out / mode / "phase_table.csv").read_text() == ledger
+        state, alone = cli._receive(config), cli._receive(single)
+        for mode in ("ctfm", "ddctfm"):
+            window = cli._observation_window(state.output(mode), config, mode)
+            reference = cli._observation_window(alone.output(mode), single, mode)
+            assert (window.t0, len(window)) == (reference.t0, len(reference))
+            start = 6 * 0.3 + 0.096 + config.lowpass.group_delay
+            assert window.t0 == pytest.approx(start, abs=0.5 / config.sample_rate)
+
+
 def assert_per_row_csv(path, header, first, second):
     """``path`` holds one ``.17g`` row per value pair, formatted row by row."""
     expected = [header] + ["{:.17g},{:.17g}".format(a, b) for a, b in zip(first, second)]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctfm_lab as lab
-from oracles import SAMPLE_RATE
+from oracles import SAMPLE_RATE, SYNTHESIS_GRIDS
 
 
 def response_db(coeffs, freq, sample_rate=SAMPLE_RATE):
@@ -246,6 +246,129 @@ class TestCtfmDemodulate:
         blind_amp = np.sqrt(np.mean(blind.samples**2))
         steady_amp = np.sqrt(np.mean(steady.samples**2))
         assert blind_amp / steady_amp < 0.06
+
+
+def filtered_in_full(tx, lo, rx, spec):
+    """Both channels and their sum, each channel filtered over the whole
+    record by one ``np.convolve``, as the receiver did before it tiled."""
+    h = lab.design_lowpass(spec)
+    n = len(rx)
+    channel1 = np.convolve(tx.samples * rx.samples, h)[:n]
+    channel2 = np.convolve(lo.samples * rx.samples, h)[:n]
+    return channel1, channel2, channel1 + channel2
+
+
+def assert_repeats(signal):
+    """The signal's recorded (start, run) holds for every sample."""
+    start, run = signal._repeat
+    count = len(signal)
+    assert 0 <= start and 1 <= run and start + run <= count
+    np.testing.assert_array_equal(
+        signal.samples[start + run :], signal.samples[start : count - run]
+    )
+
+
+def receive(schedule, fs, echoes):
+    """tx, lo, rx and the matching filter for one schedule and scene."""
+    scene = lab.Scene(tuple(lab.Echo(d, a) for d, a in echoes))
+    spec = lab.LowpassSpec(cutoff=50.0, tap_count=257, sample_rate=fs)
+    return (
+        lab.synthesize_transmit(schedule, fs),
+        lab.synthesize_lo(schedule, fs),
+        lab.synthesize_received(schedule, scene, fs),
+        spec,
+    )
+
+
+def check_against_full_record(tx, lo, rx, spec):
+    out = lab.demodulate(tx, lo, rx, spec)
+    for got, want in zip(
+        (out.channel1, out.channel2, out.sum), filtered_in_full(tx, lo, rx, spec)
+    ):
+        np.testing.assert_array_equal(got.samples, want)
+    alone = lab.ctfm_demodulate(tx, rx, spec)
+    np.testing.assert_array_equal(alone.samples, out.channel1.samples)
+    products = (lab.mix(tx, rx), lab.mix(lo, rx))
+    for signal in (tx, lo, rx, *products, out.channel1, out.channel2, out.sum, alone):
+        assert_repeats(signal)
+    return out
+
+
+# Whole-sample delays (n / fs) and fractional ones, below the 0.25 s shortest
+# grid period.
+delays = st.one_of(
+    st.integers(min_value=0, max_value=959).map(lambda n: n / SAMPLE_RATE),
+    st.floats(min_value=0.0, max_value=0.24),
+)
+echo_lists = st.lists(
+    st.tuples(delays, st.floats(min_value=-2.0, max_value=2.0)), min_size=1, max_size=6
+)
+
+
+class TestTiledReceiver:
+    """The channels are filtered over one run and tiled, bit-equal to
+    filtering the whole record: each full-overlap output is one contiguous
+    dot product over the taps, so equal input windows give equal outputs."""
+
+    @pytest.mark.parametrize("grid", SYNTHESIS_GRIDS)
+    @given(cycles=st.integers(min_value=1, max_value=25), echoes=echo_lists)
+    @settings(max_examples=25, deadline=None)
+    def test_bit_equal_to_filtering_the_whole_record(
+        self, grid_schedule, grid, cycles, echoes
+    ):
+        period, fs = grid
+        check_against_full_record(*receive(grid_schedule(period, cycles), fs, echoes))
+
+    @pytest.mark.parametrize(
+        "grid, run", zip(SYNTHESIS_GRIDS, (1200, 2401, None)), ids=["1200", "1200.5", "no-run"]
+    )
+    @pytest.mark.parametrize("echo_count", range(1, 7))
+    def test_each_channel_filters_one_run(self, grid_schedule, grid, run, echo_count):
+        """One to six echoes, the last at a fractional delay, on 10-cycle
+        records: one cycle, two, or (with no shorter run) the whole record."""
+        period, fs = grid
+        echoes = [(0.011 * k + 0.02, 1.0 - 0.1 * k) for k in range(echo_count)]
+        echoes[-1] = (echoes[-1][0] + 0.3 / fs, echoes[-1][1])
+        tx, lo, rx, spec = receive(grid_schedule(period, 10), fs, echoes)
+        out = check_against_full_record(tx, lo, rx, spec)
+        start = math.ceil(max(d for d, _ in echoes) * fs) + spec.tap_count - 1
+        expected = (0, len(rx)) if run is None else (start, run)
+        assert out.channel1._repeat == out.channel2._repeat == expected
+
+    def test_record_too_short_for_one_run_is_filtered_in_full(self, grid_schedule):
+        """Two 1,200-sample cycles hold one run after a 0.29 s arrival, but
+        end before start + taps - 1 + run."""
+        tx, lo, rx, spec = receive(grid_schedule(0.3, 2), SAMPLE_RATE, [(0.29, 1.0)])
+        start, run = rx._repeat
+        assert run == 1200 and start + run < 2400 <= start + spec.tap_count - 1 + run
+        out = check_against_full_record(tx, lo, rx, spec)
+        assert out.channel1._repeat == out.channel2._repeat == (0, 2400)
+
+    def test_signals_with_no_known_repetition_are_filtered_in_full(
+        self, reference_tx, reference_lo, received_096, reference_lowpass
+    ):
+        public = [make_signal(s.samples) for s in (reference_tx, reference_lo, received_096)]
+        whole = (0, len(reference_tx))
+        assert all(signal._repeat == whole for signal in public)
+        for rx in (public[2], received_096):  # none known, or only the rx's
+            out = check_against_full_record(*public[:2], rx, reference_lowpass)
+            assert out.channel1._repeat == out.channel2._repeat == whole
+
+    def test_product_of_different_runs_repeats_at_their_common_multiple(
+        self, grid_schedule
+    ):
+        """1,200- and 800-sample cycles on one 9,600-sample record."""
+        a = lab.synthesize_transmit(grid_schedule(0.3, 8), SAMPLE_RATE)
+        b = lab.synthesize_transmit(grid_schedule(0.2, 12), SAMPLE_RATE)
+        product = lab.mix(a, b)
+        assert (a._repeat, b._repeat, product._repeat) == ((0, 1200), (0, 800), (0, 2400))
+        np.testing.assert_array_equal(product.samples, a.samples * b.samples)
+        assert_repeats(product)
+
+    def test_time_slice_leaves_the_repetition_unknown(self, demod_096):
+        part = lab.time_slice(demod_096.channel1, 0.5, 2.0)
+        assert demod_096.channel1._repeat[1] == 1200
+        assert part._repeat == (0, len(part))
 
 
 class TestCutoffFeasibility:
