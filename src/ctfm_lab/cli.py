@@ -196,7 +196,7 @@ def _layout(state: _Pass, mode: str, spec, ledger, tracks, out_dir: Path):
     return [(out_dir / name, source) for name, source in files]
 
 
-def _text(source, columns: dict) -> str:
+def _text(source, columns: dict, times: np.ndarray) -> str:
     if isinstance(source, SampledSignal):
         return waveform.csv_columns(
             "time_s,value", source.times(), source.samples, columns
@@ -205,23 +205,26 @@ def _text(source, columns: dict) -> str:
         return source.to_csv(columns)
     if isinstance(source, PhaseReport):
         return source.to_table()
+    waveform._cache_rows(source[0], times, columns)
     return waveform.csv_columns("time_s,freq_hz", *source, columns)
 
 
-def _export(files) -> None:
+def _export(files, times: np.ndarray) -> None:
     """Format each distinct source once and write it to every path showing it.
 
     Sources are grouped by identity, so a signal two modes share (or one
     mode lists twice) is formatted once; each text is dropped once written.
     Columns are keyed by their bytes, so the time column of the signals and
     the tx track, or the frequency column of the spectra, is formatted once.
+    A track's time column that is made of rows of ``times``, the record's
+    time axis, takes those rows' texts instead of being formatted again.
     """
     groups: dict[int, tuple[object, list[Path]]] = {}
     for path, source in files:
         groups.setdefault(id(source), (source, []))[1].append(path)
     columns: dict = {}
     for source, paths in groups.values():
-        text = _text(source, columns)
+        text = _text(source, columns, times)
         for path in paths:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
@@ -235,8 +238,9 @@ def run(config: SimConfig, mode: str, out_dir: str | Path) -> ReportBundle:
     record = _analysis_record(state.output(mode), config)
     spec, spectrum_report = _spectrum_report(record, config)
     ledger = phase_table(config.schedule, config.echoes[0].delay)
-    files = _layout(state, mode, spec, ledger, _frequency_tracks(config), Path(out_dir))
-    _export(files)
+    tracks = _frequency_tracks(config)
+    files = _layout(state, mode, spec, ledger, tracks, Path(out_dir))
+    _export(files, tracks[0][0])
     return ReportBundle(
         phase_report=ledger,
         spectrum_report=spectrum_report,
@@ -274,7 +278,7 @@ def run_compare(config: SimConfig, out_dir: str | Path) -> tuple[CompareRow, ...
                 strongest_sidelobe_db=strongest,
             )
         )
-    _export(files)
+    _export(files, tracks[0][0])
     lines = ["mode,peak_freq_hz,mainlobe_width_3db_hz,strongest_sidelobe_db"]
     for row in rows:
         strongest = "" if row.strongest_sidelobe_db is None else f"{row.strongest_sidelobe_db:.17g}"

@@ -119,18 +119,24 @@ def _check_aligned(*signals: SampledSignal) -> None:
             )
 
 
-def mix(a: SampledSignal, b: SampledSignal) -> SampledSignal:
-    """Element-wise product of two aligned signals.
+def _elementwise(op, a: SampledSignal, b: SampledSignal) -> SampledSignal:
+    """``op`` of two aligned signals, sample by sample.
 
     Where both inputs repeat, from the later start with a run both runs
-    divide, so does the product: it is computed over one such run and tiled.
+    divide, so does the result: it is computed over one such run and tiled.
     """
     _check_aligned(a, b)
     (start_a, run_a), (start_b, run_b) = a._repeat, b._repeat
     start, run = max(start_a, start_b), math.lcm(run_a, run_b)
     stop = min(len(a), start + run)
-    product = a.samples[:stop] * b.samples[:stop]
-    return SampledSignal._fresh(a.sample_rate, product, a.t0, start, len(a))
+    block = op(a.samples[:stop], b.samples[:stop])
+    return SampledSignal._fresh(a.sample_rate, block, a.t0, start, len(a))
+
+
+def mix(a: SampledSignal, b: SampledSignal) -> SampledSignal:
+    """Element-wise product of two aligned signals, over one common run
+    of their repetitions and tiled (``_elementwise``)."""
+    return _elementwise(np.multiply, a, b)
 
 
 def lowpass_filter(signal: SampledSignal, spec: LowpassSpec) -> SampledSignal:
@@ -182,18 +188,15 @@ def demodulate(
 
     Each channel is mixed and filtered over one run of its repeating inputs
     and tiled (``mix``, ``lowpass_filter``), bit-identical to filtering the
-    whole record; the sum adds the two tiled channels.
+    whole record; the sum adds one run of the channels and tiles it too.
     """
     _check_aligned(tx, lo, rx)
     channel1 = lowpass_filter(mix(tx, rx), lowpass)
     channel2 = lowpass_filter(mix(lo, rx), lowpass)
-    combined = SampledSignal._fresh(
-        channel1.sample_rate, channel1.samples + channel2.samples, channel1.t0
-    )
     return DemodOutput(
         channel1=channel1,
         channel2=channel2,
-        sum=combined,
+        sum=_elementwise(np.add, channel1, channel2),
         group_delay=lowpass.group_delay,
     )
 

@@ -34,19 +34,31 @@ class Spectrum:
     zero_pad_factor: float
 
     def __post_init__(self):
-        freqs = np.asarray(self.bin_frequencies, dtype=float)
-        mags = np.asarray(self.magnitudes, dtype=float)
+        self._adopt(
+            np.array(self.bin_frequencies, dtype=float),
+            np.array(self.magnitudes, dtype=float),
+        )
+
+    def _adopt(self, freqs: np.ndarray, mags: np.ndarray) -> None:
         if freqs.shape != mags.shape or freqs.ndim != 1:
             raise ShapeError(
                 f"frequency grid {freqs.shape} and magnitudes {mags.shape} must be "
                 "1-d and equal-length"
             )
-        freqs = freqs.copy()
-        mags = mags.copy()
         freqs.setflags(write=False)
         mags.setflags(write=False)
         object.__setattr__(self, "bin_frequencies", freqs)
         object.__setattr__(self, "magnitudes", mags)
+
+    @classmethod
+    def _fresh(cls, freqs, mags, record_duration: float, zero_pad_factor: float):
+        """Wrap float64 arrays the package has just built and no caller holds,
+        read-only and uncopied, as ``SampledSignal._fresh`` does."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "record_duration", record_duration)
+        object.__setattr__(spec, "zero_pad_factor", zero_pad_factor)
+        spec._adopt(freqs, mags)
+        return spec
 
     @property
     def bin_spacing(self) -> float:
@@ -99,12 +111,7 @@ def _check_padding(signal: SampledSignal, name: str, factor) -> None:
 def _transform(signal: SampledSignal, points: int, zero_pad_factor: float) -> Spectrum:
     mags = np.abs(np.fft.rfft(signal.samples, points))
     freqs = np.fft.rfftfreq(points, 1.0 / signal.sample_rate)
-    return Spectrum(
-        bin_frequencies=freqs,
-        magnitudes=mags,
-        record_duration=signal.duration,
-        zero_pad_factor=zero_pad_factor,
-    )
+    return Spectrum._fresh(freqs, mags, signal.duration, zero_pad_factor)
 
 
 def _parabolic_vertex(db_left: float, db_mid: float, db_right: float) -> tuple[float, float]:

@@ -275,15 +275,41 @@ def _tile(block: np.ndarray, start: int, count: int) -> np.ndarray:
     return record
 
 
+def _format_all(values: np.ndarray) -> list[str]:
+    """Each value as ``.17g`` text, in one printf-style pass over the column.
+
+    ``"%.17g" % x`` and ``format(x, ".17g")`` call the same
+    ``PyOS_double_to_string(x, 'g', 17)``, so the texts are the same.
+    """
+    return (("%.17g\n" * values.size) % tuple(values.tolist())).split("\n")[:-1]
+
+
 def _formatted(column, cache: dict) -> list[str]:
     values = np.asarray(column, dtype=float)
     key = values.tobytes()
     if key not in cache:
         # Distinct by bit pattern, so -0.0 and 0.0 keep their own text.
         bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        texts = list(map("{:.17g}".format, bits.view(np.float64).tolist()))
-        cache[key] = np.array(texts, dtype=object)[inverse.ravel()].tolist()
+        if bits.size == values.size:
+            cache[key] = _format_all(values)
+        else:
+            texts = np.array(_format_all(bits.view(np.float64)), dtype=object)
+            cache[key] = texts[inverse.ravel()].tolist()
     return cache[key]
+
+
+def _cache_rows(column, base, cache: dict) -> None:
+    """Cache ``column``'s texts as rows of ``base``'s, if every value is found,
+    bit for bit, in the sorted ``base``; otherwise it is formatted in full."""
+    values = np.asarray(column, dtype=float)
+    full = np.asarray(base, dtype=float)
+    key = values.tobytes()
+    if key in cache:
+        return
+    rows = np.minimum(np.searchsorted(full, values), full.size - 1)
+    if np.array_equal(full[rows].view(np.int64), values.view(np.int64)):
+        texts = _formatted(full, cache)
+        cache[key] = [texts[row] for row in rows.tolist()]
 
 
 def csv_columns(header: str, first, second, cache: dict | None = None) -> str:
@@ -291,11 +317,17 @@ def csv_columns(header: str, first, second, cache: dict | None = None) -> str:
 
     Each distinct value of a column is formatted once.  ``cache`` maps a
     column's exact float64 bytes to its formatted values; texts that share
-    a cache format a column they have in common once.
+    a cache format a column they have in common once.  The columns must be
+    of one length.
     """
     cache = {} if cache is None else cache
-    rows = map(",".join, zip(_formatted(first, cache), _formatted(second, cache)))
-    return "\n".join([header, *rows]) + "\n"
+    left = _formatted(first, cache)
+    # Row i is cells[4i : 4i + 4]: line break, first text, comma, second text.
+    cells = ["\n", "", ",", ""] * len(left) + ["\n"]
+    cells[0] = header + "\n"
+    cells[1::4] = left
+    cells[3::4] = _formatted(second, cache)  # raises if the lengths differ
+    return "".join(cells)
 
 
 def time_slice(signal: SampledSignal, t_start: float, t_stop: float) -> SampledSignal:

@@ -345,8 +345,12 @@ class TestCompareReadouts:
         assert sorted(calls) == sorted(expected)
 
 
+TRACKS = ("tx", "lo", "echo")
+
+
 class TestExportBytes:
-    """Each two-column file equals a per-row ``.17g`` rendering of its source."""
+    """Every two-column file ``compare`` writes, in every mode directory,
+    equals a per-row ``.17g`` rendering of its source."""
 
     @pytest.fixture(scope="class")
     def compared(self, paper_config_path, tmp_path_factory):
@@ -355,15 +359,39 @@ class TestExportBytes:
         run_compare(config, out)
         return config, out, cli._receive(config)
 
+    @staticmethod
+    def signals(state, mode):
+        """The signal files of one mode directory, with their sources."""
+        receiver = state.receiver
+        files = {
+            "transmit.csv": state.tx,
+            "local_oscillator.csv": state.lo,
+            "received.csv": state.rx,
+        }
+        if mode != "ideal":
+            files["channel1.csv"] = receiver.channel1
+        if mode == "ddctfm":
+            files["channel2.csv"] = receiver.channel2
+        files["output.csv"] = {
+            "ctfm": receiver.channel1, "ddctfm": receiver.sum, "ideal": state.ideal
+        }[mode]
+        return files
+
+    def test_every_two_column_file_is_checked(self, compared):
+        _, out, state = compared
+        for mode in cli.MODES:
+            checked = {*self.signals(state, mode), "spectrum.csv"}
+            checked |= {f"freq_track_{name}.csv" for name in TRACKS}
+            names = {path.name for path in (out / mode).iterdir()}
+            assert names == checked | {"phase_table.csv"}, mode
+
     def test_signals(self, compared):
         _, out, state = compared
-        for name, signal in [
-            ("ideal/transmit.csv", state.tx),
-            ("ddctfm/channel2.csv", state.receiver.channel2),
-            ("ddctfm/output.csv", state.receiver.sum),
-            ("ideal/output.csv", state.ideal),
-        ]:
-            assert_per_row_csv(out / name, "time_s,value", signal.times(), signal.samples)
+        for mode in cli.MODES:
+            for name, signal in self.signals(state, mode).items():
+                assert_per_row_csv(
+                    out / mode / name, "time_s,value", signal.times(), signal.samples
+                )
 
     def test_spectra(self, compared):
         config, out, state = compared
@@ -379,10 +407,49 @@ class TestExportBytes:
 
     def test_frequency_tracks(self, compared):
         config, out, _ = compared
-        tx, lo, echo = cli._frequency_tracks(config)
-        assert 0 < len(lo[0]) < len(tx[0])  # the lo track is a subset of the time column
-        for name, (t, f) in [("tx", tx), ("lo", lo), ("echo", echo)]:
-            assert_per_row_csv(out / "ctfm" / f"freq_track_{name}.csv", "time_s,freq_hz", t, f)
+        tracks = cli._frequency_tracks(config)
+        # The lo track's time column is a subset of the shared one.
+        assert 0 < len(tracks[1][0]) < len(tracks[0][0])
+        for mode in cli.MODES:
+            for name, (t, f) in zip(TRACKS, tracks):
+                path = out / mode / f"freq_track_{name}.csv"
+                assert_per_row_csv(path, "time_s,freq_hz", t, f)
+
+    @pytest.mark.parametrize(
+        "case, shared",
+        [
+            ("every third row", True),
+            ("rows in reverse", True),
+            ("one value a float apart", False),
+            ("-0.0 for the 0.0 row", False),
+            ("a time past the last row", False),
+        ],
+    )
+    def test_track_times_take_shared_rows_only_on_a_bitwise_match(
+        self, tmp_path, case, shared
+    ):
+        """A track's time column takes the shared column's texts only if
+        every value is, bit for bit, one of its rows; any other column is
+        formatted on its own, to the same per-row text."""
+        t = np.arange(60) / 4000.0
+        times = t[::3].copy() if case != "rows in reverse" else t[::-3].copy()
+        if case == "one value a float apart":
+            times[4] = np.nextafter(times[4], 1.0)
+        elif case == "-0.0 for the 0.0 row":
+            times[0] = -0.0
+        elif case == "a time past the last row":
+            times[-1] = t[-1] + 1.0
+        freqs = 100.0 + 50.0 * times
+        cache = {}
+        waveform._cache_rows(times, t, cache)
+        assert (times.tobytes() in cache) == shared
+        files = [
+            (tmp_path / "shared.csv", (t, 100.0 + 50.0 * t)),
+            (tmp_path / "track.csv", (times, freqs)),
+        ]
+        cli._export(files, t)
+        for path, columns in files:
+            assert_per_row_csv(path, "time_s,freq_hz", *columns)
 
 
 class TestCommandLine:

@@ -325,7 +325,8 @@ class TestTiledReceiver:
     @pytest.mark.parametrize("echo_count", range(1, 7))
     def test_each_channel_filters_one_run(self, grid_schedule, grid, run, echo_count):
         """One to six echoes, the last at a fractional delay, on 10-cycle
-        records: one cycle, two, or (with no shorter run) the whole record."""
+        records: one cycle, two, or (with no shorter run) the whole record.
+        The sum is added over that run too and records the same repetition."""
         period, fs = grid
         echoes = [(0.011 * k + 0.02, 1.0 - 0.1 * k) for k in range(echo_count)]
         echoes[-1] = (echoes[-1][0] + 0.3 / fs, echoes[-1][1])
@@ -334,6 +335,7 @@ class TestTiledReceiver:
         start = math.ceil(max(d for d, _ in echoes) * fs) + spec.tap_count - 1
         expected = (0, len(rx)) if run is None else (start, run)
         assert out.channel1._repeat == out.channel2._repeat == expected
+        assert out.sum._repeat == expected
 
     def test_record_too_short_for_one_run_is_filtered_in_full(self, grid_schedule):
         """Two 1,200-sample cycles hold one run after a 0.29 s arrival, but

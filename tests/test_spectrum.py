@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctfm_lab as lab
 from ctfm_lab import spectrum as spectrum_module
@@ -82,6 +84,43 @@ class TestDftMagnitude:
         peak_b = lab.find_peak(spec_b, (10.0, 50.0))
         assert peak_b.frequency == pytest.approx(peak_a.frequency, abs=1e-9)
         assert peak_b.magnitude == pytest.approx(2.5 * peak_a.magnitude, rel=1e-9)
+
+
+class TestCopyRule:
+    """The public constructor copies, as ``SampledSignal``'s does; the
+    spectra the package builds wrap its fresh arrays read-only, uncopied."""
+
+    def test_constructor_copies_the_callers_arrays(self):
+        freqs, mags = np.arange(5.0), np.ones(5)
+        spec = lab.Spectrum(freqs, mags, record_duration=1.0, zero_pad_factor=1)
+        freqs[0] = mags[0] = 99.0
+        assert spec.bin_frequencies[0] == 0.0 and spec.magnitudes[0] == 1.0
+        assert freqs.flags.writeable and mags.flags.writeable
+
+    def test_built_spectra_are_read_only_and_not_copied(self, monkeypatch):
+        built, grids = [], []
+        transform, rfftfreq = spectrum_module._transform, np.fft.rfftfreq
+
+        def recording_transform(*args):
+            built.append(transform(*args))
+            return built[-1]
+
+        def recording_rfftfreq(*args):
+            grids.append(rfftfreq(*args))
+            return grids[-1]
+
+        monkeypatch.setattr(spectrum_module, "_transform", recording_transform)
+        monkeypatch.setattr(np.fft, "rfftfreq", recording_rfftfreq)
+        signal = tone(20.0, 0.5)
+        assert lab.dft_magnitude(signal, 4) is built[0]
+        spectrum_module.mainlobe_width(signal, (5.0, 45.0), 64)
+        assert len(built) == len(grids) == 2
+        for spec, grid in zip(built, grids):
+            assert spec.bin_frequencies is grid
+            for values in (spec.bin_frequencies, spec.magnitudes):
+                assert not values.flags.writeable
+                with pytest.raises(ValueError):
+                    values[0] = 1.0
 
 
 class TestFindPeak:
@@ -260,7 +299,48 @@ class TestCombLawAcrossDelays:
             assert abs(harmonic - round(harmonic)) * comb <= spec.native_bin, lobe
 
 
+# Any float64, drawn as its raw bits: nan with any payload and sign, +-0,
+# subnormals, +-inf and the extremes, as well as ordinary values.
+SPECIAL_BITS = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+     np.finfo(float).max, -np.finfo(float).max, 0.1, 1e16]
+).view(np.int64).tolist() + [0x7FF0000000000001, 0x7FF8000000000001, -1]
+float_bits = st.one_of(
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.integers(min_value=0, max_value=2**52),  # +0 and the positive subnormals
+    st.integers(min_value=-(2**63), max_value=-(2**63) + 2**52),  # -0 and negative ones
+    st.sampled_from(SPECIAL_BITS),
+)
+
+
+@st.composite
+def float_columns(draw, kind, size):
+    """``size`` float64 values: all distinct, drawn from one to three
+    values, or drawn from up to ``size`` values (some repeat, some not)."""
+    if kind == "distinct":
+        bits = draw(st.lists(float_bits, min_size=size, max_size=size, unique=True))
+    else:
+        most = 3 if kind == "repeated" else max(size, 1)
+        pool = draw(st.lists(float_bits, min_size=1, max_size=most, unique=True))
+        picks = st.integers(min_value=0, max_value=len(pool) - 1)
+        bits = [pool[i] for i in draw(st.lists(picks, min_size=size, max_size=size))]
+    return np.array(bits, dtype=np.int64).view(np.float64)
+
+
 class TestSerialization:
+    @given(
+        data=st.data(),
+        kinds=st.tuples(*[st.sampled_from(["distinct", "repeated", "mixed"])] * 2),
+        size=st.integers(min_value=0, max_value=60),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_writer_matches_per_row_formatting_on_any_bit_pattern(self, data, kinds, size):
+        first, second = (data.draw(float_columns(kind, size)) for kind in kinds)
+        expected = "h1,h2\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(first, second))
+        cache = {}
+        assert csv_columns("h1,h2", first, second, cache) == expected
+        assert csv_columns("h1,h2", first, second, cache) == expected
+
     def test_csv_round_trip(self, spectrum_096):
         text = spectrum_096.to_csv()
         lines = text.strip().splitlines()
