@@ -3,7 +3,7 @@
 Subcommands:
 
     phase-table  evaluate the stitch-boundary phase ledger
-    simulate     full pipeline for one mode, with CSV artifacts
+    simulate     compare's walk for one mode, with CSV artifacts
     compare      run ctfm, ddctfm, and ideal side by side
 
 Exit codes: 0 success, 2 configuration error, 3 analysis error.
@@ -49,16 +49,30 @@ class ReportBundle:
 
 
 @dataclass(frozen=True)
-class CompareRow:
+class Readout:
+    """One mode's readout, taken before any file is written.
+
+    ``spec`` is the settled record's spectrum, the one ``spectrum.csv``
+    holds, and ``report`` its peak and sidelobes.  The -3 dB width is read
+    on the mode's observation window instead, a power-of-two transform at
+    least ``WIDTH_PAD_FACTOR`` times finer than its native grid.
+    """
+
     mode: str
-    peak_frequency: float
+    spec: spectrum.Spectrum
+    report: spectrum.SpectrumReport
     mainlobe_width_3db: float
-    strongest_sidelobe_db: float | None
+
+    @property
+    def peak_frequency(self) -> float:
+        return self.report.peak_frequency
+
+    @property
+    def strongest_sidelobe_db(self) -> float | None:
+        return max((lobe.ratio_db for lobe in self.report.sidelobes), default=None)
 
 
-def _settle_duration(config: SimConfig) -> float:
-    """Analysis prefix discarded before any spectrum: filter delay + ring-in."""
-    return config.lowpass.group_delay + config.lowpass.impulse_duration
+CompareRow = Readout  # the public name of ``run_compare``'s rows
 
 
 def _ideal_output(config: SimConfig) -> SampledSignal:
@@ -108,45 +122,15 @@ def _receive(config: SimConfig) -> _Pass:
 
 
 def _analysis_record(output: SampledSignal, config: SimConfig) -> SampledSignal:
-    start = _settle_duration(config)
-    return waveform.time_slice(output, start, output.duration)
-
-
-def _spectrum_report(record: SampledSignal, config: SimConfig):
-    spec = spectrum.dft_magnitude(record, config.zero_pad_factor)
-    peak = spectrum.find_peak(spec, config.band)
-    span = 3.0 / config.tx.duration
-    report = spectrum.sidelobe_report(spec, peak, span, SIDELOBE_FLOOR_DB)
-    return spec, report
+    """The settled record every spectrum is read from."""
+    return waveform.time_slice(output, *config.analysis_spans()["record"])
 
 
 def _observation_window(
     output: SampledSignal, config: SimConfig, mode: str
 ) -> SampledSignal:
-    """The longest span the mode observes coherently, around mid-record.
-
-    The stitched dual-channel output is phase-coherent only between
-    consecutive handoffs (one sweep period); the single-channel baseline
-    only within one valid beat segment (period minus delay); the ideal
-    tone over the whole settled record.  Mainlobe widths measured on these
-    windows express each mode's usable frequency resolution.
-
-    With several echoes the ctfm and ddctfm windows still start at the
-    first echo's arrival (``echoes[0]``), as the phase ledger does; later
-    echoes do not move them.
-    """
-    if mode == "ideal":
-        return _analysis_record(output, config)
-    period = config.tx.duration
-    tau = config.echoes[0].delay
-    delay_shift = config.lowpass.group_delay
-    k = config.cycles // 2
-    start = k * period + tau + delay_shift
-    if mode == "ddctfm":
-        stop = (k + 1) * period + tau + delay_shift
-    else:
-        stop = (k + 1) * period + delay_shift
-    return waveform.time_slice(output, start, stop)
+    """The span ``mode`` observes coherently; see ``SimConfig.analysis_spans``."""
+    return waveform.time_slice(output, *config.analysis_spans()[mode])
 
 
 def _frequency_tracks(config: SimConfig):
@@ -230,55 +214,46 @@ def _export(files, times: np.ndarray) -> None:
             path.write_text(text)
 
 
+def _walk(config: SimConfig, layout: dict[str, Path]):
+    """Read out and export every mode of ``layout``, a ``{mode: out_dir}``.
+
+    One receiver pass serves every mode.  The ledger is evaluated after the
+    first readout, and every readout is taken before any file is written;
+    each artifact the mode directories share is formatted once.  Returns
+    the readouts in layout order, the ledger and the written files.
+    """
+    state = _receive(config)
+    tracks = _frequency_tracks(config)
+    span = 3.0 / config.tx.duration
+    width_pad = max(config.zero_pad_factor, WIDTH_PAD_FACTOR)
+    readouts, ledger, files = [], None, []
+    for mode, out_dir in layout.items():
+        output = state.output(mode)
+        spec = spectrum.dft_magnitude(_analysis_record(output, config), config.zero_pad_factor)
+        peak = spectrum.find_peak(spec, config.band)
+        report = spectrum.sidelobe_report(spec, peak, span, SIDELOBE_FLOOR_DB)
+        window = _observation_window(output, config, mode)
+        width = spectrum.mainlobe_width(window, config.band, width_pad)
+        readouts.append(Readout(mode, spec, report, width))
+        if ledger is None:
+            ledger = phase_table(config.schedule, config.echoes[0].delay)
+        files += _layout(state, mode, spec, ledger, tracks, out_dir)
+    _export(files, tracks[0][0])
+    return tuple(readouts), ledger, files
+
+
 def run(config: SimConfig, mode: str, out_dir: str | Path) -> ReportBundle:
     """Synthesize, demodulate per ``mode``, analyze, and write artifacts."""
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}; expected one of {MODES}")
-    state = _receive(config)
-    record = _analysis_record(state.output(mode), config)
-    spec, spectrum_report = _spectrum_report(record, config)
-    ledger = phase_table(config.schedule, config.echoes[0].delay)
-    tracks = _frequency_tracks(config)
-    files = _layout(state, mode, spec, ledger, tracks, Path(out_dir))
-    _export(files, tracks[0][0])
-    return ReportBundle(
-        phase_report=ledger,
-        spectrum_report=spectrum_report,
-        manifest=tuple(str(path) for path, _ in files),
-    )
+    (readout,), ledger, files = _walk(config, {mode: Path(out_dir)})
+    return ReportBundle(ledger, readout.report, tuple(str(path) for path, _ in files))
 
 
-def run_compare(config: SimConfig, out_dir: str | Path) -> tuple[CompareRow, ...]:
-    """Run every mode on one configuration and tabulate the comparison.
-
-    One receiver pass serves all three modes, and every artifact the mode
-    directories share is formatted once.
-    """
+def run_compare(config: SimConfig, out_dir: str | Path) -> tuple[Readout, ...]:
+    """Run every mode on one configuration and tabulate the comparison."""
     out = Path(out_dir)
-    state = _receive(config)
-    width_pad = max(config.zero_pad_factor, WIDTH_PAD_FACTOR)
-    tracks = _frequency_tracks(config)
-    ledger = None
-    rows, files = [], []
-    for mode in ("ctfm", "ddctfm", "ideal"):
-        output = state.output(mode)
-        record = _analysis_record(output, config)
-        spec, report = _spectrum_report(record, config)
-        if ledger is None:  # after the first readout, as ``run`` orders its errors
-            ledger = phase_table(config.schedule, config.echoes[0].delay)
-        files += _layout(state, mode, spec, ledger, tracks, out / mode)
-        window = _observation_window(output, config, mode)
-        width = spectrum.mainlobe_width(window, config.band, width_pad)
-        strongest = max((lobe.ratio_db for lobe in report.sidelobes), default=None)
-        rows.append(
-            CompareRow(
-                mode=mode,
-                peak_frequency=report.peak_frequency,
-                mainlobe_width_3db=width,
-                strongest_sidelobe_db=strongest,
-            )
-        )
-    _export(files, tracks[0][0])
+    rows, _, _ = _walk(config, {mode: out / mode for mode in ("ctfm", "ddctfm", "ideal")})
     lines = ["mode,peak_freq_hz,mainlobe_width_3db_hz,strongest_sidelobe_db"]
     for row in rows:
         strongest = "" if row.strongest_sidelobe_db is None else f"{row.strongest_sidelobe_db:.17g}"
@@ -286,18 +261,14 @@ def run_compare(config: SimConfig, out_dir: str | Path) -> tuple[CompareRow, ...
             f"{row.mode},{row.peak_frequency:.17g},"
             f"{row.mainlobe_width_3db:.17g},{strongest}"
         )
-    out.mkdir(parents=True, exist_ok=True)
     (out / "compare.csv").write_text("\n".join(lines) + "\n")
-    return tuple(rows)
+    return rows
 
 
 def _load_or_exit(config_path: str) -> SimConfig:
     try:
         return load_config(config_path)
-    except (ConfigLoadError, ConfigurationError) as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(2)
-    except OSError as exc:
+    except (ConfigLoadError, ConfigurationError, OSError) as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(2)
 
@@ -324,13 +295,13 @@ def phase_table_command(config_path: str, out_dir: str):
 
     def action():
         ledger = phase_table(config.schedule, config.echoes[0].delay)
+        table = ledger.to_table()
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "phase_table.csv").write_text(ledger.to_table())
-        click.echo(ledger.to_table(), nl=False)
+        (out / "phase_table.csv").write_text(table)
+        click.echo(table, nl=False)
         jump = ledger.discontinuities[0][1] if ledger.discontinuities else float("nan")
         click.echo(f"# handoff jump: {jump / math.pi:.6g} pi rad at every handoff")
-        return ledger
 
     _analysis_guard(action)
 
@@ -355,7 +326,6 @@ def simulate_command(config_path: str, out_dir: str, mode: str):
                 f"sidelobe: {lobe.frequency:.4f} Hz ({offset:+.4f}) {lobe.ratio_db:.2f} dB"
             )
         click.echo(f"artifacts: {len(bundle.manifest)} files in {out_dir}")
-        return bundle
 
     _analysis_guard(action)
 
@@ -378,7 +348,6 @@ def compare_command(config_path: str, out_dir: str):
                 f"{row.mode:<8} {row.peak_frequency:<10.4f} "
                 f"{row.mainlobe_width_3db:<10.4f} {strongest}"
             )
-        return rows
 
     _analysis_guard(action)
 

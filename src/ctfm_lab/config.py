@@ -5,7 +5,8 @@ dots for grouping (``tx.f_start``, ``echoes.0.delay``).  The oscillator's
 start frequency and initial phase are always derived from the transmit
 sweep and cannot be set.  Every cross-field invariant is checked at load
 time and reported with the offending key path; the first echo's delay
-must not exceed ``lo.duration``, so that the handoff ledger exists.
+must not exceed ``lo.duration``, so that the handoff ledger exists, and
+every analysis window (``SimConfig.analysis_spans``) must hold a sample.
 
 Keys and defaults:
 
@@ -36,7 +37,8 @@ from .demod import LowpassSpec, check_cutoff
 from .errors import ConfigLoadError, CtfmLabError
 from .phase_analysis import check_ledger_delay
 from .scene import Echo, Scene
-from .waveform import ChirpSpec, SweepSchedule, make_schedule
+from .waveform import ChirpSpec, SweepSchedule, make_schedule, sample_count
+from .waveform import _check_sample_rate, _slice_indices
 
 _REQUIRED = (
     "tx.f_start",
@@ -88,6 +90,27 @@ class SimConfig:
     @property
     def scene(self) -> Scene:
         return Scene(echoes=self.echoes, sound_speed=self.sound_speed)
+
+    def analysis_spans(self) -> dict[str, tuple[float, float]]:
+        """(start, stop) in s of the settled ``record`` every spectrum is read
+        from, and of each mode's observation window around mid-record.
+
+        The record drops the filter's delay and ring-in.  ddctfm is coherent
+        between consecutive handoffs (one period), ctfm within one valid beat
+        segment (period minus delay), ideal over the whole record.  The ctfm
+        and ddctfm windows start at the first echo's arrival, as the phase
+        ledger does; later echoes do not move them.
+        """
+        period, shift = self.tx.duration, self.lowpass.group_delay
+        record = (shift + self.lowpass.impulse_duration, self.cycles * period)
+        k = self.cycles // 2
+        start = k * period + self.echoes[0].delay + shift
+        return {
+            "record": record,
+            "ctfm": (start, (k + 1) * period + shift),
+            "ddctfm": (start, (k + 1) * period + self.echoes[0].delay + shift),
+            "ideal": record,
+        }
 
 
 def _parse_number(key: str, raw: str) -> float | int:
@@ -200,12 +223,8 @@ def _build(values: dict) -> SimConfig:
     )
     domain("echoes.0.delay", lambda: check_ledger_delay(schedule, echoes[0].delay))
     sample_rate = values["sample_rate"]
-    if sample_rate < 4.0 * max(tx.f_start, tx.f_end, values["lo.f_end"]):
-        raise ConfigLoadError(
-            f"sample rate {sample_rate} Hz is below 4x the peak instantaneous "
-            "frequency",
-            field="sample_rate",
-        )
+    for sweep in (schedule.tx, schedule.lo):
+        domain("sample_rate", lambda: _check_sample_rate(sample_rate, sweep))
     lowpass = domain(
         "lowpass",
         lambda: LowpassSpec(
@@ -231,7 +250,7 @@ def _build(values: dict) -> SimConfig:
         raise ConfigLoadError(
             f"must be positive, got {sound_speed}", field="sound_speed"
         )
-    return SimConfig(
+    config = SimConfig(
         tx=tx,
         lo_f_end=values["lo.f_end"],
         lo_duration=values["lo.duration"],
@@ -243,6 +262,18 @@ def _build(values: dict) -> SimConfig:
         band=band,
         sound_speed=sound_speed,
     )
+    count = sample_count(schedule, sample_rate)
+    for name, span in config.analysis_spans().items():
+        try:
+            _slice_indices(count, sample_rate, *span)
+        except CtfmLabError as exc:
+            raise ConfigLoadError(
+                f"the {name} analysis window is empty ({exc}): the filter's delay "
+                "and ring-in push it past the record's end; use fewer taps or "
+                "more cycles",
+                field="lowpass.taps",
+            ) from exc
+    return config
 
 
 def serialize_config(config: SimConfig) -> str:

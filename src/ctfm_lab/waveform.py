@@ -332,19 +332,26 @@ def csv_columns(header: str, first, second, cache: dict | None = None) -> str:
 
 def time_slice(signal: SampledSignal, t_start: float, t_stop: float) -> SampledSignal:
     """Samples with t_start <= t < t_stop (relative to the signal's clock)."""
-    if t_stop <= t_start:
-        raise DomainError(f"empty slice [{t_start}, {t_stop})")
-    start = (t_start - signal.t0) * signal.sample_rate
-    stop = (t_stop - signal.t0) * signal.sample_rate
-    i0 = max(0, math.ceil(start - GRID_SLACK))
-    i1 = min(len(signal), math.ceil(stop - GRID_SLACK))
-    if i1 <= i0:
-        raise DomainError(f"slice [{t_start}, {t_stop}) contains no samples")
+    i0, i1 = _slice_indices(len(signal), signal.sample_rate, t_start, t_stop, signal.t0)
     return SampledSignal(
         sample_rate=signal.sample_rate,
         samples=signal.samples[i0:i1],
         t0=signal.t0 + i0 / signal.sample_rate,
     )
+
+
+def _slice_indices(
+    count: int, sample_rate: float, t_start: float, t_stop: float, t0: float = 0.0
+) -> tuple[int, int]:
+    """Indices [i0, i1) of the samples of a ``count``-sample record from
+    ``t0`` with t_start <= t < t_stop; raises if there are none."""
+    if t_stop <= t_start:
+        raise DomainError(f"empty slice [{t_start}, {t_stop})")
+    i0 = max(0, math.ceil((t_start - t0) * sample_rate - GRID_SLACK))
+    i1 = min(count, math.ceil((t_stop - t0) * sample_rate - GRID_SLACK))
+    if i1 <= i0:
+        raise DomainError(f"slice [{t_start}, {t_stop}) contains no samples")
+    return i0, i1
 
 
 def _check_sample_rate(sample_rate: float, spec) -> None:

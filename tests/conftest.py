@@ -102,3 +102,28 @@ def paper_config_path() -> Path:
 @pytest.fixture(scope="session")
 def paper_phase_config_path() -> Path:
     return CONFIG_DIR / "paper_phase.cfg"
+
+
+# Two-cycle 100 -> 200 Hz configurations whose analysis windows hold no
+# sample of the 0.6 s record.  "settle": the filter's delay plus ring-in,
+# 0.67525 s, outlasts the record.  "window": the mid-record windows start at
+# T + delay + group delay = 0.61 s, past it, though the settled record exists.
+EMPTY_WINDOW_KEYS = {
+    "settle": "lo.f_end = 240\nlo.duration = 0.12\nechoes.0.delay = 0.1\nlowpass.taps = 1801\n",
+    "window": (
+        "lo.f_end = 248.33333333333334\nlo.duration = 0.145\n"
+        "echoes.0.delay = 0.14\nlowpass.taps = 1361\n"
+    ),
+}
+
+
+@pytest.fixture(scope="session")
+def empty_window_configs(tmp_path_factory) -> dict[str, Path]:
+    root = tmp_path_factory.mktemp("empty-windows")
+    paths = {}
+    for name, keys in EMPTY_WINDOW_KEYS.items():
+        paths[name] = root / f"{name}.cfg"
+        paths[name].write_text(
+            "tx.f_start = 100\ntx.f_end = 200\ntx.duration = 0.3\ncycles = 2\n" + keys
+        )
+    return paths

@@ -570,3 +570,95 @@ class TestCommandLine:
             ],
         )
         assert result.exit_code == 2
+
+
+class TestOneWalk:
+    """``simulate`` is ``compare``'s walk restricted to one mode, and both
+    commands print the readout record their walk returned."""
+
+    @staticmethod
+    def recording(monkeypatch, name):
+        results = []
+        original = getattr(cli, name)
+
+        def wrapper(*args):
+            results.append(original(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, name, wrapper)
+        return results
+
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_simulate_prints_the_run_report(
+        self, runner, paper_config_path, tmp_path, monkeypatch, mode
+    ):
+        bundles = self.recording(monkeypatch, "run")
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["simulate", "--config", str(paper_config_path), "--out", str(out), "--mode", mode],
+        )
+        assert result.exit_code == 0, result.output
+        (bundle,) = bundles
+        report = bundle.spectrum_report
+        assert report.sidelobes or mode == "ideal"
+        expected = [
+            f"mode: {mode}",
+            f"peak: {report.peak_frequency:.4f} Hz",
+            f"mainlobe width (-3 dB): {report.mainlobe_width_3db:.4f} Hz",
+        ]
+        for lobe in report.sidelobes:
+            offset = lobe.frequency - report.peak_frequency
+            expected.append(
+                f"sidelobe: {lobe.frequency:.4f} Hz ({offset:+.4f}) {lobe.ratio_db:.2f} dB"
+            )
+        expected.append(f"artifacts: {len(bundle.manifest)} files in {out}")
+        assert result.stdout.splitlines() == expected
+
+    def test_compare_prints_the_returned_rows(
+        self, runner, paper_config_path, tmp_path, monkeypatch
+    ):
+        returned = self.recording(monkeypatch, "run_compare")
+        result = runner.invoke(
+            main, ["compare", "--config", str(paper_config_path), "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 0, result.output
+        (rows,) = returned
+        expected = ["mode     peak_hz    width_hz   strongest_sidelobe_db"]
+        for row in rows:
+            strongest = (
+                "-" if row.strongest_sidelobe_db is None else f"{row.strongest_sidelobe_db:.2f}"
+            )
+            expected.append(
+                f"{row.mode:<8} {row.peak_frequency:<10.4f} "
+                f"{row.mainlobe_width_3db:<10.4f} {strongest}"
+            )
+        assert result.stdout.splitlines() == expected
+
+    def test_run_reports_the_compare_readout(self, paper_config_path, tmp_path):
+        config = lab.load_config(paper_config_path)
+        rows = {row.mode: row for row in run_compare(config, tmp_path / "cmp")}
+        for mode in cli.MODES:
+            bundle = run(config, mode, tmp_path / mode)
+            assert bundle.spectrum_report == rows[mode].report, mode
+            strongest = max((lobe.ratio_db for lobe in bundle.spectrum_report.sidelobes), default=None)
+            assert rows[mode].strongest_sidelobe_db == strongest
+            assert rows[mode].peak_frequency == bundle.spectrum_report.peak_frequency
+        assert cli.CompareRow is cli.Readout
+
+    @pytest.mark.parametrize("case", ["settle", "window"])
+    @pytest.mark.parametrize(
+        "command",
+        [["simulate", "--mode", mode] for mode in cli.MODES] + [["compare"]],
+        ids=[f"simulate-{mode}" for mode in cli.MODES] + ["compare"],
+    )
+    def test_empty_analysis_window_exits_2(
+        self, runner, empty_window_configs, tmp_path, case, command
+    ):
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, [*command, "--config", str(empty_window_configs[case]), "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "configuration error: lowpass.taps:" in result.output
+        assert not out.exists()

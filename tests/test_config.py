@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 import ctfm_lab as lab
@@ -152,3 +155,38 @@ class TestRoundTrip:
         again = parse_config(serialize_config(config))
         assert again == config
         assert again.echoes[1] == lab.Echo(0.11, -0.5)
+
+
+def benchmark_pools():
+    """The seeded config pools of the benchmark's parse-bound workloads."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.AnalysisSweep, workloads.ReceiverLong
+
+
+class TestAnalysisWindowBound:
+    """A configuration that loads must run in every mode, so one whose
+    settled record or observation windows hold no sample is refused."""
+
+    @pytest.mark.parametrize("case", ["settle", "window"])
+    def test_empty_analysis_window_rejected_at_load(self, empty_window_configs, case):
+        with pytest.raises(lab.ConfigLoadError) as excinfo:
+            lab.load_config(empty_window_configs[case])
+        assert excinfo.value.field == "lowpass.taps"
+        assert "analysis window is empty" in str(excinfo.value)
+
+    def test_spans_of_the_shipped_config(self, paper_config_path):
+        spans = lab.load_config(paper_config_path).analysis_spans()
+        settle = 256 / 8000 + 257 / 4000
+        assert spans["record"] == spans["ideal"]
+        assert spans["record"] == pytest.approx((settle, 3.6), abs=1e-12)
+        start = 6 * 0.3 + 0.096 + 256 / 8000
+        assert spans["ddctfm"] == pytest.approx((start, start + 0.3), abs=1e-12)
+        assert spans["ctfm"] == pytest.approx((start, 7 * 0.3 + 256 / 8000), abs=1e-12)
+
+    @pytest.mark.parametrize("pool", benchmark_pools(), ids=lambda pool: pool.name)
+    def test_every_benchmark_config_for_seeds_1_to_10_loads(self, pool, tmp_path):
+        for seed in range(1, 11):
+            assert pool(seed, tmp_path, tmp_path).configs

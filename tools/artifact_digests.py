@@ -1,4 +1,5 @@
-"""Print the sha256 of every CSV artifact the bundled configurations produce.
+"""Print the sha256 of every CSV artifact the bundled configurations produce,
+and of each command's stdout.
 
 Run from anywhere in a checkout:
 
@@ -6,15 +7,17 @@ Run from anywhere in a checkout:
 
 For ``configs/paper.cfg`` and ``configs/paper_phase.cfg`` it runs ``compare``
 and ``simulate`` in every mode through the command line, into a temporary
-directory, and prints one ``path digest`` line per CSV file (122 in all),
-sorted by path; the commands' own reports go to stderr.  Paths are
-relative to that directory, so the output of two checkouts can be compared
-with ``diff``.  The package is imported from ``src/`` next to this
-directory, never from an installed copy.
+directory, and prints one ``path digest`` line per CSV file (122 in all)
+and one ``stdout:path digest`` line per command (8 in all), sorted by
+path.  Paths are relative to that directory, and each stdout has the
+directory replaced by ``<out>``, so the output of two checkouts can be
+compared with ``diff``.  The package is imported from ``src/`` next to
+this directory, never from an installed copy.
 """
 
 import contextlib
 import hashlib
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -27,34 +30,33 @@ from ctfm_lab.cli import MODES, main  # noqa: E402
 CONFIGS = ("paper.cfg", "paper_phase.cfg")
 
 
-def _invoke(*args: str) -> None:
-    with contextlib.redirect_stdout(sys.stderr):
-        main.main(list(args), standalone_mode=False)
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def main_digests() -> None:
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
+
+        def invoke(target: Path, *args: str) -> None:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                main.main([*args, "--out", str(target)], standalone_mode=False)
+            text = stdout.getvalue().replace(str(out), "<out>")
+            lines.append(f"stdout:{target.relative_to(out).as_posix()} {_digest(text.encode())}")
+
         for name in CONFIGS:
             config = str(ROOT / "configs" / name)
             stem = Path(name).stem
-            _invoke("compare", "--config", config, "--out", str(out / stem / "compare"))
+            invoke(out / stem / "compare", "compare", "--config", config)
             for mode in MODES:
-                _invoke(
-                    "simulate",
-                    "--config",
-                    config,
-                    "--mode",
-                    mode,
-                    "--out",
-                    str(out / stem / "simulate" / mode),
-                )
-        lines = [
-            f"{path.relative_to(out).as_posix()} "
-            f"{hashlib.sha256(path.read_bytes()).hexdigest()}"
-            for path in sorted(out.rglob("*.csv"))
+                invoke(out / stem / "simulate" / mode, "simulate", "--config", config, "--mode", mode)
+        lines += [
+            f"{path.relative_to(out).as_posix()} {_digest(path.read_bytes())}"
+            for path in out.rglob("*.csv")
         ]
-    print("\n".join(lines))
+    print("\n".join(sorted(lines)))
 
 
 if __name__ == "__main__":
