@@ -21,7 +21,7 @@ import click
 import numpy as np
 
 from . import demod, scene, spectrum, waveform
-from .config import SimConfig, load_config
+from .config import WIDTH_PAD_FACTOR, SimConfig, load_config
 from .errors import ConfigLoadError, ConfigurationError, CtfmLabError
 from .phase_analysis import PhaseReport, phase_table
 from .waveform import SampledSignal
@@ -32,11 +32,6 @@ MODES = ("ddctfm", "ctfm", "ideal")
 # above the rectangular window's first leakage ripple (-13.3 dB) so only
 # genuine artifact lines are cataloged.
 SIDELOBE_FLOOR_DB = -12.0
-
-# Least zero-pad factor used when measuring mainlobe widths of short
-# observation windows, whose native grids are far too coarse for a -3 dB
-# readout; ``spectrum.mainlobe_width`` rounds the transform up to a power of two.
-WIDTH_PAD_FACTOR = 64
 
 
 @dataclass(frozen=True)
@@ -136,26 +131,24 @@ def _observation_window(
 def _frequency_tracks(config: SimConfig):
     """Analytic instantaneous-frequency tracks for plotting.
 
-    Three tracks: the repeating transmit sweep, the oscillator extension
-    (only where active), and the first echo (only after arrival), each on
-    the grid and arrival rule the synthesizers sample.
+    Three ``(times, rows, freq_hz)`` tracks on the record's time axis
+    ``times``: the repeating transmit sweep on every row, the oscillator
+    extension on its active rows, and the first echo on the rows from its
+    arrival.  Each is read off the local times the synthesizers sample, on
+    their grid and arrival rule, tiled across the record as they tile.
     """
     schedule, fs = config.schedule, config.sample_rate
     grid = waveform.sample_grid(schedule, fs, (0.0, config.echoes[0].delay))
     (_, local), (arrival, echo_local) = grid.arrivals
+    local = grid.tile(local)
+    echo_local = grid.tile(np.pad(echo_local, (arrival, 0)))[arrival:]
+    active = local < schedule.lo.duration
     t = np.arange(grid.count) / fs
-    tx_track = grid.tile(waveform.instantaneous_frequency(schedule.tx, local))
-
-    in_window = local < schedule.lo.duration
-    lo_block = np.zeros_like(local)
-    lo_block[in_window] = waveform.instantaneous_frequency(schedule.lo, local[in_window])
-    active = grid.tile(in_window)
-    lo_track = grid.tile(lo_block)[active]
-
-    echo_block = np.zeros(grid.stop)
-    echo_block[arrival:] = waveform.instantaneous_frequency(schedule.tx, echo_local)
-    echo_track = grid.tile(echo_block)[arrival:]
-    return (t, tx_track), (t[active], lo_track), (t[arrival:], echo_track)
+    return (
+        (t, slice(None), waveform.instantaneous_frequency(schedule.tx, local)),
+        (t, active, waveform.instantaneous_frequency(schedule.lo, local[active])),
+        (t, slice(arrival, None), waveform.instantaneous_frequency(schedule.tx, echo_local)),
+    )
 
 
 def _layout(state: _Pass, mode: str, spec, ledger, tracks, out_dir: Path):
@@ -180,35 +173,33 @@ def _layout(state: _Pass, mode: str, spec, ledger, tracks, out_dir: Path):
     return [(out_dir / name, source) for name, source in files]
 
 
-def _text(source, columns: dict, times: np.ndarray) -> str:
+def _text(source, columns: dict) -> str:
     if isinstance(source, SampledSignal):
-        return waveform.csv_columns(
-            "time_s,value", source.times(), source.samples, columns
-        )
+        return waveform.csv_columns("time_s,value", source.times(), source.samples, cache=columns)
     if isinstance(source, spectrum.Spectrum):
         return source.to_csv(columns)
     if isinstance(source, PhaseReport):
         return source.to_table()
-    waveform._cache_rows(source[0], times, columns)
-    return waveform.csv_columns("time_s,freq_hz", *source, columns)
+    times, rows, freq_hz = source
+    texts = np.array(waveform._formatted(times, columns), dtype=object)[rows].tolist()
+    return waveform.csv_columns("time_s,freq_hz", texts, freq_hz, cache=columns)
 
 
-def _export(files, times: np.ndarray) -> None:
+def _export(files) -> None:
     """Format each distinct source once and write it to every path showing it.
 
     Sources are grouped by identity, so a signal two modes share (or one
     mode lists twice) is formatted once; each text is dropped once written.
-    Columns are keyed by their bytes, so the time column of the signals and
-    the tx track, or the frequency column of the spectra, is formatted once.
-    A track's time column that is made of rows of ``times``, the record's
-    time axis, takes those rows' texts instead of being formatted again.
+    Columns are keyed by their bytes, so the time column of the signals, or
+    the frequency column of the spectra, is formatted once.  A track carries
+    its rows of that time column and takes those rows' texts.
     """
     groups: dict[int, tuple[object, list[Path]]] = {}
     for path, source in files:
         groups.setdefault(id(source), (source, []))[1].append(path)
     columns: dict = {}
     for source, paths in groups.values():
-        text = _text(source, columns, times)
+        text = _text(source, columns)
         for path in paths:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
@@ -217,28 +208,26 @@ def _export(files, times: np.ndarray) -> None:
 def _walk(config: SimConfig, layout: dict[str, Path]):
     """Read out and export every mode of ``layout``, a ``{mode: out_dir}``.
 
-    One receiver pass serves every mode.  The ledger is evaluated after the
-    first readout, and every readout is taken before any file is written;
-    each artifact the mode directories share is formatted once.  Returns
-    the readouts in layout order, the ledger and the written files.
+    One receiver pass and one ledger serve every mode, and every readout
+    is taken before any file is written; each artifact the mode directories
+    share is formatted once.  Returns the readouts in layout order, the
+    ledger and the written files.
     """
     state = _receive(config)
     tracks = _frequency_tracks(config)
+    ledger = phase_table(config.schedule, config.echoes[0].delay)
     span = 3.0 / config.tx.duration
-    width_pad = max(config.zero_pad_factor, WIDTH_PAD_FACTOR)
-    readouts, ledger, files = [], None, []
+    readouts, files = [], []
     for mode, out_dir in layout.items():
         output = state.output(mode)
         spec = spectrum.dft_magnitude(_analysis_record(output, config), config.zero_pad_factor)
         peak = spectrum.find_peak(spec, config.band)
         report = spectrum.sidelobe_report(spec, peak, span, SIDELOBE_FLOOR_DB)
         window = _observation_window(output, config, mode)
-        width = spectrum.mainlobe_width(window, config.band, width_pad)
+        width = spectrum.mainlobe_width(window, config.band, config.width_pad_factor)
         readouts.append(Readout(mode, spec, report, width))
-        if ledger is None:
-            ledger = phase_table(config.schedule, config.echoes[0].delay)
         files += _layout(state, mode, spec, ledger, tracks, out_dir)
-    _export(files, tracks[0][0])
+    _export(files)
     return tuple(readouts), ledger, files
 
 
@@ -254,14 +243,13 @@ def run_compare(config: SimConfig, out_dir: str | Path) -> tuple[Readout, ...]:
     """Run every mode on one configuration and tabulate the comparison."""
     out = Path(out_dir)
     rows, _, _ = _walk(config, {mode: out / mode for mode in ("ctfm", "ddctfm", "ideal")})
-    lines = ["mode,peak_freq_hz,mainlobe_width_3db_hz,strongest_sidelobe_db"]
-    for row in rows:
-        strongest = "" if row.strongest_sidelobe_db is None else f"{row.strongest_sidelobe_db:.17g}"
-        lines.append(
-            f"{row.mode},{row.peak_frequency:.17g},"
-            f"{row.mainlobe_width_3db:.17g},{strongest}"
-        )
-    (out / "compare.csv").write_text("\n".join(lines) + "\n")
+    (out / "compare.csv").write_text(waveform.csv_columns(
+        "mode,peak_freq_hz,mainlobe_width_3db_hz,strongest_sidelobe_db",
+        [row.mode for row in rows],
+        [row.peak_frequency for row in rows],
+        [row.mainlobe_width_3db for row in rows],
+        [row.strongest_sidelobe_db for row in rows],  # None: an empty cell
+    ))
     return rows
 
 

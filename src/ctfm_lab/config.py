@@ -6,7 +6,9 @@ start frequency and initial phase are always derived from the transmit
 sweep and cannot be set.  Every cross-field invariant is checked at load
 time and reported with the offending key path; the first echo's delay
 must not exceed ``lo.duration``, so that the handoff ledger exists, and
-every analysis window (``SimConfig.analysis_spans``) must hold a sample.
+every analysis window (``SimConfig.analysis_spans``) must put at least
+three bins of its readout transform in the band.  Non-finite numbers are
+refused.
 
 Keys and defaults:
 
@@ -37,6 +39,7 @@ from .demod import LowpassSpec, check_cutoff
 from .errors import ConfigLoadError, CtfmLabError
 from .phase_analysis import check_ledger_delay
 from .scene import Echo, Scene
+from .spectrum import band_bin_count
 from .waveform import ChirpSpec, SweepSchedule, make_schedule, sample_count
 from .waveform import _check_sample_rate, _slice_indices
 
@@ -61,6 +64,11 @@ _OPTIONAL_DEFAULTS = {
 }
 
 _INT_KEYS = {"cycles", "lowpass.taps", "spectrum.zero_pad_factor"}
+
+# Least zero-pad factor used when measuring mainlobe widths of short
+# observation windows, whose native grids are far too coarse for a -3 dB
+# readout; ``spectrum.mainlobe_width`` rounds the transform up to a power of two.
+WIDTH_PAD_FACTOR = 64
 
 _DERIVED_KEYS = {
     "lo.f_start": "derived from tx.f_end; not configurable",
@@ -90,6 +98,11 @@ class SimConfig:
     @property
     def scene(self) -> Scene:
         return Scene(echoes=self.echoes, sound_speed=self.sound_speed)
+
+    @property
+    def width_pad_factor(self) -> int:
+        """Least pad factor of every observation window's -3 dB width."""
+        return max(self.zero_pad_factor, WIDTH_PAD_FACTOR)
 
     def analysis_spans(self) -> dict[str, tuple[float, float]]:
         """(start, stop) in s of the settled ``record`` every spectrum is read
@@ -246,10 +259,7 @@ def _build(values: dict) -> SimConfig:
             field="spectrum.band_low",
         )
     sound_speed = values["sound_speed"]
-    if sound_speed <= 0.0:
-        raise ConfigLoadError(
-            f"must be positive, got {sound_speed}", field="sound_speed"
-        )
+    domain("sound_speed", lambda: Scene(echoes=echoes, sound_speed=sound_speed))
     config = SimConfig(
         tx=tx,
         lo_f_end=values["lo.f_end"],
@@ -265,7 +275,7 @@ def _build(values: dict) -> SimConfig:
     count = sample_count(schedule, sample_rate)
     for name, span in config.analysis_spans().items():
         try:
-            _slice_indices(count, sample_rate, *span)
+            i0, i1 = _slice_indices(count, sample_rate, *span)
         except CtfmLabError as exc:
             raise ConfigLoadError(
                 f"the {name} analysis window is empty ({exc}): the filter's delay "
@@ -273,6 +283,17 @@ def _build(values: dict) -> SimConfig:
                 "more cycles",
                 field="lowpass.taps",
             ) from exc
+        # The walk reads the record's spectrum and each window's -3 dB width.
+        width = name != "record"
+        factor = config.width_pad_factor if width else zero_pad_factor
+        bins = band_bin_count(i1 - i0, sample_rate, band, factor, power_of_two=width)
+        if bins < 3:
+            raise ConfigLoadError(
+                f"the {name} analysis window ({i1 - i0} samples) puts {bins} "
+                f"transform bins in band {band}, and a readout needs >= 3: use "
+                "fewer taps or more cycles",
+                field="lowpass.taps",
+            )
     return config
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedRangeError
 # wrap_phase is defined with the sweeps and re-exported from here.
-from .waveform import TWO_PI, SweepSchedule, lo_phase, tx_phase, wrap_phase
+from .waveform import TWO_PI, SweepSchedule, csv_columns, lo_phase, tx_phase, wrap_phase
 
 
 def _boundary_tol(t: float, period: float) -> float:
@@ -173,14 +173,14 @@ class PhaseReport:
         raise KeyError(label)
 
     def to_table(self) -> str:
-        """Delimited text: label, instant, value in multiples of pi, wrapped."""
-        lines = ["label,instant_s,unwrapped_pi,wrapped_pi"]
-        for e in self.entries:
-            lines.append(
-                f"{e.label},{e.instant:.17g},{e.unwrapped / math.pi:.17g},"
-                f"{e.wrapped / math.pi:.17g}"
-            )
-        return "\n".join(lines) + "\n"
+        """CSV text: label, instant, value in multiples of pi, wrapped."""
+        return csv_columns(
+            "label,instant_s,unwrapped_pi,wrapped_pi",
+            [e.label for e in self.entries],
+            [e.instant for e in self.entries],
+            [e.unwrapped / math.pi for e in self.entries],
+            [e.wrapped / math.pi for e in self.entries],
+        )
 
 
 def check_ledger_delay(schedule: SweepSchedule, tau: float) -> None:

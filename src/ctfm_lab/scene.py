@@ -47,7 +47,9 @@ class Scene:
     def __post_init__(self):
         object.__setattr__(self, "echoes", tuple(self.echoes))
         if self.sound_speed <= 0.0 or not math.isfinite(self.sound_speed):
-            raise DomainError(f"sound_speed must be positive, got {self.sound_speed}")
+            raise DomainError(
+                f"sound_speed must be finite and positive, got {self.sound_speed}"
+            )
 
 
 def synthesize_received(

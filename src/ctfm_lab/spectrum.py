@@ -71,7 +71,7 @@ class Spectrum:
 
     def to_csv(self, cache: dict | None = None) -> str:
         return csv_columns(
-            "freq_hz,magnitude", self.bin_frequencies, self.magnitudes, cache
+            "freq_hz,magnitude", self.bin_frequencies, self.magnitudes, cache=cache
         )
 
 
@@ -98,7 +98,40 @@ class SpectrumReport:
 def dft_magnitude(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
     """Rectangular-window DFT magnitude, zero padded, on [0, Nyquist]."""
     _check_padding(signal, "zero_pad_factor", zero_pad_factor)
-    return _transform(signal, zero_pad_factor * len(signal), zero_pad_factor)
+    return _transform(signal, transform_length(len(signal), zero_pad_factor), zero_pad_factor)
+
+
+def transform_length(samples: int, factor: int, power_of_two: bool = False) -> int:
+    """Points of a readout transform: ``factor`` times the record, or for a
+    width the smallest power of two at least that (see ``mainlobe_width``)."""
+    points = factor * samples
+    return 1 << (points - 1).bit_length() if power_of_two else points
+
+
+def band_bin_count(
+    samples: int, sample_rate: float, band, factor: int, power_of_two: bool = False
+) -> int:
+    """How many bins of a readout transform ``find_peak`` selects in ``band``.
+
+    The transform is ``transform_length``'s; its bins are the ``k * step``,
+    k = 0..points // 2, of ``np.fft.rfftfreq``, with its own ``step``, so
+    they are counted by the same products and never built.
+    """
+    points = transform_length(samples, factor, power_of_two)
+    step = 1.0 / (points * (1.0 / sample_rate))
+    last = points // 2
+
+    def up_to(edge: float) -> int:
+        """How many bins lie at or below ``edge``."""
+        k = min(max(math.floor(edge / step), -1), last)
+        while k < last and (k + 1) * step <= edge:
+            k += 1
+        while k >= 0 and k * step > edge:
+            k -= 1
+        return k + 1
+
+    low, high = band
+    return max(0, up_to(high) - up_to(math.nextafter(low, -math.inf)))
 
 
 def _check_padding(signal: SampledSignal, name: str, factor) -> None:
@@ -260,6 +293,6 @@ def mainlobe_width(
     picks it; no sidelobe is cataloged.
     """
     _check_padding(signal, "min_pad_factor", min_pad_factor)
-    points = 1 << (min_pad_factor * len(signal) - 1).bit_length()
+    points = transform_length(len(signal), min_pad_factor, power_of_two=True)
     spec = _transform(signal, points, points / len(signal))
     return _mainlobe_extent(spec, _peak_bin(spec, find_peak(spec, band)))[0]

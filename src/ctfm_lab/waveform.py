@@ -298,35 +298,34 @@ def _formatted(column, cache: dict) -> list[str]:
     return cache[key]
 
 
-def _cache_rows(column, base, cache: dict) -> None:
-    """Cache ``column``'s texts as rows of ``base``'s, if every value is found,
-    bit for bit, in the sorted ``base``; otherwise it is formatted in full."""
-    values = np.asarray(column, dtype=float)
-    full = np.asarray(base, dtype=float)
-    key = values.tobytes()
-    if key in cache:
-        return
-    rows = np.minimum(np.searchsorted(full, values), full.size - 1)
-    if np.array_equal(full[rows].view(np.int64), values.view(np.int64)):
-        texts = _formatted(full, cache)
-        cache[key] = [texts[row] for row in rows.tolist()]
+def _cells(column, cache: dict) -> list[str]:
+    if not isinstance(column, list):
+        return _formatted(column, cache)
+    if all(isinstance(cell, str) for cell in column):
+        return column
+    texts = iter(_formatted([x for x in column if x is not None], cache))
+    return ["" if x is None else next(texts) for x in column]
 
 
-def csv_columns(header: str, first, second, cache: dict | None = None) -> str:
-    """Two numeric columns as CSV text, every value in round-trip ``.17g``.
+def csv_columns(header: str, *columns, cache: dict | None = None) -> str:
+    """Columns of one length as CSV text: the one place artifact numbers
+    become text.
 
-    Each distinct value of a column is formatted once.  ``cache`` maps a
-    column's exact float64 bytes to its formatted values; texts that share
-    a cache format a column they have in common once.  The columns must be
-    of one length.
+    A list of ``str`` is written as it stands, and ``None`` in a list of
+    numbers as an empty cell.  Every number is in round-trip ``.17g``, each
+    distinct value of a column formatted once.  ``cache`` maps a column's
+    exact float64 bytes to its formatted values; texts that share a cache
+    format a column they have in common once.  Columns of different lengths
+    raise ``ValueError``.
     """
     cache = {} if cache is None else cache
-    left = _formatted(first, cache)
-    # Row i is cells[4i : 4i + 4]: line break, first text, comma, second text.
-    cells = ["\n", "", ",", ""] * len(left) + ["\n"]
+    texts = [_cells(column, cache) for column in columns]
+    # A row is a line break, then each text after a comma but the first.
+    row = ["\n", ""] + [",", ""] * (len(texts) - 1)
+    cells = row * len(texts[0]) + ["\n"]
     cells[0] = header + "\n"
-    cells[1::4] = left
-    cells[3::4] = _formatted(second, cache)  # raises if the lengths differ
+    for j, column in enumerate(texts):
+        cells[2 * j + 1 :: len(row)] = column  # raises if the lengths differ
     return "".join(cells)
 
 
@@ -355,6 +354,7 @@ def _slice_indices(
 
 
 def _check_sample_rate(sample_rate: float, spec) -> None:
+    _require_finite("sample_rate", sample_rate)
     f_max = max(spec.f_start, spec.f_end)
     if sample_rate < 4.0 * f_max:
         raise ConfigurationError(

@@ -127,3 +127,18 @@ def empty_window_configs(tmp_path_factory) -> dict[str, Path]:
             "tx.f_start = 100\ntx.f_end = 200\ntx.duration = 0.3\ncycles = 2\n" + keys
         )
     return paths
+
+
+@pytest.fixture(scope="session")
+def short_window_config(tmp_path_factory):
+    """The "window" configuration with a given filter length: 1279 taps
+    leave the ctfm and ddctfm windows one sample, 1201 taps enough."""
+    root = tmp_path_factory.mktemp("short-windows")
+
+    def build(taps: int) -> Path:
+        path = root / f"taps-{taps}.cfg"
+        keys = EMPTY_WINDOW_KEYS["window"].replace("1361", str(taps))
+        path.write_text("tx.f_start = 100\ntx.f_end = 200\ntx.duration = 0.3\ncycles = 2\n" + keys)
+        return path
+
+    return build

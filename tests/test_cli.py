@@ -408,48 +408,94 @@ class TestExportBytes:
     def test_frequency_tracks(self, compared):
         config, out, _ = compared
         tracks = cli._frequency_tracks(config)
-        # The lo track's time column is a subset of the shared one.
-        assert 0 < len(tracks[1][0]) < len(tracks[0][0])
+        # The lo track's rows are a subset of the shared time column's.
+        times, rows, _ = tracks[1]
+        assert 0 < len(times[rows]) < len(times)
         for mode in cli.MODES:
-            for name, (t, f) in zip(TRACKS, tracks):
+            for name, (times, rows, f) in zip(TRACKS, tracks):
                 path = out / mode / f"freq_track_{name}.csv"
-                assert_per_row_csv(path, "time_s,freq_hz", t, f)
+                assert_per_row_csv(path, "time_s,freq_hz", times[rows], f)
 
     @pytest.mark.parametrize(
-        "case, shared",
+        "case",
         [
-            ("every third row", True),
-            ("rows in reverse", True),
-            ("one value a float apart", False),
-            ("-0.0 for the 0.0 row", False),
-            ("a time past the last row", False),
+            "every third row",
+            "rows in reverse",
+            "an arbitrary index array",
+            "a single row",
+            "no rows",
+            "a mask of active rows",
         ],
     )
-    def test_track_times_take_shared_rows_only_on_a_bitwise_match(
-        self, tmp_path, case, shared
-    ):
-        """A track's time column takes the shared column's texts only if
-        every value is, bit for bit, one of its rows; any other column is
-        formatted on its own, to the same per-row text."""
+    def test_tracks_take_the_texts_of_the_rows_they_carry(self, tmp_path, case):
+        """A track hands over its rows of the shared time column and gets
+        those rows' texts: the same as a per-row rendering of its times."""
         t = np.arange(60) / 4000.0
-        times = t[::3].copy() if case != "rows in reverse" else t[::-3].copy()
-        if case == "one value a float apart":
-            times[4] = np.nextafter(times[4], 1.0)
-        elif case == "-0.0 for the 0.0 row":
-            times[0] = -0.0
-        elif case == "a time past the last row":
-            times[-1] = t[-1] + 1.0
-        freqs = 100.0 + 50.0 * times
-        cache = {}
-        waveform._cache_rows(times, t, cache)
-        assert (times.tobytes() in cache) == shared
+        rows = {
+            "every third row": slice(None, None, 3),
+            "rows in reverse": slice(None, None, -1),
+            "an arbitrary index array": np.array([7, 3, 3, 59, 0, 41]),
+            "a single row": np.array([17]),
+            "no rows": np.array([], dtype=int),
+            "a mask of active rows": np.arange(60) % 7 < 3,
+        }[case]
+        freqs = 100.0 + 50.0 * t[rows]
+        signal = lab.SampledSignal(4000.0, np.cos(t))  # its time column is t
         files = [
-            (tmp_path / "shared.csv", (t, 100.0 + 50.0 * t)),
-            (tmp_path / "track.csv", (times, freqs)),
+            (tmp_path / "signal.csv", signal),
+            (tmp_path / "track.csv", (t, rows, freqs)),
         ]
-        cli._export(files, t)
-        for path, columns in files:
-            assert_per_row_csv(path, "time_s,freq_hz", *columns)
+        cli._export(files)
+        assert_per_row_csv(tmp_path / "signal.csv", "time_s,value", t, signal.samples)
+        assert_per_row_csv(tmp_path / "track.csv", "time_s,freq_hz", t[rows], freqs)
+
+
+def ledger_rendering(report):
+    """The ledger CSV rendered row by row with f-strings."""
+    lines = ["label,instant_s,unwrapped_pi,wrapped_pi"]
+    for e in report.entries:
+        lines.append(
+            f"{e.label},{e.instant:.17g},{e.unwrapped / np.pi:.17g},{e.wrapped / np.pi:.17g}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def compare_rendering(rows):
+    """``compare.csv`` rendered row by row with f-strings; no sidelobe is
+    an empty cell."""
+    lines = ["mode,peak_freq_hz,mainlobe_width_3db_hz,strongest_sidelobe_db"]
+    for row in rows:
+        strongest = row.strongest_sidelobe_db
+        cell = "" if strongest is None else f"{strongest:.17g}"
+        lines.append(
+            f"{row.mode},{row.peak_frequency:.17g},{row.mainlobe_width_3db:.17g},{cell}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+class TestOneWriter:
+    """The ledger and ``compare.csv`` go through the one CSV writer and read
+    byte for byte as a per-row f-string rendering of the same values."""
+
+    @pytest.fixture(scope="class", params=["paper.cfg", "paper_phase.cfg"])
+    def compared(self, request, paper_config_path, tmp_path_factory):
+        config = lab.load_config(paper_config_path.parent / request.param)
+        out = tmp_path_factory.mktemp("cmp")
+        return config, run_compare(config, out), out
+
+    def test_ledger_table(self, compared):
+        config, _, out = compared
+        report = lab.phase_table(config.schedule, config.echoes[0].delay)
+        assert report.to_table() == ledger_rendering(report)
+        for mode in cli.MODES:
+            assert (out / mode / "phase_table.csv").read_text() == ledger_rendering(report)
+
+    def test_compare_table(self, compared):
+        _, rows, out = compared
+        assert (out / "compare.csv").read_text() == compare_rendering(rows)
+        # The ideal beat has no sidelobe, so its last cell is empty.
+        assert {row.mode: row for row in rows}["ideal"].strongest_sidelobe_db is None
+        assert (out / "compare.csv").read_text().splitlines()[3].endswith(",")
 
 
 class TestCommandLine:
@@ -526,6 +572,21 @@ class TestCommandLine:
         )
         assert result.exit_code == 2, result.output
         assert "echoes.0.delay" in result.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["sound_speed", "sample_rate"])
+    def test_non_finite_value_exits_2(self, runner, paper_config_path, tmp_path, key, value):
+        lines = paper_config_path.read_text().splitlines()
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(
+            "\n".join(f"{key} = {value}" if line.startswith(key) else line for line in lines)
+        )
+        result = runner.invoke(
+            main, ["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2, result.output
+        assert f"configuration error: {key}:" in result.output
         assert not (tmp_path / "o").exists()
 
     def test_config_error_exits_2(self, runner, tmp_path):
@@ -662,3 +723,21 @@ class TestOneWalk:
         assert result.exit_code == 2, result.output
         assert "configuration error: lowpass.taps:" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("taps, code", [(1279, 2), (1201, 0)])
+    @pytest.mark.parametrize(
+        "command",
+        [["simulate", "--mode", mode] for mode in cli.MODES] + [["compare"]],
+        ids=[f"simulate-{mode}" for mode in cli.MODES] + ["compare"],
+    )
+    def test_windows_short_of_three_band_bins_exit_2(
+        self, runner, short_window_config, tmp_path, command, taps, code
+    ):
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, [*command, "--config", str(short_window_config(taps)), "--out", str(out)]
+        )
+        assert result.exit_code == code, result.output
+        if code:
+            assert "configuration error: lowpass.taps:" in result.output
+            assert not out.exists()

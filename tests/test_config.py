@@ -143,6 +143,32 @@ class TestParseConfig:
             parse_config(MINIMAL.replace("cycles = 12", "cycles = 1"))
 
 
+class TestNonFiniteValues:
+    """nan and inf load nowhere: each is refused under its own key."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["sound_speed", "sample_rate"])
+    def test_refused_under_the_key(self, key, value):
+        with pytest.raises(lab.ConfigLoadError) as excinfo:
+            parse_config(MINIMAL + f"{key} = {value}\n")
+        assert excinfo.value.field == key
+        assert "finite" in str(excinfo.value)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "tx.f_start", "tx.f_end", "tx.duration", "tx.phase0", "lo.f_end",
+            "lo.duration", "echoes.0.delay", "echoes.0.amplitude", "sample_rate",
+            "lowpass.cutoff", "spectrum.band_low", "spectrum.band_high", "sound_speed",
+        ],
+    )
+    def test_every_number_key_refuses_them(self, key, value):
+        lines = [line for line in MINIMAL.splitlines() if not line.startswith(key + " ")]
+        with pytest.raises(lab.ConfigLoadError):
+            parse_config("\n".join(lines) + f"\n{key} = {value}\n")
+
+
 class TestRoundTrip:
     def test_serialize_then_parse_is_identity(self, paper_config_path):
         config = lab.load_config(paper_config_path)
@@ -176,6 +202,20 @@ class TestAnalysisWindowBound:
             lab.load_config(empty_window_configs[case])
         assert excinfo.value.field == "lowpass.taps"
         assert "analysis window is empty" in str(excinfo.value)
+
+    @pytest.mark.parametrize("taps, loads", [(1279, False), (1201, True)])
+    def test_windows_need_three_band_bins(self, short_window_config, taps, loads):
+        """With 1279 taps the ctfm and ddctfm windows hold one sample, and
+        their width transforms put no bin in the band; 1201 taps leave
+        enough."""
+        path = short_window_config(taps)
+        if loads:
+            assert lab.load_config(path).lowpass.tap_count == taps
+            return
+        with pytest.raises(lab.ConfigLoadError) as excinfo:
+            lab.load_config(path)
+        assert excinfo.value.field == "lowpass.taps"
+        assert "0 transform bins in band (10.0, 50.0)" in str(excinfo.value)
 
     def test_spans_of_the_shipped_config(self, paper_config_path):
         spans = lab.load_config(paper_config_path).analysis_spans()

@@ -160,6 +160,49 @@ class TestFindPeak:
         assert peak.frequency == pytest.approx(3.5, rel=1e-12)
 
 
+class TestBandBinCount:
+    """``band_bin_count`` counts, without building the grid, the bins
+    ``find_peak`` selects on the transform ``dft_magnitude`` or
+    ``mainlobe_width`` takes."""
+
+    @staticmethod
+    def selected(points, rate, band):
+        freqs = np.fft.rfftfreq(points, 1.0 / rate)
+        return int(np.count_nonzero((freqs >= band[0]) & (freqs <= band[1])))
+
+    @given(
+        samples=st.integers(min_value=1, max_value=3000),
+        factor=st.integers(min_value=1, max_value=70),
+        power_of_two=st.booleans(),
+        rate=st.sampled_from([4000.0, 1000.0, 3333.3, 44100.0, 7.5]),
+        edges=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        on_bins=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_count_matches_the_built_grid(
+        self, samples, factor, power_of_two, rate, edges, on_bins
+    ):
+        points = spectrum_module.transform_length(samples, factor, power_of_two)
+        nyquist = rate / 2.0
+        low, high = sorted(edge * nyquist for edge in edges)
+        if on_bins:  # edges exactly on, or one float off, a grid frequency
+            freqs = np.fft.rfftfreq(points, 1.0 / rate)
+            low = float(freqs[int(edges[0] * (freqs.size - 1))])
+            high = float(np.nextafter(freqs[int(edges[1] * (freqs.size - 1))], 0.0))
+        band = (low, high)
+        expected = self.selected(points, rate, band) if low <= high else 0
+        count = spectrum_module.band_bin_count(samples, rate, band, factor, power_of_two)
+        assert count == expected
+
+    def test_transform_lengths_are_the_readouts(self):
+        signal = tone(32.0, 0.2)
+        assert spectrum_module.transform_length(len(signal), 4) == 4 * 800
+        assert spectrum_module.transform_length(len(signal), 64, True) == 65_536
+        assert spectrum_module.transform_length(1, 1, True) == 1
+        spec = lab.dft_magnitude(signal, 4)
+        assert spec.bin_frequencies.size == 4 * 800 // 2 + 1
+
+
 class TestSidelobeReport:
     def test_commensurate_tone_has_no_reportable_sidelobes(self):
         # 112 whole periods: every artifact in sight is window leakage,
@@ -338,8 +381,8 @@ class TestSerialization:
         first, second = (data.draw(float_columns(kind, size)) for kind in kinds)
         expected = "h1,h2\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(first, second))
         cache = {}
-        assert csv_columns("h1,h2", first, second, cache) == expected
-        assert csv_columns("h1,h2", first, second, cache) == expected
+        assert csv_columns("h1,h2", first, second, cache=cache) == expected
+        assert csv_columns("h1,h2", first, second, cache=cache) == expected
 
     def test_csv_round_trip(self, spectrum_096):
         text = spectrum_096.to_csv()
@@ -356,6 +399,28 @@ class TestSerialization:
         expected = "h1,h2\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(first, second))
         assert csv_columns("h1,h2", first, second) == expected
 
+    def test_any_number_of_columns_with_text_and_empty_cells(self):
+        """Text columns are written as they stand and ``None`` among numbers
+        is an empty cell; numbers keep their per-row ``.17g`` text."""
+        labels = ["a", "b c", ""]
+        first = [0.1, -0.0, np.inf]
+        second = np.array([1.0, 2.0, 1.0])
+        third = [None, 1e-310, None]
+        expected = "h\na,0.10000000000000001,1,\nb c,-0,2,9.9999999999999694e-311\n,inf,1,\n"
+        assert csv_columns("h", labels, first, second, third) == expected
+        one = "h\n" + "".join(f"{x:.17g}\n" for x in first)
+        assert csv_columns("h", first) == one
+
+    def test_no_rows(self):
+        assert csv_columns("h1,h2", [], np.array([])) == "h1,h2\n"
+
+    @pytest.mark.parametrize("short", [0, 1, 2])
+    def test_columns_of_different_lengths_raise(self, short):
+        columns = [np.arange(4.0), ["w", "x", "y", "z"], [1.0, None, 3.0, 4.0]]
+        columns[short] = columns[short][:3]
+        with pytest.raises(ValueError):
+            csv_columns("h1,h2,h3", *columns)
+
     def test_repeated_values_keep_their_per_row_text(self):
         """Each distinct bit pattern is formatted once and put back in place:
         -0.0 stays apart from 0.0, and repeats come back in row order."""
@@ -364,5 +429,5 @@ class TestSerialization:
         second = np.roll(first, 3) * 3.0
         expected = "h1,h2\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(first, second))
         cache = {}
-        assert csv_columns("h1,h2", first, second, cache) == expected
-        assert csv_columns("h1,h2", first, second, cache) == expected
+        assert csv_columns("h1,h2", first, second, cache=cache) == expected
+        assert csv_columns("h1,h2", first, second, cache=cache) == expected

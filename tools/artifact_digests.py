@@ -5,11 +5,11 @@ Run from anywhere in a checkout:
 
     python3 tools/artifact_digests.py > digests.txt
 
-For ``configs/paper.cfg`` and ``configs/paper_phase.cfg`` it runs ``compare``
-and ``simulate`` in every mode through the command line, into a temporary
-directory, and prints one ``path digest`` line per CSV file (122 in all)
-and one ``stdout:path digest`` line per command (8 in all), sorted by
-path.  Paths are relative to that directory, and each stdout has the
+For ``configs/paper.cfg`` and ``configs/paper_phase.cfg`` it runs ``compare``,
+``simulate`` in every mode and ``phase-table`` through the command line, into
+a temporary directory, and prints one ``path digest`` line per CSV file (124
+in all) and one ``stdout:path digest`` line per command (10 in all), sorted
+by path.  Paths are relative to that directory, and each stdout has the
 directory replaced by ``<out>``, so the output of two checkouts can be
 compared with ``diff``.  The package is imported from ``src/`` next to
 this directory, never from an installed copy.
@@ -52,6 +52,7 @@ def main_digests() -> None:
             invoke(out / stem / "compare", "compare", "--config", config)
             for mode in MODES:
                 invoke(out / stem / "simulate" / mode, "simulate", "--config", config, "--mode", mode)
+            invoke(out / stem / "phase-table", "phase-table", "--config", config)
         lines += [
             f"{path.relative_to(out).as_posix()} {_digest(path.read_bytes())}"
             for path in out.rglob("*.csv")
