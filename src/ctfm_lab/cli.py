@@ -288,7 +288,7 @@ def phase_table_command(config_path: str, out_dir: str):
         out.mkdir(parents=True, exist_ok=True)
         (out / "phase_table.csv").write_text(table)
         click.echo(table, nl=False)
-        jump = ledger.discontinuities[0][1] if ledger.discontinuities else float("nan")
+        jump = ledger.discontinuities[0][1]
         click.echo(f"# handoff jump: {jump / math.pi:.6g} pi rad at every handoff")
 
     _analysis_guard(action)

@@ -7,8 +7,8 @@ sweep and cannot be set.  Every cross-field invariant is checked at load
 time and reported with the offending key path; the first echo's delay
 must not exceed ``lo.duration``, so that the handoff ledger exists, and
 every analysis window (``SimConfig.analysis_spans``) must put at least
-three bins of its readout transform in the band.  Non-finite numbers are
-refused.
+three bins of its readout transform in the band, which may not reach past
+that transform's last bin.  Non-finite numbers are refused.
 
 Keys and defaults:
 
@@ -39,7 +39,7 @@ from .demod import LowpassSpec, check_cutoff
 from .errors import ConfigLoadError, CtfmLabError
 from .phase_analysis import check_ledger_delay
 from .scene import Echo, Scene
-from .spectrum import band_bin_count
+from .spectrum import band_bins, readout_grid
 from .waveform import ChirpSpec, SweepSchedule, make_schedule, sample_count
 from .waveform import _check_sample_rate, _slice_indices
 
@@ -178,6 +178,14 @@ def _known_key(key: str) -> bool:
     )
 
 
+def _domain(field: str, factory):
+    """``factory()``, with a library error reported under ``field``."""
+    try:
+        return factory()
+    except CtfmLabError as exc:
+        raise ConfigLoadError(str(exc), field=field) from exc
+
+
 def _collect_echoes(values: dict) -> tuple[Echo, ...]:
     indices = sorted(
         {int(k.split(".")[1]) for k in values if k.startswith("echoes.")}
@@ -194,23 +202,12 @@ def _collect_echoes(values: dict) -> tuple[Echo, ...]:
         if delay_key not in values:
             raise ConfigLoadError("missing required key", field=delay_key)
         amplitude = values.get(f"echoes.{n}.amplitude", 1.0)
-        try:
-            echoes.append(Echo(delay=values[delay_key], amplitude=amplitude))
-        except CtfmLabError as exc:
-            raise ConfigLoadError(str(exc), field=f"echoes.{n}") from exc
+        echoes.append(_domain(f"echoes.{n}", lambda: Echo(values[delay_key], amplitude)))
     return tuple(echoes)
 
 
 def _build(values: dict) -> SimConfig:
-    def domain(field: str, factory):
-        try:
-            return factory()
-        except ConfigLoadError:
-            raise
-        except CtfmLabError as exc:
-            raise ConfigLoadError(str(exc), field=field) from exc
-
-    tx = domain(
+    tx = _domain(
         "tx",
         lambda: ChirpSpec(
             f_start=values["tx.f_start"],
@@ -230,15 +227,15 @@ def _build(values: dict) -> SimConfig:
     cycles = values["cycles"]
     if cycles < 2:
         raise ConfigLoadError("at least two sweep cycles are required", field="cycles")
-    schedule = domain(
+    schedule = _domain(
         "lo",
         lambda: make_schedule(tx, values["lo.f_end"], values["lo.duration"], cycles),
     )
-    domain("echoes.0.delay", lambda: check_ledger_delay(schedule, echoes[0].delay))
+    _domain("echoes.0.delay", lambda: check_ledger_delay(schedule, echoes[0].delay))
     sample_rate = values["sample_rate"]
     for sweep in (schedule.tx, schedule.lo):
-        domain("sample_rate", lambda: _check_sample_rate(sample_rate, sweep))
-    lowpass = domain(
+        _domain("sample_rate", lambda: _check_sample_rate(sample_rate, sweep))
+    lowpass = _domain(
         "lowpass",
         lambda: LowpassSpec(
             cutoff=values["lowpass.cutoff"],
@@ -246,7 +243,7 @@ def _build(values: dict) -> SimConfig:
             sample_rate=sample_rate,
         ),
     )
-    domain("lowpass.cutoff", lambda: check_cutoff(schedule, lowpass))
+    _domain("lowpass.cutoff", lambda: check_cutoff(schedule, lowpass))
     zero_pad_factor = values["spectrum.zero_pad_factor"]
     if zero_pad_factor < 1:
         raise ConfigLoadError(
@@ -259,7 +256,7 @@ def _build(values: dict) -> SimConfig:
             field="spectrum.band_low",
         )
     sound_speed = values["sound_speed"]
-    domain("sound_speed", lambda: Scene(echoes=echoes, sound_speed=sound_speed))
+    _domain("sound_speed", lambda: Scene(echoes=echoes, sound_speed=sound_speed))
     config = SimConfig(
         tx=tx,
         lo_f_end=values["lo.f_end"],
@@ -286,7 +283,16 @@ def _build(values: dict) -> SimConfig:
         # The walk reads the record's spectrum and each window's -3 dB width.
         width = name != "record"
         factor = config.width_pad_factor if width else zero_pad_factor
-        bins = band_bin_count(i1 - i0, sample_rate, band, factor, power_of_two=width)
+        size, freq = readout_grid(i1 - i0, sample_rate, factor, power_of_two=width)
+        top = freq(size - 1)
+        if band[1] > top:
+            raise ConfigLoadError(
+                f"{band[1]} Hz lies above the last bin ({top} Hz) of the "
+                f"{name} analysis window's readout grid ({i1 - i0} samples): lower "
+                "it or raise spectrum.zero_pad_factor",
+                field="spectrum.band_high",
+            )
+        bins = len(band_bins(size, freq, band))
         if bins < 3:
             raise ConfigLoadError(
                 f"the {name} analysis window ({i1 - i0} samples) puts {bins} "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError
-from .waveform import GRID_SLACK, SampledSignal, SweepSchedule, sweep_rate
+from .waveform import GRID_SLACK, SampledSignal, SweepSchedule, _require_finite, sweep_rate
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class LowpassSpec:
     sample_rate: float = 4000.0
 
     def __post_init__(self):
-        if self.sample_rate <= 0.0:
+        if _require_finite("sample_rate", self.sample_rate, ConfigurationError) <= 0.0:
             raise ConfigurationError(
                 f"sample_rate must be positive, got {self.sample_rate}"
             )
@@ -209,5 +209,4 @@ def ctfm_demodulate(
     The output carries the blind-time corruption in every cycle; it is
     channel 1 of the dual chain on its own.
     """
-    _check_aligned(tx, rx)
     return lowpass_filter(mix(tx, rx), lowpass)

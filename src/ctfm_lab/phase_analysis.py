@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedRangeError
 # wrap_phase is defined with the sweeps and re-exported from here.
-from .waveform import TWO_PI, SweepSchedule, csv_columns, lo_phase, tx_phase, wrap_phase
+from .waveform import TWO_PI, SweepSchedule, csv_columns, cycle_split
+from .waveform import lo_phase, tx_phase, wrap_phase
 
 
 def _boundary_tol(t: float, period: float) -> float:
@@ -40,16 +41,15 @@ def _boundary_tol(t: float, period: float) -> float:
 
 
 def _split_snapped(t: float, period: float) -> tuple[int, float]:
-    """Cycle index and local time with boundary-proximate inputs snapped
-    onto the boundary (local time exactly 0)."""
-    k = math.floor(t / period)
-    local = t - k * period
+    """``cycle_split`` with boundary-proximate inputs snapped onto the
+    boundary (local time exactly 0)."""
+    k, local = cycle_split(t, period)
     tol = _boundary_tol(t, period)
     if local <= tol:
         return k, 0.0
     if period - local <= tol:
         return k + 1, 0.0
-    return k, min(max(local, 0.0), period)
+    return k, local
 
 
 def _split_left(t: float, period: float) -> tuple[int, float]:
@@ -70,6 +70,14 @@ def _check_tau(schedule: SweepSchedule, tau: float) -> None:
         )
 
 
+def _check_instant(schedule: SweepSchedule, tau: float, t: float) -> None:
+    _check_tau(schedule, tau)
+    if not 0.0 <= t <= schedule.total_duration:
+        raise DomainError(
+            f"t = {t} s outside the simulated span [0, {schedule.total_duration}] s"
+        )
+
+
 def _echo_phase(schedule: SweepSchedule, tau: float, t: float) -> float:
     """Unwrapped phase of the delayed transmit stream at global time ``t``.
 
@@ -85,11 +93,7 @@ def _echo_phase(schedule: SweepSchedule, tau: float, t: float) -> float:
 
 def channel1_phase(schedule: SweepSchedule, tau: float, t: float) -> float:
     """Unwrapped phase of the filtered transmit-mixer output at time ``t``."""
-    _check_tau(schedule, tau)
-    if not 0.0 <= t <= schedule.total_duration:
-        raise DomainError(
-            f"t = {t} s outside the simulated span [0, {schedule.total_duration}] s"
-        )
+    _check_instant(schedule, tau, t)
     _, local_tx = _split_left(t, schedule.period)
     return tx_phase(schedule.tx, local_tx) - _echo_phase(schedule, tau, t)
 
@@ -99,11 +103,7 @@ def channel2_phase(schedule: SweepSchedule, tau: float, t: float) -> float:
 
     Defined only while the oscillator is active: t in [kT, kT + window].
     """
-    _check_tau(schedule, tau)
-    if not 0.0 <= t <= schedule.total_duration:
-        raise DomainError(
-            f"t = {t} s outside the simulated span [0, {schedule.total_duration}] s"
-        )
+    _check_instant(schedule, tau, t)
     k, local = _split_snapped(t, schedule.period)
     if k >= schedule.cycles:
         raise DomainError(f"t = {t} s lies beyond the last oscillator window")

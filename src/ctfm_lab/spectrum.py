@@ -9,6 +9,7 @@ a three-point parabolic fit on the log magnitude.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -108,30 +109,26 @@ def transform_length(samples: int, factor: int, power_of_two: bool = False) -> i
     return 1 << (points - 1).bit_length() if power_of_two else points
 
 
+def band_bins(size: int, freq, band) -> range:
+    """The bins ``find_peak`` reads: the k < ``size`` with low <= freq(k) <= high,
+    one run of a rising grid, found by bisection."""
+    bins = range(size)
+    return range(bisect_left(bins, band[0], key=freq), bisect_right(bins, band[1], key=freq))
+
+
+def readout_grid(samples: int, sample_rate: float, factor: int, power_of_two: bool = False):
+    """(size, freq) of ``transform_length``'s grid: ``freq(k)`` is the ``k * step``
+    of ``np.fft.rfftfreq``, with its own ``step``, computed on demand."""
+    points = transform_length(samples, factor, power_of_two)
+    step = 1.0 / (points * (1.0 / sample_rate))
+    return points // 2 + 1, lambda k: k * step
+
+
 def band_bin_count(
     samples: int, sample_rate: float, band, factor: int, power_of_two: bool = False
 ) -> int:
-    """How many bins of a readout transform ``find_peak`` selects in ``band``.
-
-    The transform is ``transform_length``'s; its bins are the ``k * step``,
-    k = 0..points // 2, of ``np.fft.rfftfreq``, with its own ``step``, so
-    they are counted by the same products and never built.
-    """
-    points = transform_length(samples, factor, power_of_two)
-    step = 1.0 / (points * (1.0 / sample_rate))
-    last = points // 2
-
-    def up_to(edge: float) -> int:
-        """How many bins lie at or below ``edge``."""
-        k = min(max(math.floor(edge / step), -1), last)
-        while k < last and (k + 1) * step <= edge:
-            k += 1
-        while k >= 0 and k * step > edge:
-            k -= 1
-        return k + 1
-
-    low, high = band
-    return max(0, up_to(high) - up_to(math.nextafter(low, -math.inf)))
+    """How many bins of a readout transform ``find_peak`` selects in ``band``."""
+    return len(band_bins(*readout_grid(samples, sample_rate, factor, power_of_two), band))
 
 
 def _check_padding(signal: SampledSignal, name: str, factor) -> None:
@@ -188,14 +185,14 @@ def find_peak(spec: Spectrum, band: tuple[float, float]) -> PeakEstimate:
         raise DomainError(
             f"band {band} exceeds the frequency grid [{freqs[0]}, {freqs[-1]}]"
         )
-    selected = np.nonzero((freqs >= low) & (freqs <= high))[0]
-    if selected.size < 3:
-        raise DomainError(f"band {band} covers only {selected.size} bins; need >= 3")
-    sub = spec.magnitudes[selected]
+    selected = band_bins(freqs.size, freqs.__getitem__, band)
+    if len(selected) < 3:
+        raise DomainError(f"band {band} covers only {len(selected)} bins; need >= 3")
+    sub = spec.magnitudes[selected.start : selected.stop]
     if not np.any(sub > 0.0):
         raise NoPeakError(f"no spectral energy inside band {band}")
     # np.argmax returns the first maximum: the lower-frequency bin on ties.
-    return _interpolate_bin(spec, int(selected[int(np.argmax(sub))]))
+    return _interpolate_bin(spec, selected[int(np.argmax(sub))])
 
 
 def _peak_bin(spec: Spectrum, peak: PeakEstimate) -> int:

@@ -27,10 +27,10 @@ CONTINUITY_TOL = 1e-9
 GRID_SLACK = 1e-9
 
 
-def _require_finite(name: str, value: float) -> float:
+def _require_finite(name: str, value: float, error: type = DomainError) -> float:
     value = float(value)
     if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
+        raise error(f"{name} must be finite, got {value!r}")
     return value
 
 
@@ -209,7 +209,7 @@ class SampledSignal:
         self._adopt(arr, (0, arr.size))
 
     def _adopt(self, arr: np.ndarray, repeat: tuple[int, int]) -> None:
-        if self.sample_rate <= 0.0:
+        if _require_finite("sample_rate", self.sample_rate) <= 0.0:
             raise DomainError(f"sample_rate must be positive, got {self.sample_rate}")
         if arr.ndim != 1 or arr.size < 1:
             raise ShapeError(
@@ -367,22 +367,17 @@ def sample_count(schedule: SweepSchedule, sample_rate: float) -> int:
     return int(round(schedule.total_duration * sample_rate))
 
 
-def local_times_on_grid(
-    index, sample_rate: float, period: float, cycles: int
-) -> np.ndarray:
-    """Per-cycle local time of (possibly fractional) sample indices.
+def local_times_on_grid(index, sample_rate: float, period: float) -> np.ndarray:
+    """Per-cycle local time of (possibly fractional) sample indices:
+    ``cycle_split`` in sample-index units, divided by the rate.
 
     Working in index units keeps every cycle bit-identical whenever the
     period spans a whole number of samples, and makes whole-sample delays
     exact: period * sample_rate rounds to that integer when both are the
     decimal values they were specified as.
     """
-    idx = np.asarray(index, dtype=float)
-    per_cycle = period * sample_rate
-    k = np.floor(idx / per_cycle)
-    np.clip(k, 0, cycles - 1, out=k)
-    local = np.clip((idx - k * per_cycle) / sample_rate, 0.0, period)
-    return local
+    _, local = cycle_split(index, period * sample_rate)
+    return local / sample_rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,7 +420,7 @@ def sample_grid(
     for delay, first in zip(delays, firsts):
         src = np.arange(first, stop, dtype=float)
         src -= delay * sample_rate
-        local = local_times_on_grid(src, sample_rate, schedule.period, schedule.cycles)
+        local = local_times_on_grid(src, sample_rate, schedule.period)
         arrivals.append((first, local))
     return SampleGrid(count, start, stop, tuple(arrivals))
 

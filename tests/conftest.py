@@ -142,3 +142,22 @@ def short_window_config(tmp_path_factory):
         return path
 
     return build
+
+
+@pytest.fixture(scope="session")
+def band_high_config(tmp_path_factory):
+    """``paper.cfg`` with ``spectrum.band_high`` at Nyquist, 2000 Hz, and a
+    given pad factor: at 1 the record's odd 14,015-point transform has no
+    bin there, at 4 its 56,060 points do."""
+    root = tmp_path_factory.mktemp("band-high")
+    text = (CONFIG_DIR / "paper.cfg").read_text()
+
+    def build(factor: int) -> Path:
+        path = root / f"pad-{factor}.cfg"
+        path.write_text(
+            text.replace("spectrum.zero_pad_factor = 4", f"spectrum.zero_pad_factor = {factor}")
+            .replace("spectrum.band_high = 50", "spectrum.band_high = 2000")
+        )
+        return path
+
+    return build

@@ -113,16 +113,14 @@ class TestFrequencyTracks:
         config = lab.load_config(paper_config_path)
         schedule, fs = config.schedule, config.sample_rate
         index = np.arange(waveform.sample_count(schedule, fs), dtype=float)
-        local = waveform.local_times_on_grid(index, fs, schedule.period, schedule.cycles)
+        local = waveform.local_times_on_grid(index, fs, schedule.period)
         tx = lab.synthesize_transmit(schedule, fs)
         assert np.array_equal(np.cos(lab.tx_phase(schedule.tx, local)), tx.samples)
 
         delay = config.echoes[0].delay
         src = index - delay * fs
         arrived = src >= 0.0
-        echo_local = waveform.local_times_on_grid(
-            src[arrived], fs, schedule.period, schedule.cycles
-        )
+        echo_local = waveform.local_times_on_grid(src[arrived], fs, schedule.period)
         rx = lab.synthesize_received(schedule, lab.Scene((lab.Echo(delay),)), fs)
         assert np.array_equal(
             np.cos(lab.tx_phase(schedule.tx, echo_local)), rx.samples[arrived]
@@ -740,4 +738,24 @@ class TestOneWalk:
         assert result.exit_code == code, result.output
         if code:
             assert "configuration error: lowpass.taps:" in result.output
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, factor, code",
+        [(["simulate", "--mode", mode], 1, 2) for mode in cli.MODES]
+        + [(["compare"], 1, 2), (["compare"], 4, 0)],
+        ids=[f"simulate-{mode}" for mode in cli.MODES] + ["compare", "compare-loads"],
+    )
+    def test_band_past_the_last_bin_exits_2(
+        self, runner, band_high_config, tmp_path, command, factor, code
+    ):
+        """At pad factor 1 every mode used to load and then exit 3 in
+        ``find_peak``; at 4 the band ends on the record's last bin."""
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, [*command, "--config", str(band_high_config(factor)), "--out", str(out)]
+        )
+        assert result.exit_code == code, result.output
+        if code:
+            assert "configuration error: spectrum.band_high:" in result.output
             assert not out.exists()

@@ -230,3 +230,18 @@ class TestAnalysisWindowBound:
     def test_every_benchmark_config_for_seeds_1_to_10_loads(self, pool, tmp_path):
         for seed in range(1, 11):
             assert pool(seed, tmp_path, tmp_path).configs
+
+
+class TestBandHighBound:
+    """``find_peak`` refuses a band reaching past its grid's last bin, so
+    the loader holds ``spectrum.band_high`` to every readout grid's."""
+
+    def test_band_past_the_records_last_bin_rejected(self, band_high_config):
+        with pytest.raises(lab.ConfigLoadError) as excinfo:
+            lab.load_config(band_high_config(1))
+        assert excinfo.value.field == "spectrum.band_high"
+        assert "last bin (1999.857" in str(excinfo.value)
+        assert "record analysis window" in str(excinfo.value)
+
+    def test_band_on_the_last_bin_loads(self, band_high_config):
+        assert lab.load_config(band_high_config(4)).band == (10.0, 2000.0)

@@ -27,6 +27,11 @@ class TestLowpassSpec:
         with pytest.raises(lab.ConfigurationError):
             lab.LowpassSpec(cutoff=cutoff, tap_count=257, sample_rate=SAMPLE_RATE)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_sample_rate_must_be_finite(self, rate):
+        with pytest.raises(lab.ConfigurationError, match="sample_rate must be finite"):
+            lab.LowpassSpec(cutoff=50.0, tap_count=257, sample_rate=rate)
+
     @pytest.mark.parametrize("taps", [256, 2, 1, -3])
     def test_tap_count_must_be_odd(self, taps):
         with pytest.raises(lab.ConfigurationError):
@@ -188,6 +193,12 @@ class TestDemodulate:
 
 
 class TestCtfmDemodulate:
+    def test_shape_guard(self, reference_tx, reference_lowpass):
+        """``mix`` holds the alignment check for the single channel too."""
+        short = make_signal(reference_tx.samples[:-1])
+        with pytest.raises(lab.ShapeError):
+            lab.ctfm_demodulate(reference_tx, short, reference_lowpass)
+
     def test_zero_delay_settles_to_one_half(
         self, reference_schedule, reference_tx, reference_lowpass
     ):

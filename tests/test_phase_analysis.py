@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctfm_lab as lab
+from ctfm_lab import phase_analysis
 from oracles import (
     LEDGER_DELAY,
     PERIOD,
@@ -270,6 +271,24 @@ class TestErrorHandling:
     def test_phase_table_requires_a_handoff_inside_the_window(self, reference_schedule):
         with pytest.raises(lab.UnsupportedRangeError):
             lab.phase_table(reference_schedule, 0.125)
+
+
+class TestSplitSnapped:
+    @given(
+        k=st.integers(min_value=0, max_value=40),
+        ulps=st.integers(min_value=-4, max_value=4),
+        period=st.sampled_from([0.3, 0.300125, 0.25, 0.1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_instants_a_few_ulps_off_a_reset_snap_onto_it(self, k, ulps, period):
+        """k*T, and k*T moved a few floats either way, read as the reset
+        itself: cycle k, local time exactly 0."""
+        t = k * period
+        for _ in range(abs(ulps)):
+            t = math.nextafter(t, math.copysign(math.inf, ulps))
+        cycle, local = phase_analysis._split_snapped(t, period)
+        assert (cycle, local) == (k, 0.0)
+        assert type(cycle) is int and type(local) is float
 
 
 def rising_crossings(signal, t_low, t_high):

@@ -128,9 +128,7 @@ def per_sample_received(schedule, scene, sample_rate):
     for echo in scene.echoes:
         src = index - echo.delay * sample_rate
         arrived = src >= 0.0
-        local = waveform.local_times_on_grid(
-            src[arrived], sample_rate, schedule.period, schedule.cycles
-        )
+        local = waveform.local_times_on_grid(src[arrived], sample_rate, schedule.period)
         total[arrived] += echo.amplitude * np.cos(lab.tx_phase(schedule.tx, local))
     return total
 

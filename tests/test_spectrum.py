@@ -160,6 +160,41 @@ class TestFindPeak:
         assert peak.frequency == pytest.approx(3.5, rel=1e-12)
 
 
+class TestBandBins:
+    """``find_peak`` reads the bins a boolean mask of the band would select."""
+
+    @staticmethod
+    def mask_bins(freqs, band):
+        return np.nonzero((freqs >= band[0]) & (freqs <= band[1]))[0].tolist()
+
+    @given(
+        points=st.integers(min_value=4, max_value=5000),
+        rate=st.sampled_from([4000.0, 3333.3, 44100.0, 7.5]),
+        edges=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        nudges=st.tuples(st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1])),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bins_and_peak_match_the_mask(self, points, rate, edges, nudges):
+        """Band edges exactly on a bin, or one float either side of it."""
+        freqs = np.fft.rfftfreq(points, 1.0 / rate)
+        on_bins = [float(freqs[int(edge * (freqs.size - 1))]) for edge in edges]
+        low, high = (
+            math.nextafter(f, math.inf * nudge) if nudge else f
+            for f, nudge in zip(on_bins, nudges)
+        )
+        bins = spectrum_module.band_bins(freqs.size, freqs.__getitem__, (low, high))
+        selected = self.mask_bins(freqs, (low, high))
+        assert list(bins) == selected
+
+        if not (freqs[0] <= low < high <= freqs[-1] and len(selected) >= 3):
+            return
+        mags = (np.arange(freqs.size) * 7919 % 13).astype(float)  # ties on purpose
+        spec = lab.Spectrum(freqs, mags, record_duration=1.0, zero_pad_factor=1)
+        first_max = selected[int(np.argmax(mags[selected]))]
+        expected = spectrum_module._interpolate_bin(spec, first_max)
+        assert lab.find_peak(spec, (low, high)) == expected
+
+
 class TestBandBinCount:
     """``band_bin_count`` counts, without building the grid, the bins
     ``find_peak`` selects on the transform ``dft_magnitude`` or

@@ -194,6 +194,65 @@ class TestPhaseProperties:
         assert k * period + local == pytest.approx(t, rel=1e-12, abs=1e-12)
 
 
+    @given(
+        t=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=40),
+        period=st.floats(min_value=1e-2, max_value=10.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_cycle_split_of_an_array_is_per_element(self, t, period):
+        k, local = lab.cycle_split(np.array(t), period)
+        pairs = [lab.cycle_split(x, period) for x in t]
+        assert k.tolist() == [cycle for cycle, _ in pairs]
+        assert local.tolist() == [value for _, value in pairs]
+
+
+def clamped_local_times(index, sample_rate, period, cycles):
+    """The grid's local times as first written, with the cycle index
+    clamped to the record: the reference ``local_times_on_grid`` keeps."""
+    idx = np.asarray(index, dtype=float)
+    per_cycle = period * sample_rate
+    k = np.floor(idx / per_cycle)
+    np.clip(k, 0, cycles - 1, out=k)
+    return np.clip((idx - k * per_cycle) / sample_rate, 0.0, period)
+
+
+class TestLocalTimesOnGrid:
+    @given(
+        grid=st.sampled_from(SYNTHESIS_GRIDS),
+        cycles=st.integers(min_value=1, max_value=12),
+        fraction=st.floats(min_value=0.0, max_value=0.8),
+        whole=st.booleans(),
+        nudge=st.sampled_from([-1, 0, 1]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_grid_index_matches_the_clamped_formula(
+        self, grid_schedule, grid, cycles, fraction, whole, nudge
+    ):
+        """Bit for bit, at every index the grid passes from a delay's
+        arrival: whole-sample delays, fractional ones, and either moved by
+        one float."""
+        period, fs = grid
+        schedule = grid_schedule(period, cycles)
+        delay = fraction * period
+        if whole:
+            delay = round(delay * fs) / fs
+        if nudge:
+            delay = max(0.0, math.nextafter(delay, math.inf * nudge))
+        count = waveform.sample_count(schedule, fs)
+        src = np.arange(min(math.ceil(delay * fs), count), count, dtype=float)
+        src -= delay * fs
+        got = waveform.local_times_on_grid(src, fs, period)
+        expected = clamped_local_times(src, fs, period, cycles)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+class TestNonFiniteRates:
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_sampled_signal_refuses_the_rate(self, rate):
+        with pytest.raises(lab.DomainError, match="sample_rate must be finite"):
+            lab.SampledSignal(rate, np.ones(4))
+
+
 class TestSynthesizeTransmit:
     def test_first_sample_is_unity(self, reference_tx):
         assert reference_tx.samples[0] == 1.0
@@ -258,9 +317,7 @@ class TestSynthesizeLo:
 def per_sample_local(schedule, sample_rate):
     """The local time of every sample, each computed on its own."""
     index = np.arange(waveform.sample_count(schedule, sample_rate), dtype=float)
-    return waveform.local_times_on_grid(
-        index, sample_rate, schedule.period, schedule.cycles
-    )
+    return waveform.local_times_on_grid(index, sample_rate, schedule.period)
 
 
 class TestTiledSynthesis:

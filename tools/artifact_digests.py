@@ -1,5 +1,5 @@
 """Print the sha256 of every CSV artifact the bundled configurations produce,
-and of each command's stdout.
+of each command's stdout, and of the receiver signals of fixed cases.
 
 Run from anywhere in a checkout:
 
@@ -8,11 +8,15 @@ Run from anywhere in a checkout:
 For ``configs/paper.cfg`` and ``configs/paper_phase.cfg`` it runs ``compare``,
 ``simulate`` in every mode and ``phase-table`` through the command line, into
 a temporary directory, and prints one ``path digest`` line per CSV file (124
-in all) and one ``stdout:path digest`` line per command (10 in all), sorted
-by path.  Paths are relative to that directory, and each stdout has the
-directory replaced by ``<out>``, so the output of two checkouts can be
-compared with ``diff``.  The package is imported from ``src/`` next to
-this directory, never from an installed copy.
+in all) and one ``stdout:path digest`` line per command (10 in all).  Paths
+are relative to that directory, and each stdout has the directory replaced
+by ``<out>``.  The bundled configurations have whole-sample delays, so it
+also builds the cases of ``RECEIVER_CASES`` with the library, fractional
+delays on the 1,200-sample and the 1,200.5-sample grid, and prints one
+``receiver:case/signal digest`` line per tx, lo, rx, channel1, channel2 and
+sum signal (12 in all).  Lines are sorted, so the output of two checkouts
+can be compared with ``diff``.  The package is imported from ``src/`` next
+to this directory, never from an installed copy.
 """
 
 import contextlib
@@ -25,9 +29,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import ctfm_lab as lab  # noqa: E402
 from ctfm_lab.cli import MODES, main  # noqa: E402
 
 CONFIGS = ("paper.cfg", "paper_phase.cfg")
+
+# name: (sweep period in s at 4 kHz, (delay in s, amplitude) per echo).  The
+# 100 -> 200 Hz sweep spans 1,200 samples at 0.3 s and 1,200.5 at 0.300125 s.
+RECEIVER_CASES = {
+    "three-echoes-1200": (0.3, ((0.0123457, 1.0), (0.0961234, 0.5), (0.1100003, 0.25))),
+    "one-echo-1200.5": (0.300125, ((0.0961234, 1.0),)),
+}
 
 
 def _digest(data: bytes) -> str:
@@ -57,7 +69,30 @@ def main_digests() -> None:
             f"{path.relative_to(out).as_posix()} {_digest(path.read_bytes())}"
             for path in out.rglob("*.csv")
         ]
+    lines += receiver_digests()
     print("\n".join(sorted(lines)))
+
+
+def receiver_digests() -> list[str]:
+    """One ``receiver:case/signal digest`` line per signal of each case."""
+    fs = 4000.0
+    lines = []
+    for case, (period, echoes) in RECEIVER_CASES.items():
+        tx = lab.ChirpSpec(100.0, 200.0, period)
+        schedule = lab.make_schedule(tx, 200.0 + 0.12 * lab.sweep_rate(tx), 0.12, 12)
+        scene = lab.Scene(tuple(lab.Echo(delay, amplitude) for delay, amplitude in echoes))
+        signals = {
+            "tx": lab.synthesize_transmit(schedule, fs),
+            "lo": lab.synthesize_lo(schedule, fs),
+            "rx": lab.synthesize_received(schedule, scene, fs),
+        }
+        out = lab.demodulate(*signals.values(), lab.LowpassSpec(50.0, 257, fs))
+        signals.update(channel1=out.channel1, channel2=out.channel2, sum=out.sum)
+        lines += [
+            f"receiver:{case}/{name} {_digest(signal.samples.tobytes())}"
+            for name, signal in signals.items()
+        ]
+    return lines
 
 
 if __name__ == "__main__":
