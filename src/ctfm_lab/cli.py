@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import click
@@ -48,19 +48,22 @@ class Readout:
     """One mode's readout, taken before any file is written.
 
     ``spec`` is the settled record's spectrum, the one ``spectrum.csv``
-    holds, and ``report`` its peak and sidelobes.  The -3 dB width is read
-    on the mode's observation window instead, a power-of-two transform at
-    least ``WIDTH_PAD_FACTOR`` times finer than its native grid.
+    holds, and ``report`` its peak and sidelobes.  The report's -3 dB width
+    is read on the mode's observation window instead, a power-of-two
+    transform at least ``WIDTH_PAD_FACTOR`` times finer than its native grid.
     """
 
     mode: str
     spec: spectrum.Spectrum
     report: spectrum.SpectrumReport
-    mainlobe_width_3db: float
 
     @property
     def peak_frequency(self) -> float:
         return self.report.peak_frequency
+
+    @property
+    def mainlobe_width_3db(self) -> float:
+        return self.report.mainlobe_width_3db
 
     @property
     def strongest_sidelobe_db(self) -> float | None:
@@ -225,7 +228,7 @@ def _walk(config: SimConfig, layout: dict[str, Path]):
         report = spectrum.sidelobe_report(spec, peak, span, SIDELOBE_FLOOR_DB)
         window = _observation_window(output, config, mode)
         width = spectrum.mainlobe_width(window, config.band, config.width_pad_factor)
-        readouts.append(Readout(mode, spec, report, width))
+        readouts.append(Readout(mode, spec, replace(report, mainlobe_width_3db=width)))
         files += _layout(state, mode, spec, ledger, tracks, out_dir)
     _export(files)
     return tuple(readouts), ledger, files

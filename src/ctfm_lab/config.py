@@ -10,28 +10,16 @@ every analysis window (``SimConfig.analysis_spans``) must put at least
 three bins of its readout transform in the band, which may not reach past
 that transform's last bin.  Non-finite numbers are refused.
 
-Keys and defaults:
-
-    tx.f_start               required, Hz
-    tx.f_end                 required, Hz
-    tx.duration              required, s
-    tx.phase0                0.0 rad
-    lo.f_end                 required, Hz
-    lo.duration              required, s
-    cycles                   required, positive integer
-    echoes.N.delay           required for N = 0.. (contiguous), s
-    echoes.N.amplitude       1.0
-    sample_rate              4000.0 Hz
-    lowpass.cutoff           50.0 Hz
-    lowpass.taps             257
-    spectrum.zero_pad_factor 4
-    spectrum.band_low        10.0 Hz
-    spectrum.band_high       50.0 Hz
-    sound_speed              1500.0 m/s
+Keys, defaults and canonical order: ``_SWEEP_KEYS`` and ``_RECEIVER_KEYS``
+below, the one key table that the parser and ``serialize_config`` both read.
+Echoes are ``echoes.N.delay`` (required) and ``echoes.N.amplitude`` (1.0),
+N = 0, 1, ... contiguous and written in plain ASCII decimal without a
+leading zero; any other spelling is an unknown key.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,25 +31,30 @@ from .spectrum import band_bins, readout_grid
 from .waveform import ChirpSpec, SweepSchedule, make_schedule, sample_count
 from .waveform import _check_sample_rate, _slice_indices
 
-_REQUIRED = (
-    "tx.f_start",
-    "tx.f_end",
-    "tx.duration",
-    "lo.f_end",
-    "lo.duration",
-    "cycles",
-)
-
-_OPTIONAL_DEFAULTS = {
-    "tx.phase0": 0.0,
-    "sample_rate": 4000.0,
-    "lowpass.cutoff": 50.0,
-    "lowpass.taps": 257,
-    "spectrum.zero_pad_factor": 4,
-    "spectrum.band_low": 10.0,
-    "spectrum.band_high": 50.0,
-    "sound_speed": 1500.0,
+# The key table.  Each global key maps to its default (None: required) and
+# to how a ``SimConfig`` gives its value back; the order is the canonical
+# text's, with the echoes written between the two groups.
+_SWEEP_KEYS = {
+    "tx.f_start": (None, lambda c: c.tx.f_start),  # Hz
+    "tx.f_end": (None, lambda c: c.tx.f_end),  # Hz
+    "tx.duration": (None, lambda c: c.tx.duration),  # s
+    "tx.phase0": (0.0, lambda c: c.tx.phase0),  # rad
+    "lo.f_end": (None, lambda c: c.lo_f_end),  # Hz
+    "lo.duration": (None, lambda c: c.lo_duration),  # s
+    "cycles": (None, lambda c: c.cycles),  # positive integer
 }
+_RECEIVER_KEYS = {
+    "sample_rate": (4000.0, lambda c: c.sample_rate),  # Hz
+    "lowpass.cutoff": (50.0, lambda c: c.lowpass.cutoff),  # Hz
+    "lowpass.taps": (257, lambda c: c.lowpass.tap_count),
+    "spectrum.zero_pad_factor": (4, lambda c: c.zero_pad_factor),
+    "spectrum.band_low": (10.0, lambda c: c.band[0]),  # Hz
+    "spectrum.band_high": (50.0, lambda c: c.band[1]),  # Hz
+    "sound_speed": (1500.0, lambda c: c.sound_speed),  # m/s
+}
+_KEYS = {**_SWEEP_KEYS, **_RECEIVER_KEYS}
+
+_ECHO_KEY = re.compile(r"echoes\.(?:0|[1-9][0-9]*)\.(?:delay|amplitude)")
 
 _INT_KEYS = {"cycles", "lowpass.taps", "spectrum.zero_pad_factor"}
 
@@ -151,31 +144,17 @@ def parse_config(text: str) -> SimConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key in _DERIVED_KEYS:
             raise ConfigLoadError(_DERIVED_KEYS[key], field=key)
-        if not _known_key(key):
+        if key not in _KEYS and not _ECHO_KEY.fullmatch(key):
             raise ConfigLoadError("unknown key", field=key)
         if key in values:
             raise ConfigLoadError(f"line {lineno}: duplicate key", field=key)
         values[key] = _parse_number(key, raw)
 
-    for key in _REQUIRED:
-        if key not in values:
+    for key, (default, _) in _KEYS.items():
+        if key not in values and default is None:
             raise ConfigLoadError("missing required key", field=key)
-
-    merged = dict(_OPTIONAL_DEFAULTS)
-    merged.update(values)
-    return _build(merged)
-
-
-def _known_key(key: str) -> bool:
-    if key in _REQUIRED or key in _OPTIONAL_DEFAULTS:
-        return True
-    parts = key.split(".")
-    return (
-        len(parts) == 3
-        and parts[0] == "echoes"
-        and parts[1].isdigit()
-        and parts[2] in ("delay", "amplitude")
-    )
+        values.setdefault(key, default)
+    return _build(values)
 
 
 def _domain(field: str, factory):
@@ -305,28 +284,15 @@ def _build(values: dict) -> SimConfig:
 
 def serialize_config(config: SimConfig) -> str:
     """Emit a document that parses back to an equivalent configuration."""
-    lines = [
-        f"tx.f_start = {config.tx.f_start!r}",
-        f"tx.f_end = {config.tx.f_end!r}",
-        f"tx.duration = {config.tx.duration!r}",
-        f"tx.phase0 = {config.tx.phase0!r}",
-        f"lo.f_end = {config.lo_f_end!r}",
-        f"lo.duration = {config.lo_duration!r}",
-        f"cycles = {config.cycles}",
+    def lines(keys: dict) -> list[str]:
+        return [f"{key} = {value(config)!r}" for key, (_, value) in keys.items()]
+
+    echoes = [
+        f"echoes.{n}.{field} = {getattr(echo, field)!r}"
+        for n, echo in enumerate(config.echoes)
+        for field in ("delay", "amplitude")
     ]
-    for n, echo in enumerate(config.echoes):
-        lines.append(f"echoes.{n}.delay = {echo.delay!r}")
-        lines.append(f"echoes.{n}.amplitude = {echo.amplitude!r}")
-    lines += [
-        f"sample_rate = {config.sample_rate!r}",
-        f"lowpass.cutoff = {config.lowpass.cutoff!r}",
-        f"lowpass.taps = {config.lowpass.tap_count}",
-        f"spectrum.zero_pad_factor = {config.zero_pad_factor}",
-        f"spectrum.band_low = {config.band[0]!r}",
-        f"spectrum.band_high = {config.band[1]!r}",
-        f"sound_speed = {config.sound_speed!r}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines(_SWEEP_KEYS) + echoes + lines(_RECEIVER_KEYS)) + "\n"
 
 
 def load_config(path: str | Path) -> SimConfig:

@@ -211,6 +211,7 @@ class SampledSignal:
     def _adopt(self, arr: np.ndarray, repeat: tuple[int, int]) -> None:
         if _require_finite("sample_rate", self.sample_rate) <= 0.0:
             raise DomainError(f"sample_rate must be positive, got {self.sample_rate}")
+        _require_finite("t0", self.t0)
         if arr.ndim != 1 or arr.size < 1:
             raise ShapeError(
                 f"samples must be a non-empty 1-d sequence, got shape {arr.shape}"

@@ -694,6 +694,22 @@ class TestOneWalk:
             )
         assert result.stdout.splitlines() == expected
 
+    @pytest.mark.parametrize("name", ["paper.cfg", "paper_phase.cfg"])
+    def test_simulate_prints_compares_width(self, runner, paper_config_path, tmp_path, name):
+        """Both commands print the mode's observation-window width, never
+        the record spectrum's mainlobe, which would read finer than ideal."""
+        config = str(paper_config_path.parent / name)
+        result = runner.invoke(main, ["compare", "--config", config, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        widths = {line.split()[0]: line.split()[2] for line in result.stdout.splitlines()[1:]}
+        for mode in cli.MODES:
+            out = str(tmp_path / mode)
+            result = runner.invoke(
+                main, ["simulate", "--config", config, "--out", out, "--mode", mode]
+            )
+            assert result.exit_code == 0, result.output
+            assert f"mainlobe width (-3 dB): {widths[mode]} Hz" in result.stdout.splitlines()
+
     def test_run_reports_the_compare_readout(self, paper_config_path, tmp_path):
         config = lab.load_config(paper_config_path)
         rows = {row.mode: row for row in run_compare(config, tmp_path / "cmp")}

@@ -65,9 +65,12 @@ class TestParseConfig:
             parse_config(MINIMAL + "\ncycles = 12\n")
 
     def test_missing_required_key_named(self):
-        text = MINIMAL.replace("lo.duration = 0.12", "")
-        with pytest.raises(lab.ConfigLoadError, match="lo.duration"):
-            parse_config(text)
+        for key in ("tx.f_start", "tx.f_end", "tx.duration", "lo.f_end", "lo.duration", "cycles"):
+            lines = [line for line in MINIMAL.splitlines() if not line.startswith(key + " ")]
+            with pytest.raises(lab.ConfigLoadError, match=key) as excinfo:
+                parse_config("\n".join(lines))
+            assert excinfo.value.field == key
+            assert "missing required key" in str(excinfo.value)
 
     def test_malformed_line(self):
         with pytest.raises(lab.ConfigLoadError, match="key = value"):
@@ -78,8 +81,11 @@ class TestParseConfig:
             parse_config(MINIMAL.replace("0.096", "fast"))
 
     def test_integer_fields_reject_fractions(self):
-        with pytest.raises(lab.ConfigLoadError, match="integer"):
-            parse_config(MINIMAL.replace("cycles = 12", "cycles = 11.5"))
+        for key, value in [("cycles", "11.5"), ("lowpass.taps", "257.0"), ("spectrum.zero_pad_factor", "4.5")]:
+            lines = [line for line in MINIMAL.splitlines() if not line.startswith(key + " ")]
+            with pytest.raises(lab.ConfigLoadError, match="integer") as excinfo:
+                parse_config("\n".join(lines) + f"\n{key} = {value}\n")
+            assert excinfo.value.field == key
 
     def test_at_least_one_echo(self):
         text = MINIMAL.replace("echoes.0.delay = 0.096", "")
@@ -89,6 +95,29 @@ class TestParseConfig:
     def test_echo_indices_contiguous(self):
         with pytest.raises(lab.ConfigLoadError, match="contiguous"):
             parse_config(MINIMAL + "\nechoes.2.delay = 0.05\n")
+
+    @pytest.mark.parametrize(
+        "lines, key",
+        [
+            (["echoes.00.delay = 0.05"], "echoes.00.delay"),
+            (["echoes.01.delay = 0.05"], "echoes.01.delay"),
+            (["echoes.1.delay = 0.05", "echoes.01.amplitude = 0.3"], "echoes.01.amplitude"),
+            (["echoes.1.delay = 0.05", "echoes.\u0661.amplitude = 0.3"], "echoes.\u0661.amplitude"),
+            (["echoes.\u00b2.delay = 0.05"], "echoes.\u00b2.delay"),
+        ],
+        ids=["00", "01-delay", "01-amplitude", "arabic-indic-1", "superscript-2"],
+    )
+    def test_non_canonical_echo_index_is_an_unknown_key(self, lines, key):
+        """Only plain ASCII decimal without a leading zero names an echo:
+        another spelling would map onto a canonical key or be dropped."""
+        with pytest.raises(lab.ConfigLoadError) as excinfo:
+            parse_config(MINIMAL + "\n".join(lines) + "\n")
+        assert excinfo.value.field == key
+        assert "unknown key" in str(excinfo.value)
+
+    def test_canonical_echo_index_past_a_gap_is_not_contiguous(self):
+        with pytest.raises(lab.ConfigLoadError, match=r"contiguous from 0, got \[0, 10\]"):
+            parse_config(MINIMAL + "echoes.10.delay = 0.05\n")
 
     def test_echo_delay_bounded_by_the_sweep(self):
         text = MINIMAL.replace("echoes.0.delay = 0.096", "echoes.0.delay = 0.35")
@@ -181,6 +210,42 @@ class TestRoundTrip:
         again = parse_config(serialize_config(config))
         assert again == config
         assert again.echoes[1] == lab.Echo(0.11, -0.5)
+
+    def test_every_key_round_trips_in_the_canonical_order(self):
+        """Every optional key off its default, and echo 1's amplitude left
+        to its default, read in scrambled order and written in table order."""
+        config = parse_config(
+            "sound_speed = 343\nechoes.2.amplitude = -0.5\nspectrum.band_high = 45\n"
+            "cycles = 12\nechoes.1.delay = 0.05\nlowpass.taps = 255\ntx.phase0 = 0.25\n"
+            "spectrum.band_low = 12.5\nechoes.0.amplitude = 0.8\ntx.f_start = 100\n"
+            "spectrum.zero_pad_factor = 8\nlo.duration = 0.12\nsample_rate = 8000\n"
+            "echoes.2.delay = 0.2\ntx.f_end = 200\nlowpass.cutoff = 45\n"
+            "echoes.0.delay = 0.096\ntx.duration = 0.3\nlo.f_end = 240\n"
+        )
+        text = serialize_config(config)
+        assert text == (
+            "tx.f_start = 100.0\n"
+            "tx.f_end = 200.0\n"
+            "tx.duration = 0.3\n"
+            "tx.phase0 = 0.25\n"
+            "lo.f_end = 240.0\n"
+            "lo.duration = 0.12\n"
+            "cycles = 12\n"
+            "echoes.0.delay = 0.096\n"
+            "echoes.0.amplitude = 0.8\n"
+            "echoes.1.delay = 0.05\n"
+            "echoes.1.amplitude = 1.0\n"
+            "echoes.2.delay = 0.2\n"
+            "echoes.2.amplitude = -0.5\n"
+            "sample_rate = 8000.0\n"
+            "lowpass.cutoff = 45.0\n"
+            "lowpass.taps = 255\n"
+            "spectrum.zero_pad_factor = 8\n"
+            "spectrum.band_low = 12.5\n"
+            "spectrum.band_high = 45.0\n"
+            "sound_speed = 343.0\n"
+        )
+        assert parse_config(text) == config
 
 
 def benchmark_pools():

@@ -252,6 +252,15 @@ class TestNonFiniteRates:
         with pytest.raises(lab.DomainError, match="sample_rate must be finite"):
             lab.SampledSignal(rate, np.ones(4))
 
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_sampled_signal_refuses_the_start_time(self, t0):
+        """Through the public constructor and ``_fresh`` alike; else
+        ``time_slice`` fails later with a ValueError or OverflowError."""
+        with pytest.raises(lab.DomainError, match="t0 must be finite"):
+            lab.SampledSignal(4000.0, np.ones(8), t0=t0)
+        with pytest.raises(lab.DomainError, match="t0 must be finite"):
+            lab.SampledSignal._fresh(4000.0, np.ones(8), t0)
+
 
 class TestSynthesizeTransmit:
     def test_first_sample_is_unity(self, reference_tx):

@@ -1,5 +1,6 @@
 """Print the sha256 of every CSV artifact the bundled configurations produce,
-of each command's stdout, and of the receiver signals of fixed cases.
+of each command's stdout, of the receiver signals of fixed cases, and of
+canonical configuration texts.
 
 Run from anywhere in a checkout:
 
@@ -14,8 +15,10 @@ by ``<out>``.  The bundled configurations have whole-sample delays, so it
 also builds the cases of ``RECEIVER_CASES`` with the library, fractional
 delays on the 1,200-sample and the 1,200.5-sample grid, and prints one
 ``receiver:case/signal digest`` line per tx, lo, rx, channel1, channel2 and
-sum signal (12 in all).  Lines are sorted, so the output of two checkouts
-can be compared with ``diff``.  The package is imported from ``src/`` next
+sum signal (12 in all).  It prints one ``serialize:name digest`` line for
+the canonical text ``serialize_config`` writes of each bundled configuration
+and of ``SERIALIZE_TEXT`` (3 in all).  Lines are sorted, so the output of two
+checkouts can be compared with ``diff``.  The package is imported from ``src/`` next
 to this directory, never from an installed copy.
 """
 
@@ -40,6 +43,30 @@ RECEIVER_CASES = {
     "three-echoes-1200": (0.3, ((0.0123457, 1.0), (0.0961234, 0.5), (0.1100003, 0.25))),
     "one-echo-1200.5": (0.300125, ((0.0961234, 1.0),)),
 }
+
+# Three echoes and every optional key off its default, in no canonical order.
+SERIALIZE_TEXT = """\
+sound_speed = 343
+echoes.2.amplitude = -0.25
+spectrum.band_high = 45
+cycles = 12
+echoes.1.delay = 0.05
+echoes.1.amplitude = 0.5
+lowpass.taps = 255
+tx.phase0 = 0.25
+spectrum.band_low = 12.5
+echoes.0.amplitude = 0.8
+tx.f_start = 100
+spectrum.zero_pad_factor = 8
+lo.duration = 0.12
+sample_rate = 8000
+echoes.2.delay = 0.2
+tx.f_end = 200
+lowpass.cutoff = 45
+echoes.0.delay = 0.096
+tx.duration = 0.3
+lo.f_end = 240
+"""
 
 
 def _digest(data: bytes) -> str:
@@ -70,6 +97,12 @@ def main_digests() -> None:
             for path in out.rglob("*.csv")
         ]
     lines += receiver_digests()
+    texts = {name: (ROOT / "configs" / name).read_text() for name in CONFIGS}
+    texts["three-echoes"] = SERIALIZE_TEXT
+    lines += [
+        f"serialize:{name} {_digest(lab.serialize_config(lab.parse_config(text)).encode())}"
+        for name, text in texts.items()
+    ]
     print("\n".join(sorted(lines)))
 
 
