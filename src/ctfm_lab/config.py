@@ -8,7 +8,8 @@ time and reported with the offending key path; the first echo's delay
 must not exceed ``lo.duration``, so that the handoff ledger exists, and
 every analysis window (``SimConfig.analysis_spans``) must put at least
 three bins of its readout transform in the band, which may not reach past
-that transform's last bin.  Non-finite numbers are refused.
+that transform's last bin.  Values are plain ASCII decimal; non-finite
+numbers are refused.
 
 Keys, defaults and canonical order: ``_SWEEP_KEYS`` and ``_RECEIVER_KEYS``
 below, the one key table that the parser and ``serialize_config`` both read.
@@ -19,6 +20,7 @@ leading zero; any other spelling is an unknown key.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,9 +60,15 @@ _ECHO_KEY = re.compile(r"echoes\.(?:0|[1-9][0-9]*)\.(?:delay|amplitude)")
 
 _INT_KEYS = {"cycles", "lowpass.taps", "spectrum.zero_pad_factor"}
 
+# Values in plain ASCII decimal, the grammar ``serialize_config`` writes in:
+# no underscores, no other script's digits, no nan or inf.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
 # Least zero-pad factor used when measuring mainlobe widths of short
 # observation windows, whose native grids are far too coarse for a -3 dB
-# readout; ``spectrum.mainlobe_width`` rounds the transform up to a power of two.
+# readout; ``spectrum.mainlobe_width`` rounds the transform up to a power of
+# two and evaluates only the bins around the band.
 WIDTH_PAD_FACTOR = 64
 
 _DERIVED_KEYS = {
@@ -121,13 +129,16 @@ class SimConfig:
 
 def _parse_number(key: str, raw: str) -> float | int:
     raw = raw.strip()
+    integer = key in _INT_KEYS
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
-    except ValueError:
-        kind = "an integer" if key in _INT_KEYS else "a number"
-        raise ConfigLoadError(f"expected {kind}, got {raw!r}", field=key) from None
+        if (_INTEGER if integer else _DECIMAL).fullmatch(raw):
+            value = int(raw) if integer else float(raw)
+            if integer or math.isfinite(value):
+                return value
+    except ValueError:  # an integer past Python's digit limit
+        pass
+    kind = "an integer" if integer else "a finite decimal number"
+    raise ConfigLoadError(f"expected {kind}, got {raw!r}", field=key)
 
 
 def parse_config(text: str) -> SimConfig:

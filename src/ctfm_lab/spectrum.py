@@ -99,7 +99,10 @@ class SpectrumReport:
 def dft_magnitude(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
     """Rectangular-window DFT magnitude, zero padded, on [0, Nyquist]."""
     _check_padding(signal, "zero_pad_factor", zero_pad_factor)
-    return _transform(signal, transform_length(len(signal), zero_pad_factor), zero_pad_factor)
+    points = transform_length(len(signal), zero_pad_factor)
+    mags = np.abs(np.fft.rfft(signal.samples, points))
+    freqs = np.fft.rfftfreq(points, 1.0 / signal.sample_rate)
+    return Spectrum._fresh(freqs, mags, signal.duration, zero_pad_factor)
 
 
 def transform_length(samples: int, factor: int, power_of_two: bool = False) -> int:
@@ -138,12 +141,6 @@ def _check_padding(signal: SampledSignal, name: str, factor) -> None:
         raise DomainError(f"{name} must be a positive integer, got {factor}")
 
 
-def _transform(signal: SampledSignal, points: int, zero_pad_factor: float) -> Spectrum:
-    mags = np.abs(np.fft.rfft(signal.samples, points))
-    freqs = np.fft.rfftfreq(points, 1.0 / signal.sample_rate)
-    return Spectrum._fresh(freqs, mags, signal.duration, zero_pad_factor)
-
-
 def _parabolic_vertex(db_left: float, db_mid: float, db_right: float) -> tuple[float, float]:
     """Vertex (bin offset, dB value) of the parabola through three points."""
     denom = db_left - 2.0 * db_mid + db_right
@@ -177,14 +174,8 @@ def find_peak(spec: Spectrum, band: tuple[float, float]) -> PeakEstimate:
     readout deterministic; the parabolic fit then lands on the midpoint of
     a symmetric pair.
     """
-    low, high = band
-    if not low < high:
-        raise DomainError(f"band must satisfy low < high, got {band}")
     freqs = spec.bin_frequencies
-    if low < freqs[0] or high > freqs[-1]:
-        raise DomainError(
-            f"band {band} exceeds the frequency grid [{freqs[0]}, {freqs[-1]}]"
-        )
+    _check_band(band, freqs[0], freqs[-1])
     selected = band_bins(freqs.size, freqs.__getitem__, band)
     if len(selected) < 3:
         raise DomainError(f"band {band} covers only {len(selected)} bins; need >= 3")
@@ -193,6 +184,14 @@ def find_peak(spec: Spectrum, band: tuple[float, float]) -> PeakEstimate:
         raise NoPeakError(f"no spectral energy inside band {band}")
     # np.argmax returns the first maximum: the lower-frequency bin on ties.
     return _interpolate_bin(spec, selected[int(np.argmax(sub))])
+
+
+def _check_band(band: tuple[float, float], first: float, last: float) -> None:
+    low, high = band
+    if not low < high:
+        raise DomainError(f"band must satisfy low < high, got {band}")
+    if low < first or high > last:
+        raise DomainError(f"band {band} exceeds the frequency grid [{first}, {last}]")
 
 
 def _peak_bin(spec: Spectrum, peak: PeakEstimate) -> int:
@@ -283,13 +282,44 @@ def mainlobe_width(
 ) -> float:
     """-3 dB width of the strongest lobe inside ``band``, and nothing else.
 
-    The transform length is the smallest power of two >= ``min_pad_factor``
-    times the record.  ``factor * N`` itself can carry a large prime factor
-    (64 * 14015 = 2**6 * 5 * 2803), which sends the FFT down its much
-    slower Bluestein path.  The peak bin is picked as ``sidelobe_report``
-    picks it; no sidelobe is cataloged.
+    The grid is that of the smallest power of two >= ``min_pad_factor`` times
+    the record (``factor * N`` itself can carry a large prime factor: 64 *
+    14015 = 2**6 * 5 * 2803).  ``_zoom`` evaluates only the band's bins and
+    one native bin either side; while a -3 dB crossing sits on a zoom edge
+    that is not the grid's, the zoom doubles, so the readout is the full
+    grid's.  The peak bin is picked as ``sidelobe_report`` picks it; no
+    sidelobe is cataloged.
     """
     _check_padding(signal, "min_pad_factor", min_pad_factor)
     points = transform_length(len(signal), min_pad_factor, power_of_two=True)
-    spec = _transform(signal, points, points / len(signal))
-    return _mainlobe_extent(spec, _peak_bin(spec, find_peak(spec, band)))[0]
+    size, freq = readout_grid(len(signal), signal.sample_rate, min_pad_factor, power_of_two=True)
+    _check_band(band, freq(0), freq(size - 1))  # the grid's edges, not the zoom's
+    run, margin = band_bins(size, freq, band), points // len(signal) + 1
+    lo, hi = run.start - margin, run.stop + margin
+    while True:
+        lo, hi = max(lo, 0), min(hi, size)
+        spec = _zoom(signal, points, range(lo, hi), freq)
+        width, left, right = _mainlobe_extent(spec, _peak_bin(spec, find_peak(spec, band)))
+        edges = spec.bin_frequencies[[0, -1]]
+        if not (left == edges[0] and lo > 0 or right == edges[1] and hi < size):
+            return width
+        lo, hi = lo - (hi - lo), hi + (hi - lo)
+
+
+def _zoom(signal: SampledSignal, points: int, bins: range, freq) -> Spectrum:
+    """|DFT| of ``points`` points on ``bins`` alone, by one Bluestein chirp-z
+    pass (Rabiner, Schafer & Rader, 1969) with FFTs of the least power of two
+    >= N + M - 1.  With L = ``points`` and k = k0 + m, X[k] is
+    e^(-iπm²/L) · sum_n x[n] e^(-iπ(n² + 2·k0·n)/L) · e^(iπ(m - n)²/L); the
+    leading chirp has unit modulus and is skipped.  Each phase is reduced mod
+    2L in int64 before it is scaled, so it is exact at any k0 for L < 2**31.
+    """
+    n, m, k0 = len(signal), len(bins), bins.start
+    i, d = np.arange(n, dtype=np.int64), np.arange(1 - n, m, dtype=np.int64)
+    radians = np.pi / points
+    weighted = signal.samples * np.exp(-1j * radians * ((i * i + 2 * k0 * i) % (2 * points)))
+    chirp = np.exp(1j * radians * (d * d % (2 * points)))
+    size = transform_length(n + m - 1, 1, power_of_two=True)
+    out = np.fft.ifft(np.fft.fft(weighted, size) * np.fft.fft(chirp, size))
+    mags = np.abs(out[n - 1 : n - 1 + m])
+    return Spectrum._fresh(freq(np.arange(k0, bins.stop)), mags, signal.duration, points / n)

@@ -273,23 +273,40 @@ class TestCompareReadouts:
 
     @pytest.fixture(scope="class")
     def compared(self, paper_config_path, tmp_path_factory):
+        """Also records every rfft, and the spectra each width is read on."""
         config = lab.load_config(paper_config_path)
         out = tmp_path_factory.mktemp("cmp")
-        calls = []
-        original = np.fft.rfft
+        spies = {"rfft": [], "width": []}
+        reading = []
+        rfft, width, extent = np.fft.rfft, spectrum.mainlobe_width, spectrum._mainlobe_extent
 
-        def recording(a, n=None, *args, **kwargs):
-            calls.append((len(a), n))
-            return original(a, n, *args, **kwargs)
+        def recording_rfft(a, n=None, *args, **kwargs):
+            spies["rfft"].append((len(a), n))
+            return rfft(a, n, *args, **kwargs)
 
-        np.fft.rfft = recording
+        def recording_width(signal, *args):
+            spies["width"].append((len(signal), []))
+            reading.append(True)
+            try:
+                return width(signal, *args)
+            finally:
+                reading.pop()
+
+        def recording_extent(spec, index):
+            if reading:
+                spies["width"][-1][1].append(spec)
+            return extent(spec, index)
+
+        np.fft.rfft = recording_rfft
+        spectrum.mainlobe_width, spectrum._mainlobe_extent = recording_width, recording_extent
         try:
             rows = run_compare(config, out)
         finally:
-            np.fft.rfft = original
+            np.fft.rfft = rfft
+            spectrum.mainlobe_width, spectrum._mainlobe_extent = width, extent
         _, table = read_csv_columns(out / "compare.csv")
         references = {mode: self.reference(config, mode) for mode in cli.MODES}
-        return config, {row.mode: row for row in rows}, table, calls, references
+        return config, {row.mode: row for row in rows}, table, spies, references
 
     @staticmethod
     def reference(config, mode):
@@ -330,17 +347,24 @@ class TestCompareReadouts:
             assert float(line[3]) == strongest
 
     def test_width_transforms_are_powers_of_two_at_least_64x(self, compared):
-        config, _, _, calls, references = compared
-        expected = []
-        for mode in cli.MODES:
-            _, _, record, window = references[mode]
-            expected.append((record, config.zero_pad_factor * record))
-            width_calls = [n for length, n in calls if length == window and n & (n - 1) == 0]
-            assert width_calls, mode
-            n = width_calls[0]
-            assert 64 * window <= n < 128 * window, (mode, n)
-            expected.append((window, n))
-        assert sorted(calls) == sorted(expected)
+        """Each width is read on bins k * fs / n of a power-of-two transform
+        n in [64 N, 128 N) of its N-sample window, and no rfft is taken for
+        it: the only rffts of a run are the three 4 N main spectra."""
+        config, rows, _, spies, references = compared
+        windows = [references[mode][3] for mode in rows]
+        assert [window for window, _ in spies["width"]] == windows
+        for window, grids in spies["width"]:
+            assert grids, window
+            for grid in grids:
+                n = round(config.sample_rate / grid.bin_spacing)
+                assert n & (n - 1) == 0 and 64 * window <= n < 128 * window, (window, n)
+                assert grid.zero_pad_factor == n / window
+                step = 1.0 / (n * (1.0 / config.sample_rate))
+                first = round(grid.bin_frequencies[0] / step)
+                bins = np.arange(first, first + grid.bin_frequencies.size)
+                np.testing.assert_array_equal(grid.bin_frequencies, bins * step)
+        records = [reference[2] for reference in references.values()]
+        assert sorted(spies["rfft"]) == sorted((n, config.zero_pad_factor * n) for n in records)
 
 
 TRACKS = ("tx", "lo", "echo")

@@ -198,6 +198,46 @@ class TestNonFiniteValues:
             parse_config("\n".join(lines) + f"\n{key} = {value}\n")
 
 
+class TestValueGrammar:
+    """Values are plain ASCII decimal, the grammar ``serialize_config``
+    writes: other spellings that ``int()`` or ``float()`` take are refused
+    under the key as written."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("cycles", "1_2"),
+            ("sound_speed", "1_500.0"),
+            ("echoes.0.delay", "0.0_96"),
+            ("cycles", "\u0661\u0662"),
+            ("sound_speed", "\u0661\u0665\u0660\u0660"),
+            ("lowpass.taps", "\uff12\uff15\uff17"),
+            ("sound_speed", "\uff11\uff15\uff10\uff10"),
+            ("sound_speed", "1e999"),
+            ("sound_speed", "Infinity"),
+        ],
+        ids=["underscore-int", "underscore-float", "underscore-fraction",
+             "arabic-indic-int", "arabic-indic-float", "fullwidth-int",
+             "fullwidth-float", "overflow", "infinity"],
+    )
+    def test_refused_under_the_key(self, key, value):
+        lines = [line for line in MINIMAL.splitlines() if not line.startswith(key + " ")]
+        with pytest.raises(lab.ConfigLoadError) as excinfo:
+            parse_config("\n".join(lines) + f"\n{key} = {value}\n")
+        assert excinfo.value.field == key
+        assert f"got {value!r}" in str(excinfo.value)
+
+    @pytest.mark.parametrize("value", ["1500", "+1500", "1500.", "1.5e3", ".15E+4", "15000e-1"])
+    def test_plain_decimal_spellings_load(self, value):
+        assert parse_config(MINIMAL + f"sound_speed = {value}\n").sound_speed == 1500.0
+
+    def test_exponent_texts_round_trip(self):
+        config = parse_config(MINIMAL + "tx.phase0 = 1e-05\nechoes.0.amplitude = -2.5e-07\n")
+        text = serialize_config(config)
+        assert "tx.phase0 = 1e-05\n" in text and "echoes.0.amplitude = -2.5e-07\n" in text
+        assert parse_config(text) == config
+
+
 class TestRoundTrip:
     def test_serialize_then_parse_is_identity(self, paper_config_path):
         config = lab.load_config(paper_config_path)

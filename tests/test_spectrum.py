@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ctfm_lab as lab
@@ -98,26 +98,33 @@ class TestCopyRule:
         assert freqs.flags.writeable and mags.flags.writeable
 
     def test_built_spectra_are_read_only_and_not_copied(self, monkeypatch):
+        """``dft_magnitude`` wraps ``rfftfreq``'s grid itself, and the width
+        zoom the two arrays it has just built: each owns its memory, so no
+        view pins a larger transform buffer."""
         built, grids = [], []
-        transform, rfftfreq = spectrum_module._transform, np.fft.rfftfreq
+        fresh, rfftfreq = lab.Spectrum._fresh, np.fft.rfftfreq
 
-        def recording_transform(*args):
-            built.append(transform(*args))
-            return built[-1]
+        def recording_fresh(freqs, mags, *args):
+            built.append((freqs, mags, fresh(freqs, mags, *args)))
+            return built[-1][2]
 
         def recording_rfftfreq(*args):
             grids.append(rfftfreq(*args))
             return grids[-1]
 
-        monkeypatch.setattr(spectrum_module, "_transform", recording_transform)
+        monkeypatch.setattr(lab.Spectrum, "_fresh", recording_fresh)
         monkeypatch.setattr(np.fft, "rfftfreq", recording_rfftfreq)
         signal = tone(20.0, 0.5)
-        assert lab.dft_magnitude(signal, 4) is built[0]
+        spec = lab.dft_magnitude(signal, 4)
         spectrum_module.mainlobe_width(signal, (5.0, 45.0), 64)
-        assert len(built) == len(grids) == 2
-        for spec, grid in zip(built, grids):
-            assert spec.bin_frequencies is grid
-            for values in (spec.bin_frequencies, spec.magnitudes):
+        assert len(built) == 2 and len(grids) == 1
+        assert built[0][2] is spec and spec.bin_frequencies is grids[0]
+        zoomed = built[1][2]
+        assert 0.0 < zoomed.bin_frequencies[0] < 5.0 and 45.0 < zoomed.bin_frequencies[-1] < 50.0
+        for freqs, mags, spec in built:
+            assert spec.bin_frequencies is freqs and spec.magnitudes is mags
+            for values in (freqs, mags):
+                assert values.flags.owndata
                 assert not values.flags.writeable
                 with pytest.raises(ValueError):
                     values[0] = 1.0
@@ -311,6 +318,113 @@ class TestSidelobeReport:
         report = lab.sidelobe_report(spectrum_096, peak, search_span=10.0, floor_db=-30.0)
         assert report.sidelobes
         assert all(lobe.ratio_db <= 0.0 for lobe in report.sidelobes)
+
+
+def tones(rate, samples, lines):
+    """A record of cosines, one per (frequency, amplitude, phase)."""
+    t = np.arange(samples) / rate
+    return lab.SampledSignal(rate, sum(a * np.cos(2 * np.pi * f * t + p) for f, a, p in lines))
+
+
+class TestWidthZoom:
+    """``mainlobe_width`` reads a chirp-z zoom of its power-of-two grid; the
+    reference is that grid's full rfft, the path the zoom replaced.
+    Tolerances fixed before tuning: zoomed magnitudes within 1e-12 of the
+    band peak, widths within 1e-9 relative."""
+
+    MAG_TOL = 1e-12
+    WIDTH_RTOL = 1e-9
+
+    @staticmethod
+    def full_grid(signal, factor):
+        points = spectrum_module.transform_length(len(signal), factor, power_of_two=True)
+        spec = lab.Spectrum(
+            np.fft.rfftfreq(points, 1.0 / signal.sample_rate),
+            np.abs(np.fft.rfft(signal.samples, points)),
+            record_duration=signal.duration,
+            zero_pad_factor=points / len(signal),
+        )
+        return points, spec
+
+    def check(self, signal, band, factor):
+        """Zoom against the full grid; False, and nothing checked, when the
+        band's two largest bins tie within 1e-9 (either may win), or when the
+        band peak is under 1e-3 of sum |x|, a bound on every bin: such a band
+        holds only leakage near the rounding floor both transforms share."""
+        points, full = self.full_grid(signal, factor)
+        freqs = full.bin_frequencies
+        run = spectrum_module.band_bins(freqs.size, freqs.__getitem__, band)
+        second, first = np.sort(full.magnitudes[run.start : run.stop])[-2:]
+        if second >= first * (1.0 - 1e-9) or first < 1e-3 * np.abs(signal.samples).sum():
+            return False
+        lo, hi = max(run.start - 2, 0), min(run.stop + 2, freqs.size)
+        _, freq = spectrum_module.readout_grid(len(signal), signal.sample_rate, factor, True)
+        zoom = spectrum_module._zoom(signal, points, range(lo, hi), freq)
+        np.testing.assert_array_equal(zoom.bin_frequencies, freqs[lo:hi])
+        error = np.max(np.abs(zoom.magnitudes - full.magnitudes[lo:hi]))
+        assert error <= self.MAG_TOL * first
+        peak_bin = spectrum_module._peak_bin(full, lab.find_peak(full, band))
+        expected = spectrum_module._mainlobe_extent(full, peak_bin)[0]
+        width = spectrum_module.mainlobe_width(signal, band, factor)
+        assert width == pytest.approx(expected, rel=self.WIDTH_RTOL)
+        return True
+
+    @given(
+        samples=st.integers(min_value=8, max_value=3000),
+        factor=st.integers(min_value=1, max_value=70),
+        rate=st.sampled_from([4000.0, 1000.0, 3333.3, 44100.0, 7.5]),
+        edges=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        lines=st.lists(
+            st.tuples(st.floats(-0.1, 1.1), st.floats(0.1, 1.0), st.floats(0.0, 2 * math.pi)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_zoom_reads_the_full_grid(self, samples, factor, rate, edges, lines):
+        """Tones placed across the band, up to a tenth of it beyond each edge."""
+        size, freq = spectrum_module.readout_grid(samples, rate, factor, True)
+        low, high = sorted(edge * freq(size - 1) for edge in edges)
+        assume(spectrum_module.band_bin_count(samples, rate, (low, high), factor, True) >= 3)
+        placed = [(low + u * (high - low), a, p) for u, a, p in lines]
+        assume(self.check(tones(rate, samples, placed), (low, high), factor))
+
+    @pytest.mark.parametrize(
+        "lines, band, passes, peak_outside",
+        [
+            ([(0.0, 1.0, 0.0), (12.0, 0.3, 0.0)], (0.0, 20.0), 1, False),
+            ([(1998.0, 1.0, 0.3)], (1900.0, 2000.0), 1, False),
+            ([(9.0, 1.0, 0.3)], (10.0, 50.0), 1, True),
+            ([(51.0, 1.0, 0.3)], (10.0, 50.0), 1, True),
+            ([(49.0, 1.0, 0.0), (53.0, 1.0, math.pi / 2)], (10.0, 50.0), 2, False),
+        ],
+        ids=["band-from-0-hz", "band-to-nyquist", "peak-on-first-bin", "peak-on-last-bin",
+             "skirt-past-the-margin"],
+    )
+    def test_edges(self, monkeypatch, lines, band, passes, peak_outside):
+        """A band on a true grid edge, where the lobe runs off the grid; a
+        band peak whose parabola reads the bin outside the band and puts the
+        refined peak there; and two close tones whose -3 dB skirt runs past
+        the band and its one-native-bin margin, so the zoom must widen."""
+        zooms = []
+        zoom = spectrum_module._zoom
+
+        def recording_zoom(*args):
+            zooms.append(args[2])
+            return zoom(*args)
+
+        monkeypatch.setattr(spectrum_module, "_zoom", recording_zoom)
+        signal = tones(4000.0, 800, lines)
+        assert self.check(signal, band, 64)
+        assert len(zooms) == 1 + passes  # ``check`` zooms once itself
+        peak = lab.find_peak(self.full_grid(signal, 64)[1], band)
+        assert (not band[0] <= peak.frequency <= band[1]) == peak_outside
+
+    @pytest.mark.parametrize("band", [(10.0, 3000.0), (-5.0, 20.0), (-9.0, -5.0)])
+    def test_a_band_off_the_grid_names_the_grid(self, band):
+        """The refusal names the full grid's edges, not the zoom's."""
+        with pytest.raises(lab.DomainError, match=r"grid \[0\.0, 2000\.0\]"):
+            spectrum_module.mainlobe_width(tone(20.0, 0.2), band, 64)
 
 
 class TestStitchedOutputSpectrum:
