@@ -1,6 +1,6 @@
 """Configuration-driven experiment runner and the ``ctfm-lab`` command.
 
-Subcommands:
+``measure`` takes every readout and writes no file; the subcommands export:
 
     phase-table  evaluate the stitch-boundary phase ledger
     simulate     compare's walk for one mode, with CSV artifacts
@@ -21,7 +21,7 @@ import click
 import numpy as np
 
 from . import demod, scene, spectrum, waveform
-from .config import WIDTH_PAD_FACTOR, SimConfig, load_config
+from .config import SimConfig, load_config
 from .errors import ConfigLoadError, ConfigurationError, CtfmLabError
 from .phase_analysis import PhaseReport, phase_table
 from .waveform import SampledSignal
@@ -45,12 +45,12 @@ class ReportBundle:
 
 @dataclass(frozen=True)
 class Readout:
-    """One mode's readout, taken before any file is written.
+    """One mode's readout from ``measure``; the jump is in ``Measurement.ledger``.
 
     ``spec`` is the settled record's spectrum, the one ``spectrum.csv``
     holds, and ``report`` its peak and sidelobes.  The report's -3 dB width
     is read on the mode's observation window instead, a power-of-two
-    transform at least ``WIDTH_PAD_FACTOR`` times finer than its native grid.
+    transform at least ``width_pad_factor`` times finer than its native grid.
     """
 
     mode: str
@@ -92,14 +92,16 @@ def _ideal_output(config: SimConfig) -> SampledSignal:
 
 
 @dataclass(frozen=True, eq=False)
-class _Pass:
-    """One synthesis and demodulation pass; every mode is a view of it."""
+class Measurement:
+    """One receiver pass, every mode a view of it, its ledger and readouts."""
 
     tx: SampledSignal
     lo: SampledSignal
     rx: SampledSignal
     receiver: demod.DemodOutput
     ideal: SampledSignal
+    ledger: PhaseReport
+    readouts: tuple[Readout, ...]
 
     def output(self, mode: str) -> SampledSignal:
         """ctfm reads channel 1, ddctfm the stitched sum, ideal the yardstick."""
@@ -110,25 +112,31 @@ class _Pass:
         return self.ideal
 
 
-def _receive(config: SimConfig) -> _Pass:
-    schedule = config.schedule
-    tx = waveform.synthesize_transmit(schedule, config.sample_rate)
-    lo = waveform.synthesize_lo(schedule, config.sample_rate)
-    rx = scene.synthesize_received(schedule, config.scene, config.sample_rate)
+def measure(config: SimConfig, modes: tuple[str, ...] = ()) -> Measurement:
+    """One receiver pass, its ledger and a ``Readout`` of each of ``modes``
+    (checked first) on ``SimConfig.analysis_spans``; no file is written."""
+    for mode in modes:
+        if mode not in MODES:
+            raise ConfigurationError(f"unknown mode {mode!r}; expected one of {MODES}")
+    schedule, fs = config.schedule, config.sample_rate
+    tx = waveform.synthesize_transmit(schedule, fs)
+    lo = waveform.synthesize_lo(schedule, fs)
+    rx = scene.synthesize_received(schedule, config.scene, fs)
     receiver = demod.demodulate(tx, lo, rx, config.lowpass)
-    return _Pass(tx, lo, rx, receiver, _ideal_output(config))
-
-
-def _analysis_record(output: SampledSignal, config: SimConfig) -> SampledSignal:
-    """The settled record every spectrum is read from."""
-    return waveform.time_slice(output, *config.analysis_spans()["record"])
-
-
-def _observation_window(
-    output: SampledSignal, config: SimConfig, mode: str
-) -> SampledSignal:
-    """The span ``mode`` observes coherently; see ``SimConfig.analysis_spans``."""
-    return waveform.time_slice(output, *config.analysis_spans()[mode])
+    ledger = phase_table(schedule, config.echoes[0].delay)
+    state = Measurement(tx, lo, rx, receiver, _ideal_output(config), ledger, ())
+    spans, span = config.analysis_spans(), 3.0 / config.tx.duration
+    readouts = []
+    for mode in modes:
+        output = state.output(mode)
+        record = waveform.time_slice(output, *spans["record"])
+        spec = spectrum.dft_magnitude(record, config.zero_pad_factor)
+        peak = spectrum.find_peak(spec, config.band)
+        report = spectrum.sidelobe_report(spec, peak, span, SIDELOBE_FLOOR_DB)
+        window = waveform.time_slice(output, *spans[mode])
+        width = spectrum.mainlobe_width(window, config.band, config.width_pad_factor)
+        readouts.append(Readout(mode, spec, replace(report, mainlobe_width_3db=width)))
+    return replace(state, readouts=tuple(readouts))
 
 
 def _frequency_tracks(config: SimConfig):
@@ -154,21 +162,21 @@ def _frequency_tracks(config: SimConfig):
     )
 
 
-def _layout(state: _Pass, mode: str, spec, ledger, tracks, out_dir: Path):
+def _layout(state: Measurement, readout: Readout, tracks, out_dir: Path):
     """The (path, source) pairs one mode's directory holds, in manifest order."""
     files = [
         ("transmit.csv", state.tx),
         ("local_oscillator.csv", state.lo),
         ("received.csv", state.rx),
     ]
-    if mode != "ideal":
+    if readout.mode != "ideal":
         files.append(("channel1.csv", state.receiver.channel1))
-    if mode == "ddctfm":
+    if readout.mode == "ddctfm":
         files.append(("channel2.csv", state.receiver.channel2))
     files += [
-        ("output.csv", state.output(mode)),
-        ("spectrum.csv", spec),
-        ("phase_table.csv", ledger),
+        ("output.csv", state.output(readout.mode)),
+        ("spectrum.csv", readout.spec),
+        ("phase_table.csv", state.ledger),
         ("freq_track_tx.csv", tracks[0]),
         ("freq_track_lo.csv", tracks[1]),
         ("freq_track_echo.csv", tracks[2]),
@@ -209,43 +217,26 @@ def _export(files) -> None:
 
 
 def _walk(config: SimConfig, layout: dict[str, Path]):
-    """Read out and export every mode of ``layout``, a ``{mode: out_dir}``.
-
-    One receiver pass and one ledger serve every mode, and every readout
-    is taken before any file is written; each artifact the mode directories
-    share is formatted once.  Returns the readouts in layout order, the
-    ledger and the written files.
-    """
-    state = _receive(config)
+    """Measure every mode of ``layout``, a ``{mode: out_dir}``, then write
+    its files; returns the measurement and the (path, source) pairs."""
+    state, files = measure(config, tuple(layout)), []
     tracks = _frequency_tracks(config)
-    ledger = phase_table(config.schedule, config.echoes[0].delay)
-    span = 3.0 / config.tx.duration
-    readouts, files = [], []
-    for mode, out_dir in layout.items():
-        output = state.output(mode)
-        spec = spectrum.dft_magnitude(_analysis_record(output, config), config.zero_pad_factor)
-        peak = spectrum.find_peak(spec, config.band)
-        report = spectrum.sidelobe_report(spec, peak, span, SIDELOBE_FLOOR_DB)
-        window = _observation_window(output, config, mode)
-        width = spectrum.mainlobe_width(window, config.band, config.width_pad_factor)
-        readouts.append(Readout(mode, spec, replace(report, mainlobe_width_3db=width)))
-        files += _layout(state, mode, spec, ledger, tracks, out_dir)
+    for readout, out_dir in zip(state.readouts, layout.values()):
+        files += _layout(state, readout, tracks, out_dir)
     _export(files)
-    return tuple(readouts), ledger, files
+    return state, files
 
 
 def run(config: SimConfig, mode: str, out_dir: str | Path) -> ReportBundle:
     """Synthesize, demodulate per ``mode``, analyze, and write artifacts."""
-    if mode not in MODES:
-        raise ConfigurationError(f"unknown mode {mode!r}; expected one of {MODES}")
-    (readout,), ledger, files = _walk(config, {mode: Path(out_dir)})
-    return ReportBundle(ledger, readout.report, tuple(str(path) for path, _ in files))
+    state, files = _walk(config, {mode: Path(out_dir)})
+    return ReportBundle(state.ledger, state.readouts[0].report, tuple(str(p) for p, _ in files))
 
 
 def run_compare(config: SimConfig, out_dir: str | Path) -> tuple[Readout, ...]:
     """Run every mode on one configuration and tabulate the comparison."""
     out = Path(out_dir)
-    rows, _, _ = _walk(config, {mode: out / mode for mode in ("ctfm", "ddctfm", "ideal")})
+    rows = _walk(config, {mode: out / mode for mode in ("ctfm", "ddctfm", "ideal")})[0].readouts
     (out / "compare.csv").write_text(waveform.csv_columns(
         "mode,peak_freq_hz,mainlobe_width_3db_hz,strongest_sidelobe_db",
         [row.mode for row in rows],

@@ -183,7 +183,11 @@ def find_peak(spec: Spectrum, band: tuple[float, float]) -> PeakEstimate:
     if not np.any(sub > 0.0):
         raise NoPeakError(f"no spectral energy inside band {band}")
     # np.argmax returns the first maximum: the lower-frequency bin on ties.
-    return _interpolate_bin(spec, selected[int(np.argmax(sub))])
+    # A maximum on a band edge is read at that bin, as the grid's ends are.
+    first = int(np.argmax(sub))
+    if first in (0, len(sub) - 1):
+        return PeakEstimate(float(spec.bin_frequencies[selected[first]]), float(sub[first]))
+    return _interpolate_bin(spec, selected[first])
 
 
 def _check_band(band: tuple[float, float], first: float, last: float) -> None:

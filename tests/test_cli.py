@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -200,6 +201,100 @@ class TestCompare:
         assert [row[0] for row in rows] == ["ctfm", "ddctfm", "ideal"]
 
 
+class TestMeasure:
+    """``measure`` reads out with no file written: one receiver pass, one
+    ledger and one ``Readout`` per mode asked for, the walk's own readouts."""
+
+    PASS = (
+        (waveform, "synthesize_transmit"),
+        (waveform, "synthesize_lo"),
+        (scene, "synthesize_received"),
+        (demod, "demodulate"),
+    )
+    READOUT = ((spectrum, "dft_magnitude"), (spectrum, "mainlobe_width"))
+
+    @staticmethod
+    def counting(monkeypatch, targets):
+        calls = {name: 0 for _, name in targets}
+        for module, name in targets:
+            original = getattr(module, name)
+
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    def test_writes_no_file(self, paper_config_path, monkeypatch):
+        config = lab.load_config(paper_config_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("measure touched the file system")
+
+        monkeypatch.setattr(Path, "write_text", refuse)
+        monkeypatch.setattr(Path, "mkdir", refuse)
+        monkeypatch.setattr(cli, "_export", refuse)
+        state = cli.measure(config, cli.MODES)
+        assert [readout.mode for readout in state.readouts] == list(cli.MODES)
+        assert state.ledger.to_table() == lab.phase_table(config.schedule, 0.096).to_table()
+
+    def test_readouts_are_run_compares_rows_bit_for_bit(self, paper_config_path, tmp_path):
+        config = lab.load_config(paper_config_path)
+        rows = run_compare(config, tmp_path / "cmp")
+        readouts = cli.measure(config, tuple(row.mode for row in rows)).readouts
+        for row, readout in zip(rows, readouts, strict=True):
+            assert readout.mode == row.mode
+            for name in ("peak_frequency", "mainlobe_width_3db"):
+                assert getattr(readout, name).hex() == getattr(row, name).hex(), name
+            assert readout.strongest_sidelobe_db is not None or row.mode == "ideal"
+            assert readout.strongest_sidelobe_db == row.strongest_sidelobe_db
+            for name in ("bin_frequencies", "magnitudes"):
+                ours, theirs = getattr(readout.spec, name), getattr(row.spec, name)
+                assert ours.tobytes() == theirs.tobytes(), name
+
+    @pytest.mark.parametrize("modes, readouts", [((), 0), (("ddctfm",), 1)])
+    def test_one_pass_and_one_readout_per_mode(
+        self, paper_config_path, monkeypatch, modes, readouts
+    ):
+        config = lab.load_config(paper_config_path)
+        calls = self.counting(monkeypatch, self.PASS + self.READOUT)
+        state = cli.measure(config, modes)
+        assert len(state.readouts) == readouts
+        assert calls == {
+            "synthesize_transmit": 1,
+            "synthesize_lo": 1,
+            "synthesize_received": 1,
+            "demodulate": 1,
+            "dft_magnitude": readouts,
+            "mainlobe_width": readouts,
+        }
+
+    @pytest.mark.parametrize(
+        "modes", [("sonar",), ("ddctfm", "record"), ("CTFM",)], ids=["name", "span-key", "case"]
+    )
+    def test_an_unknown_mode_is_refused_before_any_work(
+        self, paper_config_path, monkeypatch, modes
+    ):
+        config = lab.load_config(paper_config_path)
+        calls = self.counting(monkeypatch, self.PASS + self.READOUT)
+        message = f"unknown mode {modes[-1]!r}; expected one of {cli.MODES}"
+        with pytest.raises(lab.ConfigurationError, match=re.escape(message)):
+            cli.measure(config, modes)
+        assert not any(calls.values()), calls
+
+    def test_run_refuses_an_unknown_mode_before_any_work(
+        self, paper_config_path, tmp_path, monkeypatch
+    ):
+        config = lab.load_config(paper_config_path)
+        calls = self.counting(monkeypatch, self.PASS + self.READOUT)
+        message = f"unknown mode 'record'; expected one of {cli.MODES}"
+        with pytest.raises(lab.ConfigurationError, match=re.escape(message)):
+            run(config, "record", tmp_path / "out")
+        assert not any(calls.values()), calls
+        assert not (tmp_path / "out").exists()
+
+
 def two_echo_config(paper_config_path):
     """paper.cfg plus a second echo at 60 ms (a 20 Hz beat), amplitude 0.7."""
     text = Path(paper_config_path).read_text()
@@ -215,8 +310,9 @@ class TestMultiEcho:
 
     def test_ideal_spectrum_has_a_line_at_each_beat(self, compared):
         config, rows, out = compared
-        ideal = cli._receive(config).ideal
-        spec = spectrum.dft_magnitude(cli._analysis_record(ideal, config), 4)
+        ideal = cli.measure(config).ideal
+        record = waveform.time_slice(ideal, *config.analysis_spans()["record"])
+        spec = spectrum.dft_magnitude(record, 4)
         lines = {
             beat: spectrum.find_peak(spec, (beat - 2.0, beat + 2.0))
             for beat in (20.0, 32.0)
@@ -245,10 +341,10 @@ class TestMultiEcho:
         ledger = lab.phase_table(config.schedule, 0.096).to_table()
         for mode in ("ctfm", "ddctfm", "ideal"):
             assert (out / mode / "phase_table.csv").read_text() == ledger
-        state, alone = cli._receive(config), cli._receive(single)
+        state, alone = cli.measure(config), cli.measure(single)
         for mode in ("ctfm", "ddctfm"):
-            window = cli._observation_window(state.output(mode), config, mode)
-            reference = cli._observation_window(alone.output(mode), single, mode)
+            window = waveform.time_slice(state.output(mode), *config.analysis_spans()[mode])
+            reference = waveform.time_slice(alone.output(mode), *single.analysis_spans()[mode])
             assert (window.t0, len(window)) == (reference.t0, len(reference))
             start = 6 * 0.3 + 0.096 + config.lowpass.group_delay
             assert window.t0 == pytest.approx(start, abs=0.5 / config.sample_rate)
@@ -311,7 +407,7 @@ class TestCompareReadouts:
     @staticmethod
     def reference(config, mode):
         """(main report, 64x window width, record length, window length)."""
-        output = cli._receive(config).output(mode)
+        output = cli.measure(config).output(mode)
         span = 3.0 / config.tx.duration
 
         def report(signal, pad):
@@ -319,8 +415,8 @@ class TestCompareReadouts:
             peak = spectrum.find_peak(spec, config.band)
             return spectrum.sidelobe_report(spec, peak, span, cli.SIDELOBE_FLOOR_DB)
 
-        record = cli._analysis_record(output, config)
-        window = cli._observation_window(output, config, mode)
+        record = waveform.time_slice(output, *config.analysis_spans()["record"])
+        window = waveform.time_slice(output, *config.analysis_spans()[mode])
         width = report(window, 64).mainlobe_width_3db
         return report(record, config.zero_pad_factor), width, len(record), len(window)
 
@@ -379,7 +475,7 @@ class TestExportBytes:
         config = lab.load_config(paper_config_path)
         out = tmp_path_factory.mktemp("cmp")
         run_compare(config, out)
-        return config, out, cli._receive(config)
+        return config, out, cli.measure(config)
 
     @staticmethod
     def signals(state, mode):
@@ -418,7 +514,7 @@ class TestExportBytes:
     def test_spectra(self, compared):
         config, out, state = compared
         for mode in ("ctfm", "ddctfm", "ideal"):
-            record = cli._analysis_record(state.output(mode), config)
+            record = waveform.time_slice(state.output(mode), *config.analysis_spans()["record"])
             spec = spectrum.dft_magnitude(record, config.zero_pad_factor)
             assert_per_row_csv(
                 out / mode / "spectrum.csv",
