@@ -91,6 +91,11 @@ def _ideal_output(config: SimConfig) -> SampledSignal:
     return SampledSignal._fresh(config.sample_rate, functools.reduce(np.add, beats))
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ConfigurationError(f"unknown mode {mode!r}; expected one of {MODES}")
+
+
 @dataclass(frozen=True, eq=False)
 class Measurement:
     """One receiver pass, every mode a view of it, its ledger and readouts."""
@@ -105,19 +110,16 @@ class Measurement:
 
     def output(self, mode: str) -> SampledSignal:
         """ctfm reads channel 1, ddctfm the stitched sum, ideal the yardstick."""
-        if mode == "ctfm":
-            return self.receiver.channel1
-        if mode == "ddctfm":
-            return self.receiver.sum
-        return self.ideal
+        _check_mode(mode)
+        views = {"ctfm": self.receiver.channel1, "ddctfm": self.receiver.sum, "ideal": self.ideal}
+        return views[mode]
 
 
 def measure(config: SimConfig, modes: tuple[str, ...] = ()) -> Measurement:
     """One receiver pass, its ledger and a ``Readout`` of each of ``modes``
     (checked first) on ``SimConfig.analysis_spans``; no file is written."""
     for mode in modes:
-        if mode not in MODES:
-            raise ConfigurationError(f"unknown mode {mode!r}; expected one of {MODES}")
+        _check_mode(mode)
     schedule, fs = config.schedule, config.sample_rate
     tx = waveform.synthesize_transmit(schedule, fs)
     lo = waveform.synthesize_lo(schedule, fs)

@@ -273,7 +273,7 @@ def _build(values: dict) -> SimConfig:
         # The walk reads the record's spectrum and each window's -3 dB width.
         width = name != "record"
         factor = config.width_pad_factor if width else zero_pad_factor
-        size, freq = readout_grid(i1 - i0, sample_rate, factor, power_of_two=width)
+        _, size, freq = readout_grid(i1 - i0, sample_rate, factor, power_of_two=width)
         top = freq(size - 1)
         if band[1] > top:
             raise ConfigLoadError(

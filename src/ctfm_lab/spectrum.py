@@ -98,45 +98,32 @@ class SpectrumReport:
 
 def dft_magnitude(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
     """Rectangular-window DFT magnitude, zero padded, on [0, Nyquist]."""
-    _check_padding(signal, "zero_pad_factor", zero_pad_factor)
-    points = transform_length(len(signal), zero_pad_factor)
+    _check_padding("zero_pad_factor", zero_pad_factor)
+    points, size, freq = readout_grid(len(signal), signal.sample_rate, zero_pad_factor)
     mags = np.abs(np.fft.rfft(signal.samples, points))
-    freqs = np.fft.rfftfreq(points, 1.0 / signal.sample_rate)
-    return Spectrum._fresh(freqs, mags, signal.duration, zero_pad_factor)
-
-
-def transform_length(samples: int, factor: int, power_of_two: bool = False) -> int:
-    """Points of a readout transform: ``factor`` times the record, or for a
-    width the smallest power of two at least that (see ``mainlobe_width``)."""
-    points = factor * samples
-    return 1 << (points - 1).bit_length() if power_of_two else points
+    return Spectrum._fresh(freq(np.arange(size)), mags, signal.duration, zero_pad_factor)
 
 
 def band_bins(size: int, freq, band) -> range:
-    """The bins ``find_peak`` reads: the k < ``size`` with low <= freq(k) <= high,
-    one run of a rising grid, found by bisection."""
+    """The k < ``size`` with low <= freq(k) <= high, one run of a rising grid,
+    found by bisection: ``find_peak``'s band, the loader's count, the
+    sidelobe search span and the width zoom's run."""
     bins = range(size)
     return range(bisect_left(bins, band[0], key=freq), bisect_right(bins, band[1], key=freq))
 
 
 def readout_grid(samples: int, sample_rate: float, factor: int, power_of_two: bool = False):
-    """(size, freq) of ``transform_length``'s grid: ``freq(k)`` is the ``k * step``
-    of ``np.fft.rfftfreq``, with its own ``step``, computed on demand."""
-    points = transform_length(samples, factor, power_of_two)
-    step = 1.0 / (points * (1.0 / sample_rate))
-    return points // 2 + 1, lambda k: k * step
+    """(points, size, freq) of a readout transform: ``factor`` times the record,
+    or for a width the least power of two at least that (see
+    ``mainlobe_width``); ``size`` one-sided bins, ``freq(k)`` their ``k * step``
+    Hz, computed on demand."""
+    points = factor * samples
+    points = 1 << (points - 1).bit_length() if power_of_two else points
+    step = 1.0 / (points * (1.0 / sample_rate))  # numpy's rounding of its rfft grid
+    return points, points // 2 + 1, lambda k: k * step
 
 
-def band_bin_count(
-    samples: int, sample_rate: float, band, factor: int, power_of_two: bool = False
-) -> int:
-    """How many bins of a readout transform ``find_peak`` selects in ``band``."""
-    return len(band_bins(*readout_grid(samples, sample_rate, factor, power_of_two), band))
-
-
-def _check_padding(signal: SampledSignal, name: str, factor) -> None:
-    if len(signal) < 1:
-        raise ShapeError("signal must contain at least one sample")
+def _check_padding(name: str, factor) -> None:
     if not isinstance(factor, int) or factor < 1:
         raise DomainError(f"{name} must be a positive integer, got {factor}")
 
@@ -257,11 +244,9 @@ def sidelobe_report(
 
     low = max(peak.frequency - search_span, float(freqs[0]))
     high = min(peak.frequency + search_span, float(freqs[-1]))
-    # The grid is sorted, so the span [low, high] is one run of interior bins.
-    first = max(1, int(np.searchsorted(freqs, low, side="left")))
-    last = min(len(freqs) - 2, int(np.searchsorted(freqs, high, side="right")) - 1)
+    span = band_bins(freqs.size, freqs.__getitem__, (low, high))
     sidelobes = []
-    for i in range(first, last + 1):
+    for i in range(max(span.start, 1), min(span.stop, freqs.size - 1)):
         f = freqs[i]
         if exclude_left <= f <= exclude_right:
             continue
@@ -294,9 +279,8 @@ def mainlobe_width(
     grid's.  The peak bin is picked as ``sidelobe_report`` picks it; no
     sidelobe is cataloged.
     """
-    _check_padding(signal, "min_pad_factor", min_pad_factor)
-    points = transform_length(len(signal), min_pad_factor, power_of_two=True)
-    size, freq = readout_grid(len(signal), signal.sample_rate, min_pad_factor, power_of_two=True)
+    _check_padding("min_pad_factor", min_pad_factor)
+    points, size, freq = readout_grid(len(signal), signal.sample_rate, min_pad_factor, True)
     _check_band(band, freq(0), freq(size - 1))  # the grid's edges, not the zoom's
     run, margin = band_bins(size, freq, band), points // len(signal) + 1
     lo, hi = run.start - margin, run.stop + margin
@@ -323,7 +307,7 @@ def _zoom(signal: SampledSignal, points: int, bins: range, freq) -> Spectrum:
     radians = np.pi / points
     weighted = signal.samples * np.exp(-1j * radians * ((i * i + 2 * k0 * i) % (2 * points)))
     chirp = np.exp(1j * radians * (d * d % (2 * points)))
-    size = transform_length(n + m - 1, 1, power_of_two=True)
+    size = 1 << (n + m - 2).bit_length()
     out = np.fft.ifft(np.fft.fft(weighted, size) * np.fft.fft(chirp, size))
     mags = np.abs(out[n - 1 : n - 1 + m])
     return Spectrum._fresh(freq(np.arange(k0, bins.stop)), mags, signal.duration, points / n)

@@ -283,6 +283,14 @@ class TestMeasure:
             cli.measure(config, modes)
         assert not any(calls.values()), calls
 
+    @pytest.mark.parametrize("mode", ["sonar", "CTFM", "record"])
+    def test_output_refuses_an_unknown_mode(self, paper_config_path, mode):
+        """No unknown mode falls through to the ideal yardstick."""
+        state = cli.measure(lab.load_config(paper_config_path))
+        message = f"unknown mode {mode!r}; expected one of {cli.MODES}"
+        with pytest.raises(lab.ConfigurationError, match=re.escape(message)):
+            state.output(mode)
+
     def test_run_refuses_an_unknown_mode_before_any_work(
         self, paper_config_path, tmp_path, monkeypatch
     ):

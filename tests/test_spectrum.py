@@ -98,27 +98,25 @@ class TestCopyRule:
         assert freqs.flags.writeable and mags.flags.writeable
 
     def test_built_spectra_are_read_only_and_not_copied(self, monkeypatch):
-        """``dft_magnitude`` wraps ``rfftfreq``'s grid itself, and the width
-        zoom the two arrays it has just built: each owns its memory, so no
-        view pins a larger transform buffer."""
-        built, grids = [], []
-        fresh, rfftfreq = lab.Spectrum._fresh, np.fft.rfftfreq
+        """``dft_magnitude`` wraps the grid ``readout_grid`` has just built,
+        ``rfftfreq``'s bit for bit, and the width zoom the two arrays it has
+        just built: each owns its memory, so no view pins a larger transform
+        buffer."""
+        built = []
+        fresh = lab.Spectrum._fresh
 
         def recording_fresh(freqs, mags, *args):
             built.append((freqs, mags, fresh(freqs, mags, *args)))
             return built[-1][2]
 
-        def recording_rfftfreq(*args):
-            grids.append(rfftfreq(*args))
-            return grids[-1]
-
         monkeypatch.setattr(lab.Spectrum, "_fresh", recording_fresh)
-        monkeypatch.setattr(np.fft, "rfftfreq", recording_rfftfreq)
         signal = tone(20.0, 0.5)
         spec = lab.dft_magnitude(signal, 4)
         spectrum_module.mainlobe_width(signal, (5.0, 45.0), 64)
-        assert len(built) == 2 and len(grids) == 1
-        assert built[0][2] is spec and spec.bin_frequencies is grids[0]
+        assert len(built) == 2 and built[0][2] is spec
+        expected = np.fft.rfftfreq(4 * len(signal), 1.0 / signal.sample_rate)
+        assert spec.bin_frequencies.dtype == expected.dtype
+        assert spec.bin_frequencies.tobytes() == expected.tobytes()
         zoomed = built[1][2]
         assert 0.0 < zoomed.bin_frequencies[0] < 5.0 and 45.0 < zoomed.bin_frequencies[-1] < 50.0
         for freqs, mags, spec in built:
@@ -205,15 +203,10 @@ class TestBandBins:
         assert lab.find_peak(spec, (low, high)) == expected
 
 
-class TestBandBinCount:
-    """``band_bin_count`` counts, without building the grid, the bins
-    ``find_peak`` selects on the transform ``dft_magnitude`` or
-    ``mainlobe_width`` takes."""
-
-    @staticmethod
-    def selected(points, rate, band):
-        freqs = np.fft.rfftfreq(points, 1.0 / rate)
-        return int(np.count_nonzero((freqs >= band[0]) & (freqs <= band[1])))
+class TestReadoutGrid:
+    """``readout_grid`` is the transform ``dft_magnitude`` or ``mainlobe_width``
+    takes, and ``band_bins`` on it counts, without building the grid, the
+    bins ``find_peak`` selects; ``np.fft.rfftfreq`` is the oracle."""
 
     @given(
         samples=st.integers(min_value=1, max_value=3000),
@@ -227,23 +220,29 @@ class TestBandBinCount:
     def test_count_matches_the_built_grid(
         self, samples, factor, power_of_two, rate, edges, on_bins
     ):
-        points = spectrum_module.transform_length(samples, factor, power_of_two)
+        points, size, freq = spectrum_module.readout_grid(samples, rate, factor, power_of_two)
+        least = factor * samples
+        if power_of_two:
+            assert points & (points - 1) == 0 and points // 2 < least <= points
+        else:
+            assert points == least
+        freqs = np.fft.rfftfreq(points, 1.0 / rate)
+        grid = freq(np.arange(size))
+        assert grid.dtype == freqs.dtype and grid.tobytes() == freqs.tobytes()
         nyquist = rate / 2.0
         low, high = sorted(edge * nyquist for edge in edges)
         if on_bins:  # edges exactly on, or one float off, a grid frequency
-            freqs = np.fft.rfftfreq(points, 1.0 / rate)
             low = float(freqs[int(edges[0] * (freqs.size - 1))])
             high = float(np.nextafter(freqs[int(edges[1] * (freqs.size - 1))], 0.0))
-        band = (low, high)
-        expected = self.selected(points, rate, band) if low <= high else 0
-        count = spectrum_module.band_bin_count(samples, rate, band, factor, power_of_two)
-        assert count == expected
+        mask = (freqs >= low) & (freqs <= high)
+        expected = int(np.count_nonzero(mask)) if low <= high else 0
+        assert len(spectrum_module.band_bins(size, freq, (low, high))) == expected
 
     def test_transform_lengths_are_the_readouts(self):
         signal = tone(32.0, 0.2)
-        assert spectrum_module.transform_length(len(signal), 4) == 4 * 800
-        assert spectrum_module.transform_length(len(signal), 64, True) == 65_536
-        assert spectrum_module.transform_length(1, 1, True) == 1
+        assert spectrum_module.readout_grid(len(signal), SAMPLE_RATE, 4)[0] == 4 * 800
+        assert spectrum_module.readout_grid(len(signal), SAMPLE_RATE, 64, True)[0] == 65_536
+        assert spectrum_module.readout_grid(1, SAMPLE_RATE, 1, True)[0] == 1
         spec = lab.dft_magnitude(signal, 4)
         assert spec.bin_frequencies.size == 4 * 800 // 2 + 1
 
@@ -316,6 +315,39 @@ class TestSidelobeReport:
         ratio = 20.0 * math.log10(0.5)
         assert report.sidelobes == tuple(lab.Sidelobe(float(i), ratio) for i in expected_bins)
 
+    @staticmethod
+    def searchsorted_span(freqs, low, high):
+        """The interior bins in [low, high] by ``np.searchsorted``, the span
+        rule ``sidelobe_report`` kept before ``band_bins`` picked it."""
+        first = max(1, int(np.searchsorted(freqs, low, side="left")))
+        last = min(len(freqs) - 2, int(np.searchsorted(freqs, high, side="right")) - 1)
+        return range(first, last + 1)
+
+    @pytest.mark.parametrize("nudge", [-1, 0, 1])
+    @pytest.mark.parametrize("side, target", [(-1, 10), (1, 22)], ids=["low", "high"])
+    def test_span_edges_on_a_bin_or_one_float_off(self, side, target, nudge):
+        # Isolated spikes on every even offset from the peak bin, on a grid
+        # whose step is not a round number: each spike is a lobe read at its
+        # own bin, so the catalog names exactly the spikes the span selects.
+        freqs = np.fft.rfftfreq(64, 1.0 / 3333.3)
+        mags = np.full(freqs.size, 0.01)
+        mags[16] = 1.0
+        spikes = [i for i in range(freqs.size) if i != 16 and (i - 16) % 2 == 0]
+        mags[spikes] = 0.5
+        spec = lab.Spectrum(freqs, mags, record_duration=100.0, zero_pad_factor=1)
+        peak = lab.PeakEstimate(float(freqs[16]), 1.0)
+        edge = float(freqs[target])
+        edge = math.nextafter(edge, math.inf * nudge) if nudge else edge
+        search_span = abs(edge - peak.frequency)  # exact: within a factor 2
+        low, high = peak.frequency - search_span, peak.frequency + search_span
+        assert (low, high)[side > 0] == edge
+        span = self.searchsorted_span(freqs, low, high)
+        assert (target in span) == (nudge != -side)
+        report = lab.sidelobe_report(spec, peak, search_span, floor_db=-20.0)
+        ratio = 20.0 * math.log10(0.5)
+        expected = tuple(lab.Sidelobe(float(freqs[i]), ratio) for i in span if i in spikes)
+        assert report.sidelobes == expected
+
     def test_ratios_never_exceed_zero(self, spectrum_096):
         peak = lab.find_peak(spectrum_096, (10.0, 50.0))
         report = lab.sidelobe_report(spectrum_096, peak, search_span=10.0, floor_db=-30.0)
@@ -340,7 +372,7 @@ class TestWidthZoom:
 
     @staticmethod
     def full_grid(signal, factor):
-        points = spectrum_module.transform_length(len(signal), factor, power_of_two=True)
+        points = spectrum_module.readout_grid(len(signal), signal.sample_rate, factor, True)[0]
         spec = lab.Spectrum(
             np.fft.rfftfreq(points, 1.0 / signal.sample_rate),
             np.abs(np.fft.rfft(signal.samples, points)),
@@ -361,7 +393,7 @@ class TestWidthZoom:
         if second >= first * (1.0 - 1e-9) or first < 1e-3 * np.abs(signal.samples).sum():
             return False
         lo, hi = max(run.start - 2, 0), min(run.stop + 2, freqs.size)
-        _, freq = spectrum_module.readout_grid(len(signal), signal.sample_rate, factor, True)
+        _, _, freq = spectrum_module.readout_grid(len(signal), signal.sample_rate, factor, True)
         zoom = spectrum_module._zoom(signal, points, range(lo, hi), freq)
         np.testing.assert_array_equal(zoom.bin_frequencies, freqs[lo:hi])
         error = np.max(np.abs(zoom.magnitudes - full.magnitudes[lo:hi]))
@@ -386,9 +418,9 @@ class TestWidthZoom:
     @settings(max_examples=150, deadline=None)
     def test_zoom_reads_the_full_grid(self, samples, factor, rate, edges, lines):
         """Tones placed across the band, up to a tenth of it beyond each edge."""
-        size, freq = spectrum_module.readout_grid(samples, rate, factor, True)
+        _, size, freq = spectrum_module.readout_grid(samples, rate, factor, True)
         low, high = sorted(edge * freq(size - 1) for edge in edges)
-        assume(spectrum_module.band_bin_count(samples, rate, (low, high), factor, True) >= 3)
+        assume(len(spectrum_module.band_bins(size, freq, (low, high))) >= 3)
         placed = [(low + u * (high - low), a, p) for u, a, p in lines]
         assume(self.check(tones(rate, samples, placed), (low, high), factor))
 
