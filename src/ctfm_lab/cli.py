@@ -47,8 +47,9 @@ class ReportBundle:
 class Readout:
     """One mode's readout from ``measure``; the jump is in ``Measurement.ledger``.
 
-    ``spec`` is the settled record's spectrum, the one ``spectrum.csv``
-    holds, and ``report`` its peak and sidelobes.  The report's -3 dB width
+    ``spec`` is the settled record's spectrum on the band plus the 3/T
+    sidelobe span and one bin either side, the one ``spectrum.csv`` holds,
+    and ``report`` its peak and sidelobes.  The report's -3 dB width
     is read on the mode's observation window instead, a power-of-two
     transform at least ``width_pad_factor`` times finer than its native grid.
     """
@@ -117,7 +118,9 @@ class Measurement:
 
 def measure(config: SimConfig, modes: tuple[str, ...] = ()) -> Measurement:
     """One receiver pass, its ledger and a ``Readout`` of each of ``modes``
-    (checked first) on ``SimConfig.analysis_spans``; no file is written."""
+    (checked first) on ``SimConfig.analysis_spans``; no file is written.
+    Each record is read on ``spectrum.band_magnitude`` of the band +/- the
+    3/T sidelobe span, as on the full grid (see there)."""
     for mode in modes:
         _check_mode(mode)
     schedule, fs = config.schedule, config.sample_rate
@@ -128,11 +131,12 @@ def measure(config: SimConfig, modes: tuple[str, ...] = ()) -> Measurement:
     ledger = phase_table(schedule, config.echoes[0].delay)
     state = Measurement(tx, lo, rx, receiver, _ideal_output(config), ledger, ())
     spans, span = config.analysis_spans(), 3.0 / config.tx.duration
+    reach = (config.band[0] - span, config.band[1] + span)
     readouts = []
     for mode in modes:
         output = state.output(mode)
         record = waveform.time_slice(output, *spans["record"])
-        spec = spectrum.dft_magnitude(record, config.zero_pad_factor)
+        spec = spectrum.band_magnitude(record, config.zero_pad_factor, reach)
         peak = spectrum.find_peak(spec, config.band)
         report = spectrum.sidelobe_report(spec, peak, span, SIDELOBE_FLOOR_DB)
         window = waveform.time_slice(output, *spans[mode])

@@ -26,7 +26,8 @@ class Spectrum:
     """One-sided DFT magnitude on a uniform frequency grid.
 
     ``zero_pad_factor`` is the transform length over the record length: an
-    integer for ``dft_magnitude``, any ratio >= 1 for a power-of-two grid.
+    integer for ``dft_magnitude``, ``points / N`` as a float for a ``_zoom``:
+    ``band_magnitude``'s factor, or any ratio >= 1 on a power-of-two grid.
     """
 
     bin_frequencies: np.ndarray
@@ -102,6 +103,29 @@ def dft_magnitude(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
     points, size, freq = readout_grid(len(signal), signal.sample_rate, zero_pad_factor)
     mags = np.abs(np.fft.rfft(signal.samples, points))
     return Spectrum._fresh(freq(np.arange(size)), mags, signal.duration, zero_pad_factor)
+
+
+def band_magnitude(signal: SampledSignal, zero_pad_factor: int, band) -> Spectrum:
+    """``dft_magnitude`` on ``band``'s bins and one bin either side alone.
+
+    The grid is ``dft_magnitude``'s, so each bin frequency is bit for bit its
+    own; the magnitudes come from ``_zoom`` and differ by FFT rounding only.
+    On a ``band`` that reaches ``search_span`` past each edge of a peak band,
+    ``find_peak`` and ``sidelobe_report`` read what they read on the full grid:
+
+    - ``find_peak`` returns a peak inside the peak band, so the sidelobe
+      span, peak +/- ``search_span``, lies inside ``band``;
+    - the one-bin margin gives every scanned bin both neighbours, and keeps
+      scanned bins off the zoom's edges, where ``_interpolate_bin`` does not
+      interpolate;
+    - a ``_mainlobe_extent`` walk that hits a zoom edge excludes every scanned
+      bin on that side, as the full grid's walk, which goes at least as far,
+      does.
+    """
+    _check_padding("zero_pad_factor", zero_pad_factor)
+    points, size, freq = readout_grid(len(signal), signal.sample_rate, zero_pad_factor)
+    run = band_bins(size, freq, band)
+    return _zoom(signal, points, range(max(run.start - 1, 0), min(run.stop + 1, size)), freq)
 
 
 def band_bins(size: int, freq, band) -> range:
@@ -229,8 +253,10 @@ def sidelobe_report(
     rectangular window's own leakage lobes can exceed the floor (their
     envelope is 1 / (pi * offset * record_duration) relative to the peak).
     """
-    if search_span <= 0.0:
+    if not search_span > 0.0:
         raise DomainError(f"search_span must be positive, got {search_span}")
+    if not math.isfinite(floor_db):
+        raise DomainError(f"floor_db must be finite, got {floor_db}")
     freqs = spec.bin_frequencies
     mags = spec.magnitudes
     if peak.magnitude <= 0.0:

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 import ctfm_lab as lab
 from ctfm_lab import cli, demod, scene, spectrum, waveform
 from ctfm_lab.cli import main, run, run_compare
+from full_grid import assert_same_readout, full_grid_report
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +212,12 @@ class TestMeasure:
         (scene, "synthesize_received"),
         (demod, "demodulate"),
     )
-    READOUT = ((spectrum, "dft_magnitude"), (spectrum, "mainlobe_width"))
+    READOUT = (
+        (np.fft, "rfft"),
+        (spectrum, "dft_magnitude"),
+        (spectrum, "band_magnitude"),
+        (spectrum, "mainlobe_width"),
+    )
 
     @staticmethod
     def counting(monkeypatch, targets):
@@ -253,6 +259,30 @@ class TestMeasure:
                 ours, theirs = getattr(readout.spec, name), getattr(row.spec, name)
                 assert ours.tobytes() == theirs.tobytes(), name
 
+    @pytest.mark.parametrize(
+        "name, band",
+        [("paper.cfg", None), ("paper_phase.cfg", None), ("paper.cfg", (31, 35))],
+        ids=["paper", "paper_phase", "paper-band-31-35-hz"],
+    )
+    def test_readouts_match_the_full_grid(self, paper_config_path, name, band):
+        """The band spectrum reads each bundled configuration's peak and
+        sidelobes as the full ``dft_magnitude`` grid does.  With the band
+        narrowed to 31-35 Hz, the ddctfm lobes at 30.0 and 36.7 Hz lie outside
+        it, inside the 3/T sidelobe span the band spectrum also covers."""
+        text = Path(paper_config_path).with_name(name).read_text()
+        for key, value in zip(("band_low", "band_high"), band or ()):
+            line = f"spectrum.{key} = {value}"
+            text = re.sub(rf"^spectrum\.{key} = .*$", line, text, flags=re.M)
+        config = lab.parse_config(text)
+        state = cli.measure(config, cli.MODES)
+        for readout in state.readouts:
+            reference = full_grid_report(config, state.output(readout.mode))
+            assert reference.sidelobes or readout.mode == "ideal"
+            assert_same_readout(readout.report, reference)
+            if band and readout.mode == "ddctfm":
+                lobes = [lobe.frequency for lobe in reference.sidelobes]
+                assert len(lobes) == 2 and not any(band[0] <= f <= band[1] for f in lobes)
+
     @pytest.mark.parametrize("modes, readouts", [((), 0), (("ddctfm",), 1)])
     def test_one_pass_and_one_readout_per_mode(
         self, paper_config_path, monkeypatch, modes, readouts
@@ -266,7 +296,9 @@ class TestMeasure:
             "synthesize_lo": 1,
             "synthesize_received": 1,
             "demodulate": 1,
-            "dft_magnitude": readouts,
+            "rfft": 0,
+            "dft_magnitude": 0,
+            "band_magnitude": readouts,
             "mainlobe_width": readouts,
         }
 
@@ -370,8 +402,10 @@ def assert_per_row_csv(path, header, first, second):
 
 
 class TestCompareReadouts:
-    """Tolerance fixed before tuning: each width within 2e-4 relative of a
-    64x ``dft_magnitude`` + ``sidelobe_report`` readout of the same window."""
+    """Tolerances fixed before tuning: each width within 2e-4 relative of a
+    64x ``dft_magnitude`` + ``sidelobe_report`` readout of the same window;
+    each peak and sidelobe within ``full_grid.READOUT_TOL`` of the full-grid
+    readout of the record."""
 
     WIDTH_RTOL = 2e-4
 
@@ -414,7 +448,7 @@ class TestCompareReadouts:
 
     @staticmethod
     def reference(config, mode):
-        """(main report, 64x window width, record length, window length)."""
+        """(full-grid main report, 64x window width, record length, window length)."""
         output = cli.measure(config).output(mode)
         span = 3.0 / config.tx.duration
 
@@ -439,21 +473,30 @@ class TestCompareReadouts:
     @pytest.mark.parametrize("mode", cli.MODES)
     def test_peak_and_sidelobe_columns_are_the_main_readouts(self, compared, mode):
         _, rows, table, _, references = compared
-        main = references[mode][0]
-        strongest = max((lobe.ratio_db for lobe in main.sidelobes), default=None)
-        assert rows[mode].peak_frequency == main.peak_frequency
-        assert rows[mode].strongest_sidelobe_db == strongest
+        assert_same_readout(rows[mode].report, references[mode][0])
+        strongest = rows[mode].strongest_sidelobe_db
         line = {row[0]: row for row in table}[mode]
-        assert float(line[1]) == main.peak_frequency
+        assert float(line[1]) == rows[mode].peak_frequency
         if strongest is None:
             assert line[3] == ""
         else:
             assert float(line[3]) == strongest
 
+    @staticmethod
+    def assert_on_bins(grid, n, samples, sample_rate):
+        """``grid`` is a run of the bins k * fs / n of an n-point transform
+        of ``samples`` samples."""
+        assert grid.zero_pad_factor == n / samples
+        step = 1.0 / (n * (1.0 / sample_rate))
+        first = round(grid.bin_frequencies[0] / step)
+        bins = np.arange(first, first + grid.bin_frequencies.size)
+        np.testing.assert_array_equal(grid.bin_frequencies, bins * step)
+
     def test_width_transforms_are_powers_of_two_at_least_64x(self, compared):
         """Each width is read on bins k * fs / n of a power-of-two transform
-        n in [64 N, 128 N) of its N-sample window, and no rfft is taken for
-        it: the only rffts of a run are the three 4 N main spectra."""
+        n in [64 N, 128 N) of its N-sample window; each main spectrum on the
+        bins k * fs / (4 N) of its N-sample record.  Both are zooms: a run
+        takes no rfft at all."""
         config, rows, _, spies, references = compared
         windows = [references[mode][3] for mode in rows]
         assert [window for window, _ in spies["width"]] == windows
@@ -462,13 +505,12 @@ class TestCompareReadouts:
             for grid in grids:
                 n = round(config.sample_rate / grid.bin_spacing)
                 assert n & (n - 1) == 0 and 64 * window <= n < 128 * window, (window, n)
-                assert grid.zero_pad_factor == n / window
-                step = 1.0 / (n * (1.0 / config.sample_rate))
-                first = round(grid.bin_frequencies[0] / step)
-                bins = np.arange(first, first + grid.bin_frequencies.size)
-                np.testing.assert_array_equal(grid.bin_frequencies, bins * step)
-        records = [reference[2] for reference in references.values()]
-        assert sorted(spies["rfft"]) == sorted((n, config.zero_pad_factor * n) for n in records)
+                self.assert_on_bins(grid, n, window, config.sample_rate)
+        for mode, row in rows.items():
+            record = references[mode][2]
+            n = config.zero_pad_factor * record
+            self.assert_on_bins(row.spec, n, record, config.sample_rate)
+        assert spies["rfft"] == []
 
 
 TRACKS = ("tx", "lo", "echo")
@@ -483,7 +525,7 @@ class TestExportBytes:
         config = lab.load_config(paper_config_path)
         out = tmp_path_factory.mktemp("cmp")
         run_compare(config, out)
-        return config, out, cli.measure(config)
+        return config, out, cli.measure(config, cli.MODES)
 
     @staticmethod
     def signals(state, mode):
@@ -520,16 +562,31 @@ class TestExportBytes:
                 )
 
     def test_spectra(self, compared):
+        """Each file is its ``Readout.spec``: the band 10-50 Hz plus the 3/T
+        = 10 Hz sidelobe span and one bin either side, clipped at 0 Hz, so 842
+        bins from 0 to 60.007 Hz.  Those are the full ``dft_magnitude`` grid's
+        bins bit for bit, with magnitudes within 1e-12 of its band peak."""
         config, out, state = compared
-        for mode in ("ctfm", "ddctfm", "ideal"):
-            record = waveform.time_slice(state.output(mode), *config.analysis_spans()["record"])
-            spec = spectrum.dft_magnitude(record, config.zero_pad_factor)
+        for readout in state.readouts:
+            spec = readout.spec
             assert_per_row_csv(
-                out / mode / "spectrum.csv",
+                out / readout.mode / "spectrum.csv",
                 "freq_hz,magnitude",
                 spec.bin_frequencies,
                 spec.magnitudes,
             )
+            output = state.output(readout.mode)
+            record = waveform.time_slice(output, *config.analysis_spans()["record"])
+            full = spectrum.dft_magnitude(record, config.zero_pad_factor)
+            assert spec.bin_frequencies.size == 842
+            assert spec.bin_frequencies[0] == 0.0
+            assert spec.bin_frequencies[-1] == pytest.approx(60.007, abs=5e-4)
+            freqs, rows = full.bin_frequencies, slice(0, spec.bin_frequencies.size)
+            np.testing.assert_array_equal(spec.bin_frequencies, freqs[rows])
+            band = spectrum.band_bins(freqs.size, freqs.__getitem__, config.band)
+            peak = full.magnitudes[band.start : band.stop].max()
+            error = np.max(np.abs(spec.magnitudes - full.magnitudes[rows]))
+            assert error <= 1e-12 * peak, readout.mode
 
     def test_frequency_tracks(self, compared):
         config, out, _ = compared

@@ -6,6 +6,8 @@ on a comb line n/T, while the ideal beat sits at rate * delay.  These tests
 state that on the 93 ms walkthrough (``paper_phase.cfg``) and over a 1 ms
 lattice of echo delays on ``paper.cfg``.  Tolerances were fixed before the
 readouts were taken: 0.01 Hz for every peak, 5b's own +/-1.5 dB for the lobe.
+Over the same lattice, each readout from the band spectrum is the full-grid
+readout's, within ``full_grid.READOUT_TOL``.
 """
 
 import re
@@ -15,6 +17,7 @@ import pytest
 
 import ctfm_lab as lab
 from ctfm_lab import cli
+from full_grid import assert_same_readout, full_grid_report
 
 PEAK_TOL_HZ = 0.01
 LOBE_DB, LOBE_TOL_DB = -7.26, 1.5  # acceptance check 5b
@@ -59,22 +62,22 @@ class TestDelayLattice:
     @pytest.fixture(scope="class")
     def sweep(self, paper_config_path):
         """``paper.cfg`` with ``echoes.0.delay`` stepped 80..120 ms: one
-        (config, {mode: readout}) per delay."""
+        (config, {mode: readout}, measurement) per delay."""
         text = Path(paper_config_path).read_text()
         results = []
         for ms in DELAYS_MS:
             line = f"echoes.0.delay = {ms / 1000}"
             config = lab.parse_config(re.sub(r"^echoes\.0\.delay = .*$", line, text, flags=re.M))
             assert config.echoes[0].delay == ms / 1000
-            readouts = cli.measure(config, cli.MODES).readouts
-            results.append((config, {r.mode: r for r in readouts}))
+            state = cli.measure(config, cli.MODES)
+            results.append((config, {r.mode: r for r in state.readouts}, state))
         return results
 
     @pytest.mark.parametrize("mode", ["ctfm", "ddctfm"])
     def test_receiver_peaks_lie_on_the_comb(self, sweep, mode):
         errors = {
             config.echoes[0].delay: comb_error(by_mode[mode].peak_frequency, config.tx.duration)
-            for config, by_mode in sweep
+            for config, by_mode, _ in sweep
         }
         assert len(errors) == len(DELAYS_MS)
         worst = max(errors, key=errors.get)
@@ -83,7 +86,13 @@ class TestDelayLattice:
     def test_ideal_peaks_lie_on_the_beat(self, sweep):
         errors = {
             config.echoes[0].delay: abs(by_mode["ideal"].peak_frequency - beat(config))
-            for config, by_mode in sweep
+            for config, by_mode, _ in sweep
         }
         worst = max(errors, key=errors.get)
         assert errors[worst] <= PEAK_TOL_HZ, f"ideal at {worst} s: {errors[worst]:.5f} Hz"
+
+    def test_readouts_match_the_full_grid(self, sweep):
+        for config, by_mode, state in sweep:
+            for mode, readout in by_mode.items():
+                reference = full_grid_report(config, state.output(mode))
+                assert_same_readout(readout.report, reference)

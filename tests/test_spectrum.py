@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import ctfm_lab as lab
 from ctfm_lab import spectrum as spectrum_module
 from ctfm_lab.waveform import csv_columns
+from full_grid import assert_same_readout
 from oracles import SAMPLE_RATE
 
 
@@ -265,19 +266,37 @@ class TestSidelobeReport:
         # Rectangular-window -3 dB width is 0.886 / duration.
         assert report.mainlobe_width_3db == pytest.approx(0.886 / 3.5, rel=0.05)
 
+    @staticmethod
+    def two_tone():
+        """(spectrum, peak) of a 32 Hz tone plus a 36 Hz one 12 dB down."""
+        t = np.arange(int(3.5 * SAMPLE_RATE)) / SAMPLE_RATE
+        samples = np.cos(2 * np.pi * 32.0 * t) + 0.25 * np.cos(2 * np.pi * 36.0 * t)
+        spec = lab.dft_magnitude(lab.SampledSignal(SAMPLE_RATE, samples), 4)
+        return spec, lab.find_peak(spec, (20.0, 50.0))
+
     def test_two_tone_sidelobe_readout(self):
         # Rectangular-window leakage of the strong tone ripples around the
         # weak one, so the floor sits just under the weak tone's -12 dB.
-        t = np.arange(int(3.5 * SAMPLE_RATE)) / SAMPLE_RATE
-        samples = np.cos(2 * np.pi * 32.0 * t) + 0.25 * np.cos(2 * np.pi * 36.0 * t)
-        signal = lab.SampledSignal(SAMPLE_RATE, samples)
-        spec = lab.dft_magnitude(signal, 4)
-        peak = lab.find_peak(spec, (20.0, 50.0))
+        spec, peak = self.two_tone()
         report = lab.sidelobe_report(spec, peak, search_span=10.0, floor_db=-14.0)
         assert len(report.sidelobes) == 1
         lobe = report.sidelobes[0]
         assert lobe.frequency == pytest.approx(36.0, abs=0.05)
         assert lobe.ratio_db == pytest.approx(20 * math.log10(0.25), abs=0.5)
+
+    @pytest.mark.parametrize("floor_db", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_floor_is_refused(self, floor_db):
+        spec, peak = self.two_tone()
+        message = f"floor_db must be finite, got {floor_db}"
+        with pytest.raises(lab.DomainError, match=message):
+            lab.sidelobe_report(spec, peak, search_span=10.0, floor_db=floor_db)
+
+    @pytest.mark.parametrize("search_span", [math.nan, 0.0, -1.0])
+    def test_a_span_not_above_zero_is_refused(self, search_span):
+        spec, peak = self.two_tone()
+        message = f"search_span must be positive, got {search_span}"
+        with pytest.raises(lab.DomainError, match=message):
+            lab.sidelobe_report(spec, peak, search_span=search_span, floor_db=-14.0)
 
     @pytest.mark.parametrize("search_span", [1.0, 10.0, 3.0 / 0.3, 1e4])
     def test_span_scan_matches_a_full_grid_scan(self, spectrum_096, search_span):
@@ -361,6 +380,17 @@ def tones(rate, samples, lines):
     return lab.SampledSignal(rate, sum(a * np.cos(2 * np.pi * f * t + p) for f, a, p in lines))
 
 
+def full_rfft(signal, points):
+    """The whole one-sided grid of a ``points``-point rfft: the path each
+    zoom replaced, and the reference it is held to."""
+    return lab.Spectrum(
+        np.fft.rfftfreq(points, 1.0 / signal.sample_rate),
+        np.abs(np.fft.rfft(signal.samples, points)),
+        record_duration=signal.duration,
+        zero_pad_factor=points / len(signal),
+    )
+
+
 class TestWidthZoom:
     """``mainlobe_width`` reads a chirp-z zoom of its power-of-two grid; the
     reference is that grid's full rfft, the path the zoom replaced.
@@ -373,13 +403,7 @@ class TestWidthZoom:
     @staticmethod
     def full_grid(signal, factor):
         points = spectrum_module.readout_grid(len(signal), signal.sample_rate, factor, True)[0]
-        spec = lab.Spectrum(
-            np.fft.rfftfreq(points, 1.0 / signal.sample_rate),
-            np.abs(np.fft.rfft(signal.samples, points)),
-            record_duration=signal.duration,
-            zero_pad_factor=points / len(signal),
-        )
-        return points, spec
+        return points, full_rfft(signal, points)
 
     def check(self, signal, band, factor):
         """Zoom against the full grid; False, and nothing checked, when the
@@ -461,6 +485,89 @@ class TestWidthZoom:
         """The refusal names the full grid's edges, not the zoom's."""
         with pytest.raises(lab.DomainError, match=r"grid \[0\.0, 2000\.0\]"):
             spectrum_module.mainlobe_width(tone(20.0, 0.2), band, 64)
+
+
+class TestBandMagnitude:
+    """``band_magnitude`` reads ``dft_magnitude``'s grid on a band alone; the
+    reference is that grid's full rfft, kept here.  Tolerances fixed before
+    tuning: magnitudes within 1e-12 of the band peak, as for the width zoom,
+    and readouts within ``full_grid.READOUT_TOL``."""
+
+    MAG_TOL = 1e-12
+
+    def check(self, signal, band, factor):
+        """The band spectrum against the full grid: (full, band spectrum), or
+        None, and nothing checked, when the band peak is under 1e-3 of
+        sum |x|, where the band holds only leakage near the rounding floor."""
+        full = full_rfft(signal, factor * len(signal))
+        freqs = full.bin_frequencies
+        run = spectrum_module.band_bins(freqs.size, freqs.__getitem__, band)
+        peak = full.magnitudes[run.start : run.stop].max()
+        if peak < 1e-3 * np.abs(signal.samples).sum():
+            return None
+        lo, hi = max(run.start - 1, 0), min(run.stop + 1, freqs.size)
+        spec = spectrum_module.band_magnitude(signal, factor, band)
+        np.testing.assert_array_equal(spec.bin_frequencies, freqs[lo:hi])
+        assert spec.zero_pad_factor == factor
+        error = np.max(np.abs(spec.magnitudes - full.magnitudes[lo:hi]))
+        assert error <= self.MAG_TOL * peak
+        return full, spec
+
+    @given(
+        samples=st.integers(min_value=8, max_value=3000),
+        factor=st.integers(min_value=1, max_value=70),
+        rate=st.sampled_from([4000.0, 1000.0, 3333.3, 44100.0, 7.5]),
+        edges=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        lines=st.lists(
+            st.tuples(st.floats(-0.1, 1.1), st.floats(0.1, 1.0), st.floats(0.0, 2 * math.pi)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_band_reads_the_full_grid(self, samples, factor, rate, edges, lines):
+        """Tones placed across the band, up to a tenth of it beyond each edge."""
+        _, size, freq = spectrum_module.readout_grid(samples, rate, factor)
+        low, high = sorted(edge * freq(size - 1) for edge in edges)
+        assume(len(spectrum_module.band_bins(size, freq, (low, high))) >= 3)
+        placed = [(low + u * (high - low), a, p) for u, a, p in lines]
+        assume(self.check(tones(rate, samples, placed), (low, high), factor) is not None)
+
+    @pytest.mark.parametrize(
+        "lines, band, edge",
+        [
+            ([(20.0, 1.0, 0.0), (27.0, 0.3, 0.5)], (5.0, 50.0), "first-bin-is-0-hz"),
+            ([(1985.0, 1.0, 0.3), (1978.0, 0.3, 0.0)], (1950.0, 1995.0), "last-bin-is-nyquist"),
+            ([(9.4, 1.0, 0.3), (16.0, 0.3, 0.0)], (10.0, 50.0), "peak-on-first-bin"),
+            ([(50.6, 1.0, 0.3), (44.0, 0.3, 0.0)], (10.0, 50.0), "peak-on-last-bin"),
+        ],
+        ids=["reach-clipped-at-0-hz", "reach-clipped-at-nyquist", "peak-on-first-bin",
+             "peak-on-last-bin"],
+    )
+    def test_edges(self, lines, band, edge):
+        """The band plus a 10 Hz sidelobe span, as ``measure`` reaches, past
+        0 Hz or past Nyquist, where the zoom stops at the grid's end; and a
+        band peak on the band's first or last bin, next to a higher bin
+        outside it.  Peak and sidelobes read as on the full grid."""
+        span = 10.0
+        signal = tones(4000.0, 4000, lines)
+        reach = (band[0] - span, band[1] + span)
+        full, spec = self.check(signal, reach, 4)
+        if edge == "first-bin-is-0-hz":
+            assert reach[0] < 0.0 and spec.bin_frequencies[0] == 0.0
+        elif edge == "last-bin-is-nyquist":
+            assert reach[1] > 2000.0 and spec.bin_frequencies[-1] == full.bin_frequencies[-1]
+        else:
+            freqs = full.bin_frequencies
+            run = spectrum_module.band_bins(freqs.size, freqs.__getitem__, band)
+            at = run.start if edge == "peak-on-first-bin" else run.stop - 1
+            assert lab.find_peak(spec, band).frequency == freqs[at]
+        readouts = []
+        for grid in (spec, full):
+            peak = lab.find_peak(grid, band)
+            readouts.append(lab.sidelobe_report(grid, peak, span, -20.0))
+        assert readouts[1].sidelobes
+        assert_same_readout(*readouts)
 
 
 class TestStitchedOutputSpectrum:
