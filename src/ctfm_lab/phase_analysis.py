@@ -201,7 +201,9 @@ def phase_table(schedule: SweepSchedule, tau: float) -> PhaseReport:
 
     Reports every constituent phase at t = T (the first sweep reset) and
     t = T + tau (the end of the first true blind interval), plus the jump
-    at every later handoff.
+    at every later handoff.  By the jump law the jump is the same at every
+    handoff, so ``boundary_jump`` is evaluated once and repeated at each
+    k*T + tau.
     """
     _check_tau(schedule, tau)
     check_ledger_delay(schedule, tau)
@@ -210,46 +212,24 @@ def phase_table(schedule: SweepSchedule, tau: float) -> PhaseReport:
     period = schedule.period
     t_reset = period
     t_handoff = period + tau
-
-    def wrap_entry(label, instant, unwrapped):
-        return PhaseLedgerEntry(label, instant, unwrapped, wrap_phase(unwrapped))
-
-    entries = (
-        wrap_entry("tx phase at sweep end", t_reset, tx_phase(schedule.tx, period)),
-        wrap_entry("echo phase at sweep end", t_reset, _echo_phase(schedule, tau, t_reset)),
-        wrap_entry("lo initial phase", t_reset, lo_phase(schedule.lo, 0.0)),
-        wrap_entry(
-            "channel 1 phase at sweep end",
-            t_reset,
-            channel1_phase(schedule, tau, t_reset),
-        ),
-        wrap_entry(
-            "channel 2 phase at sweep end",
-            t_reset,
-            channel2_phase(schedule, tau, t_reset),
-        ),
-        wrap_entry(
-            "tx phase at handoff (restarted sweep)",
-            t_handoff,
-            tx_phase(schedule.tx, tau),
-        ),
-        wrap_entry(
-            "echo phase at handoff", t_handoff, _echo_phase(schedule, tau, t_handoff)
-        ),
-        wrap_entry("lo phase at handoff", t_handoff, lo_phase(schedule.lo, tau)),
-        wrap_entry(
+    rows = (
+        ("tx phase at sweep end", t_reset, tx_phase(schedule.tx, period)),
+        ("echo phase at sweep end", t_reset, _echo_phase(schedule, tau, t_reset)),
+        ("lo initial phase", t_reset, lo_phase(schedule.lo, 0.0)),
+        ("channel 1 phase at sweep end", t_reset, channel1_phase(schedule, tau, t_reset)),
+        ("channel 2 phase at sweep end", t_reset, channel2_phase(schedule, tau, t_reset)),
+        ("tx phase at handoff (restarted sweep)", t_handoff, tx_phase(schedule.tx, tau)),
+        ("echo phase at handoff", t_handoff, _echo_phase(schedule, tau, t_handoff)),
+        ("lo phase at handoff", t_handoff, lo_phase(schedule.lo, tau)),
+        (
             "channel 1 phase at handoff",
             t_handoff,
             tx_phase(schedule.tx, tau) - _echo_phase(schedule, tau, t_handoff),
         ),
-        wrap_entry(
-            "channel 2 phase at handoff",
-            t_handoff,
-            channel2_phase(schedule, tau, t_handoff),
-        ),
+        ("channel 2 phase at handoff", t_handoff, channel2_phase(schedule, tau, t_handoff)),
     )
-    discontinuities = tuple(
-        (k * period + tau, boundary_jump(schedule, tau, k))
-        for k in range(1, schedule.cycles)
-    )
+    wrapped = wrap_phase(np.array([row[2] for row in rows])).tolist()
+    entries = tuple(PhaseLedgerEntry(*row, w) for row, w in zip(rows, wrapped))
+    jump = boundary_jump(schedule, tau, 1)
+    discontinuities = tuple((k * period + tau, jump) for k in range(1, schedule.cycles))
     return PhaseReport(entries=entries, discontinuities=discontinuities)

@@ -19,6 +19,9 @@ from .errors import DomainError, NoPeakError, ShapeError
 from .waveform import SampledSignal, csv_columns
 
 _LOG_FLOOR = 1e-300
+# More than the 3.75 dB a parabolic refinement can add to its bin; see
+# ``sidelobe_report``.
+_VERTEX_MARGIN_DB = 4.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,8 +213,14 @@ def _check_band(band: tuple[float, float], first: float, last: float) -> None:
 
 
 def _peak_bin(spec: Spectrum, peak: PeakEstimate) -> int:
-    """The grid bin nearest a refined peak: the lobe the extents grow from."""
-    return int(np.argmin(np.abs(spec.bin_frequencies - peak.frequency)))
+    """The grid bin nearest a refined peak, the lower one on an exact tie, as
+    ``np.argmin`` of the distances picks it: the lobe the extents grow from.
+    Found by bisection on the rising grid."""
+    freqs, f = spec.bin_frequencies, peak.frequency
+    i = int(np.searchsorted(freqs, f))  # freqs[i - 1] < f <= freqs[i]
+    if i > 0 and (i == freqs.size or f - freqs[i - 1] <= freqs[i] - f):
+        return i - 1
+    return i
 
 
 def _mainlobe_extent(spec: Spectrum, peak_index: int) -> tuple[float, float, float]:
@@ -252,6 +261,20 @@ def sidelobe_report(
     The mainlobe itself is excluded, as is the guard region where the
     rectangular window's own leakage lobes can exceed the floor (their
     envelope is 1 / (pi * offset * record_duration) relative to the peak).
+
+    Only a maximum that can reach the floor is refined: one mask over the
+    span keeps the local maxima outside the excluded region whose bin lies
+    at most ``_VERTEX_MARGIN_DB`` under the floor, and ``_interpolate_bin``
+    reads those alone.  A maximum further down is never cataloged, since a
+    refined maximum exceeds its bin by at most 3.75 dB:
+
+    - both neighbours of a maximum are at most its bin; if either is more
+      than 30 dB down, ``_interpolate_bin`` returns the bin itself;
+    - otherwise, with x and y the neighbours' drops in dB, x, y in [0, 30],
+      the parabola's vertex exceeds the bin by
+      0.125 * (x - y)**2 / (x + y) <= 0.125 * max(x, y) <= 3.75 dB.
+
+    The fit reads magnitudes raised to ``_LOG_FLOOR``, so the mask does too.
     """
     if not search_span > 0.0:
         raise DomainError(f"search_span must be positive, got {search_span}")
@@ -259,6 +282,15 @@ def sidelobe_report(
         raise DomainError(f"floor_db must be finite, got {floor_db}")
     freqs = spec.bin_frequencies
     mags = spec.magnitudes
+    for field in ("frequency", "magnitude"):
+        value = getattr(peak, field)
+        if not math.isfinite(value):
+            raise DomainError(f"peak.{field} must be finite, got {value}")
+    if not freqs[0] <= peak.frequency <= freqs[-1]:
+        raise DomainError(
+            f"peak.frequency {peak.frequency} lies outside the frequency grid "
+            f"[{freqs[0]}, {freqs[-1]}]"
+        )
     if peak.magnitude <= 0.0:
         raise NoPeakError("peak magnitude must be positive")
     width, lobe_left, lobe_right = _mainlobe_extent(spec, _peak_bin(spec, peak))
@@ -271,13 +303,18 @@ def sidelobe_report(
     low = max(peak.frequency - search_span, float(freqs[0]))
     high = min(peak.frequency + search_span, float(freqs[-1]))
     span = band_bins(freqs.size, freqs.__getitem__, (low, high))
+    lo = max(span.start, 1)
+    hi = max(min(span.stop, freqs.size - 1), lo)
+    f, m = freqs[lo:hi], mags[lo:hi]
+    reachable = peak.magnitude * floor_ratio * 10.0 ** (-_VERTEX_MARGIN_DB / 20.0)
+    candidates = (
+        (m > mags[lo - 1 : hi - 1])
+        & (m >= mags[lo + 1 : hi + 1])
+        & ~((exclude_left <= f) & (f <= exclude_right))
+        & (np.maximum(m, _LOG_FLOOR) >= reachable)
+    )
     sidelobes = []
-    for i in range(max(span.start, 1), min(span.stop, freqs.size - 1)):
-        f = freqs[i]
-        if exclude_left <= f <= exclude_right:
-            continue
-        if not (mags[i] > mags[i - 1] and mags[i] >= mags[i + 1]):
-            continue
+    for i in (lo + np.flatnonzero(candidates)).tolist():
         estimate = _interpolate_bin(spec, i)
         if estimate.magnitude <= 0.0:
             continue

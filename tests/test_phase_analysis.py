@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 import ctfm_lab as lab
 from ctfm_lab import phase_analysis
 from oracles import (
+    F_END,
+    F_START,
     LEDGER_DELAY,
+    LO_DURATION,
+    LO_F_END,
     PERIOD,
     SAMPLE_RATE,
     reference_ledger_pi,
@@ -210,6 +214,38 @@ class TestBoundaryJump:
     def test_rejects_delay_at_the_sweep_period(self, reference_schedule):
         with pytest.raises(lab.UnsupportedRangeError):
             lab.boundary_jump(reference_schedule, 0.3, 1)
+
+
+class TestLedgerJumps:
+    """``phase_table`` evaluates the jump once and repeats it at each handoff."""
+
+    @pytest.mark.parametrize("cycles", [2, 12, 120])
+    @pytest.mark.parametrize("fraction", [0.0, 0.125, 0.3, 0.5, 0.775, 0.999, 1.0])
+    def test_each_jump_is_boundary_jump_at_its_own_handoff(self, cycles, fraction):
+        schedule = lab.make_schedule(
+            lab.ChirpSpec(F_START, F_END, PERIOD), LO_F_END, LO_DURATION, cycles
+        )
+        tau = fraction * schedule.lo.duration
+        report = lab.phase_table(schedule, tau)
+        expected = [
+            (k * schedule.period + tau, lab.boundary_jump(schedule, tau, k))
+            for k in range(1, cycles)
+        ]
+        assert [(t.hex(), jump.hex()) for t, jump in report.discontinuities] == [
+            (t.hex(), jump.hex()) for t, jump in expected
+        ]
+
+    def test_the_jump_is_evaluated_once(self, reference_schedule, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return lab.boundary_jump(*args)
+
+        monkeypatch.setattr(phase_analysis, "boundary_jump", spy)
+        report = lab.phase_table(reference_schedule, LEDGER_DELAY)
+        assert calls == [(reference_schedule, LEDGER_DELAY, 1)]
+        assert len(report.discontinuities) == reference_schedule.cycles - 1
 
 
 @st.composite

@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ctfm_lab as lab
@@ -204,6 +205,46 @@ class TestBandBins:
         assert lab.find_peak(spec, (low, high)) == expected
 
 
+@st.composite
+def grids_and_frequencies(draw):
+    """A rising grid and a frequency on it: on a bin, exactly midway between
+    two, one float off a bin, or anywhere between two; bins 0 and size - 1
+    are drawn as often as any."""
+    size = draw(st.integers(min_value=2, max_value=40_000))
+    step = draw(st.sampled_from([0.25, 1.0, 1.0 / 3.0, 4000.0 / 56_060]))
+    freqs = np.arange(size) * step
+    k = draw(st.sampled_from([0, size - 1]) | st.integers(0, size - 1))
+    kind = draw(st.sampled_from(["bin", "midway", "below", "above", "between"]))
+    low, high = freqs[max(k - 1, 0)], freqs[min(k + 1, size - 1)]
+    f = {
+        "bin": freqs[k],
+        "midway": 0.5 * (freqs[k] + high),
+        "below": np.nextafter(freqs[k], low),
+        "above": np.nextafter(freqs[k], high),
+        "between": freqs[k] + draw(st.floats(0.0, 1.0)) * (high - freqs[k]),
+    }[kind]
+    return freqs, float(f)
+
+
+class TestPeakBin:
+    """``_peak_bin`` bisects for the bin ``np.argmin`` of the distances picks."""
+
+    @given(grid=grids_and_frequencies())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_argmin(self, grid):
+        freqs, f = grid
+        spec = lab.Spectrum._fresh(freqs, np.ones(freqs.size), 1.0, 1.0)
+        expected = int(np.argmin(np.abs(freqs - f)))
+        assert spectrum_module._peak_bin(spec, lab.PeakEstimate(f, 1.0)) == expected
+
+    @pytest.mark.parametrize("f, expected", [(0.375, 1), (0.0, 0), (1.75, 7), (1.625, 6)])
+    def test_a_tie_picks_the_lower_bin_and_an_end_its_own(self, f, expected):
+        freqs = np.arange(8) * 0.25
+        spec = lab.Spectrum(freqs, np.ones(8), record_duration=1.0, zero_pad_factor=1)
+        assert int(np.argmin(np.abs(freqs - f))) == expected
+        assert spectrum_module._peak_bin(spec, lab.PeakEstimate(f, 1.0)) == expected
+
+
 class TestReadoutGrid:
     """``readout_grid`` is the transform ``dft_magnitude`` or ``mainlobe_width``
     takes, and ``band_bins`` on it counts, without building the grid, the
@@ -366,6 +407,78 @@ class TestSidelobeReport:
         ratio = 20.0 * math.log10(0.5)
         expected = tuple(lab.Sidelobe(float(freqs[i]), ratio) for i in span if i in spikes)
         assert report.sidelobes == expected
+
+    @staticmethod
+    def five_hz():
+        """(spectrum, peak) of a 5 Hz tone, 300 samples at 100 Hz."""
+        t = np.arange(300) / 100.0
+        spec = lab.dft_magnitude(lab.SampledSignal(100.0, np.cos(2 * np.pi * 5.0 * t)), 4)
+        return spec, lab.find_peak(spec, (1.0, 49.0))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("frequency", math.nan, "peak.frequency must be finite, got nan"),
+            ("magnitude", math.nan, "peak.magnitude must be finite, got nan"),
+            ("magnitude", math.inf, "peak.magnitude must be finite, got inf"),
+            ("frequency", 1e9, "peak.frequency 1000000000.0 lies outside the frequency grid"),
+            ("frequency", -0.5, "peak.frequency -0.5 lies outside the frequency grid"),
+        ],
+    )
+    def test_a_peak_it_cannot_use_is_refused(self, field, value, message):
+        spec, peak = self.five_hz()
+        with pytest.raises(lab.DomainError, match=re.escape(message)):
+            lab.sidelobe_report(spec, peak._replace(**{field: value}), 10.0, -40.0)
+
+    @staticmethod
+    @st.composite
+    def lobe_fields(draw):
+        """(spectrum, peak, span, floor): a spike peak on a 0.1 Hz grid and a
+        lobe every four bins, its bin 5 dB under the floor to 1 dB over it and
+        its neighbours each 0-30 dB under the bin, half of them lopsided, so
+        lobes whose refinement lifts them across the floor are common.  The
+        lobes come from a seeded generator, the rest from hypothesis."""
+        floor_db = draw(st.floats(-40.0, -1.0))
+        search_span = draw(st.floats(0.3, 40.0))
+        count = draw(st.integers(1, 120))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        crests = 4 * np.arange(count) + 2
+        offsets = rng.uniform(-5.0, 1.0, count)
+        drops = rng.uniform(0.0, 30.0, (2, count))
+        lopsided = rng.random(count) < 0.5  # one neighbour near 30 dB, one near 0
+        drops[:, lopsided] = rng.uniform((28.0, 0.0), (30.0, 2.0), (lopsided.sum(), 2)).T
+        mags = np.full(4 * count + 1, 1e-9)
+        mags[crests] = 10.0 ** ((floor_db + offsets) / 20.0)
+        mags[crests - 1] = mags[crests] * 10.0 ** (-drops[0] / 20.0)
+        mags[crests + 1] = mags[crests] * 10.0 ** (-drops[1] / 20.0)
+        centre = crests[count // 2]
+        mags[centre - 1 : centre + 2] = (0.5, 1.0, 0.5)
+        freqs = np.arange(mags.size) * 0.1
+        spec = lab.Spectrum._fresh(freqs, mags, draw(st.floats(1.0, 1000.0)), 1.0)
+        shift = draw(st.floats(-0.05, 0.05))
+        return spec, lab.PeakEstimate(float(freqs[centre] + shift), 1.0), search_span, floor_db
+
+    @given(args=lobe_fields())
+    @settings(max_examples=200, deadline=None)
+    def test_refining_only_reachable_maxima_keeps_the_full_scan(self, args):
+        spec, peak, search_span, floor_db = args
+        report = lab.sidelobe_report(spec, peak, search_span, floor_db)
+        assert report.sidelobes == full_scan_sidelobes(spec, peak, search_span, floor_db)
+
+    @given(
+        level=st.floats(-200.0, 200.0),
+        x=st.floats(0.0, 60.0),
+        y=st.floats(0.0, 60.0),
+    )
+    @example(level=0.0, x=30.0, y=0.0)
+    @example(level=0.0, x=29.999999, y=0.0)
+    @settings(max_examples=500, deadline=None)
+    def test_a_refined_maximum_exceeds_its_bin_by_at_most_3_75_db(self, level, x, y):
+        """The bound ``sidelobe_report``'s margin rests on."""
+        mags = 10.0 ** (np.array([level - x, level, level - y]) / 20.0)
+        spec = lab.Spectrum(np.arange(3.0), mags, record_duration=1.0, zero_pad_factor=1)
+        estimate = spectrum_module._interpolate_bin(spec, 1)
+        assert 20.0 * math.log10(estimate.magnitude / mags[1]) <= 3.75 + 1e-9
 
     def test_ratios_never_exceed_zero(self, spectrum_096):
         peak = lab.find_peak(spectrum_096, (10.0, 50.0))
