@@ -120,7 +120,8 @@ def measure(config: SimConfig, modes: tuple[str, ...] = ()) -> Measurement:
     """One receiver pass, its ledger and a ``Readout`` of each of ``modes``
     (checked first) on ``SimConfig.analysis_spans``; no file is written.
     Each record is read on ``spectrum.band_magnitude`` of the band +/- the
-    3/T sidelobe span, as on the full grid (see there)."""
+    3/T sidelobe span, as on the full grid (see there); the records have one
+    length, so they share one chirp-z plan, built in this call."""
     for mode in modes:
         _check_mode(mode)
     schedule, fs = config.schedule, config.sample_rate
@@ -132,11 +133,11 @@ def measure(config: SimConfig, modes: tuple[str, ...] = ()) -> Measurement:
     state = Measurement(tx, lo, rx, receiver, _ideal_output(config), ledger, ())
     spans, span = config.analysis_spans(), 3.0 / config.tx.duration
     reach = (config.band[0] - span, config.band[1] + span)
-    readouts = []
+    readouts, plans = [], {}
     for mode in modes:
         output = state.output(mode)
         record = waveform.time_slice(output, *spans["record"])
-        spec = spectrum.band_magnitude(record, config.zero_pad_factor, reach)
+        spec = spectrum.band_magnitude(record, config.zero_pad_factor, reach, plans)
         peak = spectrum.find_peak(spec, config.band)
         report = spectrum.sidelobe_report(spec, peak, span, SIDELOBE_FLOOR_DB)
         window = waveform.time_slice(output, *spans[mode])
@@ -152,19 +153,21 @@ def _frequency_tracks(config: SimConfig):
     ``times``: the repeating transmit sweep on every row, the oscillator
     extension on its active rows, and the first echo on the rows from its
     arrival.  Each is read off the local times the synthesizers sample, on
-    their grid and arrival rule, tiled across the record as they tile.
+    their grid and arrival rule; ``freq_hz`` is ``waveform.Tiled`` over the
+    grid's run, as the synthesizers tile.
     """
     schedule, fs = config.schedule, config.sample_rate
     grid = waveform.sample_grid(schedule, fs, (0.0, config.echoes[0].delay))
     (_, local), (arrival, echo_local) = grid.arrivals
-    local = grid.tile(local)
-    echo_local = grid.tile(np.pad(echo_local, (arrival, 0)))[arrival:]
     active = local < schedule.lo.duration
-    t = np.arange(grid.count) / fs
+    rows, t = grid.tile(active), np.arange(grid.count) / fs
+    f, tiled = waveform.instantaneous_frequency, waveform.Tiled
+    lo_start, lo_count = np.count_nonzero(active[: grid.start]), np.count_nonzero(rows)
+    echo = tiled(f(schedule.tx, echo_local), grid.start - arrival, grid.count - arrival)
     return (
-        (t, slice(None), waveform.instantaneous_frequency(schedule.tx, local)),
-        (t, active, waveform.instantaneous_frequency(schedule.lo, local[active])),
-        (t, slice(arrival, None), waveform.instantaneous_frequency(schedule.tx, echo_local)),
+        (t, slice(None), tiled(f(schedule.tx, local), grid.start, grid.count)),
+        (t, rows, tiled(f(schedule.lo, local[active]), lo_start, lo_count)),
+        (t, slice(arrival, None), echo),
     )
 
 
@@ -192,14 +195,15 @@ def _layout(state: Measurement, readout: Readout, tracks, out_dir: Path):
 
 def _text(source, columns: dict) -> str:
     if isinstance(source, SampledSignal):
-        return waveform.csv_columns("time_s,value", source.times(), source.samples, cache=columns)
+        start, run = source._repeat
+        samples = waveform.Tiled(source.samples[: start + run], start, len(source))
+        return waveform.csv_columns("time_s,value", source.times(), samples, cache=columns)
     if isinstance(source, spectrum.Spectrum):
         return source.to_csv(columns)
     if isinstance(source, PhaseReport):
         return source.to_table()
-    times, rows, freq_hz = source
-    texts = np.array(waveform._formatted(times, columns), dtype=object)[rows].tolist()
-    return waveform.csv_columns("time_s,freq_hz", texts, freq_hz, cache=columns)
+    t, rows, freq_hz = source
+    return waveform.csv_columns("time_s,freq_hz", waveform.Rows(t, rows), freq_hz, cache=columns)
 
 
 def _export(files) -> None:
@@ -208,8 +212,10 @@ def _export(files) -> None:
     Sources are grouped by identity, so a signal two modes share (or one
     mode lists twice) is formatted once; each text is dropped once written.
     Columns are keyed by their bytes, so the time column of the signals, or
-    the frequency column of the spectra, is formatted once.  A track carries
-    its rows of that time column and takes those rows' texts.
+    the frequency column of the spectra, is formatted once.  Samples are
+    ``waveform.Tiled`` over their run (``_repeat``), so only the run is
+    formatted.  A track carries its rows of that time column and takes those
+    rows' texts.
     """
     groups: dict[int, tuple[object, list[Path]]] = {}
     for path, source in files:

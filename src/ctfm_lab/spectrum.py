@@ -45,6 +45,11 @@ class Spectrum:
         )
 
     def _adopt(self, freqs: np.ndarray, mags: np.ndarray) -> None:
+        duration, factor = self.record_duration, self.zero_pad_factor
+        if not 0.0 < duration < math.inf:
+            raise DomainError(f"record_duration must be finite and positive, got {duration}")
+        if not 1.0 <= factor < math.inf:
+            raise DomainError(f"zero_pad_factor must be finite and >= 1, got {factor}")
         if freqs.shape != mags.shape or freqs.ndim != 1:
             raise ShapeError(
                 f"frequency grid {freqs.shape} and magnitudes {mags.shape} must be "
@@ -58,7 +63,8 @@ class Spectrum:
     @classmethod
     def _fresh(cls, freqs, mags, record_duration: float, zero_pad_factor: float):
         """Wrap float64 arrays the package has just built and no caller holds,
-        read-only and uncopied, as ``SampledSignal._fresh`` does."""
+        read-only and uncopied, as ``SampledSignal._fresh`` does; spectra of
+        one ``_zoom_plan`` share its bin frequencies."""
         spec = object.__new__(cls)
         object.__setattr__(spec, "record_duration", record_duration)
         object.__setattr__(spec, "zero_pad_factor", zero_pad_factor)
@@ -108,13 +114,16 @@ def dft_magnitude(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
     return Spectrum._fresh(freq(np.arange(size)), mags, signal.duration, zero_pad_factor)
 
 
-def band_magnitude(signal: SampledSignal, zero_pad_factor: int, band) -> Spectrum:
+def band_magnitude(signal: SampledSignal, zero_pad_factor: int, band, cache=None) -> Spectrum:
     """``dft_magnitude`` on ``band``'s bins and one bin either side alone.
 
     The grid is ``dft_magnitude``'s, so each bin frequency is bit for bit its
-    own; the magnitudes come from ``_zoom`` and differ by FFT rounding only.
-    On a ``band`` that reaches ``search_span`` past each edge of a peak band,
-    ``find_peak`` and ``sidelobe_report`` read what they read on the full grid:
+    own; the magnitudes come from a ``_zoom`` plan and differ by FFT rounding
+    only.  ``cache`` maps the record's length and rate, the factor and the
+    band to that plan; spectra of equal-length records that share a cache
+    build it once and apply it to each record.  On a ``band`` that reaches
+    ``search_span`` past each edge of a peak band, ``find_peak`` and
+    ``sidelobe_report`` read what they read on the full grid:
 
     - ``find_peak`` returns a peak inside the peak band, so the sidelobe
       span, peak +/- ``search_span``, lies inside ``band``;
@@ -126,9 +135,14 @@ def band_magnitude(signal: SampledSignal, zero_pad_factor: int, band) -> Spectru
       does.
     """
     _check_padding("zero_pad_factor", zero_pad_factor)
-    points, size, freq = readout_grid(len(signal), signal.sample_rate, zero_pad_factor)
-    run = band_bins(size, freq, band)
-    return _zoom(signal, points, range(max(run.start - 1, 0), min(run.stop + 1, size)), freq)
+    cache = {} if cache is None else cache
+    key = (len(signal), signal.sample_rate, zero_pad_factor, tuple(band))
+    if key not in cache:
+        points, size, freq = readout_grid(len(signal), signal.sample_rate, zero_pad_factor)
+        run = band_bins(size, freq, band)
+        bins = range(max(run.start - 1, 0), min(run.stop + 1, size))
+        cache[key] = _zoom_plan(len(signal), points, bins, freq)
+    return cache[key](signal)
 
 
 def band_bins(size: int, freq, band) -> range:
@@ -357,20 +371,32 @@ def mainlobe_width(
         lo, hi = lo - (hi - lo), hi + (hi - lo)
 
 
-def _zoom(signal: SampledSignal, points: int, bins: range, freq) -> Spectrum:
-    """|DFT| of ``points`` points on ``bins`` alone, by one Bluestein chirp-z
-    pass (Rabiner, Schafer & Rader, 1969) with FFTs of the least power of two
-    >= N + M - 1.  With L = ``points`` and k = k0 + m, X[k] is
-    e^(-iπm²/L) · sum_n x[n] e^(-iπ(n² + 2·k0·n)/L) · e^(iπ(m - n)²/L); the
-    leading chirp has unit modulus and is skipped.  Each phase is reduced mod
-    2L in int64 before it is scaled, so it is exact at any k0 for L < 2**31.
+def _zoom_plan(n: int, points: int, bins: range, freq):
+    """|DFT| of ``points`` points on ``bins`` alone, of any ``n``-sample
+    record, by one Bluestein chirp-z pass (Rabiner, Schafer & Rader, 1969)
+    with FFTs of the least power of two >= N + M - 1.  With L = ``points``
+    and k = k0 + m, X[k] is e^(-iπm²/L) · sum_n x[n] e^(-iπ(n² + 2·k0·n)/L) ·
+    e^(iπ(m - n)²/L); the leading chirp has unit modulus and is skipped.
+    Each phase is reduced mod 2L in int64 before it is scaled, so it is
+    exact at any k0 for L < 2**31.  The plan zooms any number of records:
+    one multiply, one FFT pair and one ``abs`` each.
     """
-    n, m, k0 = len(signal), len(bins), bins.start
+    m, k0 = len(bins), bins.start
     i, d = np.arange(n, dtype=np.int64), np.arange(1 - n, m, dtype=np.int64)
     radians = np.pi / points
-    weighted = signal.samples * np.exp(-1j * radians * ((i * i + 2 * k0 * i) % (2 * points)))
+    weights = np.exp(-1j * radians * ((i * i + 2 * k0 * i) % (2 * points)))
     chirp = np.exp(1j * radians * (d * d % (2 * points)))
     size = 1 << (n + m - 2).bit_length()
-    out = np.fft.ifft(np.fft.fft(weighted, size) * np.fft.fft(chirp, size))
-    mags = np.abs(out[n - 1 : n - 1 + m])
-    return Spectrum._fresh(freq(np.arange(k0, bins.stop)), mags, signal.duration, points / n)
+    kernel, freqs = np.fft.fft(chirp, size), freq(np.arange(k0, bins.stop))
+
+    def zoom(signal: SampledSignal) -> Spectrum:
+        out = np.fft.ifft(np.fft.fft(signal.samples * weights, size) * kernel)
+        mags = np.abs(out[n - 1 : n - 1 + m])
+        return Spectrum._fresh(freqs, mags, signal.duration, points / n)
+
+    return zoom
+
+
+def _zoom(signal: SampledSignal, points: int, bins: range, freq) -> Spectrum:
+    """``_zoom_plan`` applied once."""
+    return _zoom_plan(len(signal), points, bins, freq)(signal)

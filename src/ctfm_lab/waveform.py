@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -261,11 +262,14 @@ class SampledSignal:
 def _tile(block: np.ndarray, start: int, count: int) -> np.ndarray:
     """The ``count``-sample record whose first ``len(block)`` are ``block``.
 
-    Later samples repeat ``block[start:]``, copied in doubling chunks.  A
-    block that already spans the record is returned as it is.
+    Later samples repeat ``block[start:]``, copied in doubling chunks, of
+    any dtype (the export tiles texts by it).  A block that already spans
+    the record is cut to it.
     """
-    if block.size == count:
-        return block
+    if block.size >= count:
+        return block[:count]
+    if not 0 <= start < block.size:
+        raise ValueError(f"the run must start inside the block: start {start}, {block.size} values")
     record = np.empty(count, dtype=block.dtype)
     record[: block.size] = block
     filled = block.size
@@ -276,57 +280,79 @@ def _tile(block: np.ndarray, start: int, count: int) -> np.ndarray:
     return record
 
 
-def _format_all(values: np.ndarray) -> list[str]:
-    """Each value as ``.17g`` text, in one printf-style pass over the column.
+class Tiled(NamedTuple):
+    """The column ``_tile(block, start, count)``, written by tiling ``block``'s texts."""
+
+    block: np.ndarray
+    start: int
+    count: int
+
+
+class Rows(NamedTuple):
+    """The column ``values[rows]``, written with those rows' texts of ``values``."""
+
+    values: np.ndarray
+    rows: object
+
+
+def _format_all(values: np.ndarray, sep: str) -> list[str]:
+    """Each value as ``.17g`` text and ``sep``, in one printf-style pass over
+    the column, split at the NUL after each.
 
     ``"%.17g" % x`` and ``format(x, ".17g")`` call the same
     ``PyOS_double_to_string(x, 'g', 17)``, so the texts are the same.
     """
-    return (("%.17g\n" * values.size) % tuple(values.tolist())).split("\n")[:-1]
+    return ((f"%.17g{sep}\0" * values.size) % tuple(values.tolist())).split("\0")[:-1]
 
 
-def _formatted(column, cache: dict) -> list[str]:
+def _formatted(column, sep: str, cache: dict) -> list[str]:
     values = np.asarray(column, dtype=float)
-    key = values.tobytes()
+    key = (sep, values.tobytes())
     if key not in cache:
-        # Distinct by bit pattern, so -0.0 and 0.0 keep their own text.
-        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        if bits.size == values.size:
-            cache[key] = _format_all(values)
-        else:
-            texts = np.array(_format_all(bits.view(np.float64)), dtype=object)
-            cache[key] = texts[inverse.ravel()].tolist()
+        cache[key] = _format_all(values, sep)
     return cache[key]
 
 
-def _cells(column, cache: dict) -> list[str]:
+def _cells(column, sep: str, cache: dict) -> list[str]:
+    """One column's texts, each followed by ``sep``."""
+    if isinstance(column, Tiled):
+        texts = np.array(_formatted(column.block, sep, cache), dtype=object)
+        return _tile(texts, column.start, column.count).tolist()
+    if isinstance(column, Rows):
+        texts = np.array(_formatted(column.values, sep, cache), dtype=object)
+        return texts[column.rows].tolist()
     if not isinstance(column, list):
-        return _formatted(column, cache)
+        return _formatted(column, sep, cache)
     if all(isinstance(cell, str) for cell in column):
-        return column
-    texts = iter(_formatted([x for x in column if x is not None], cache))
-    return ["" if x is None else next(texts) for x in column]
+        return [cell + sep for cell in column]
+    texts = iter(_formatted([x for x in column if x is not None], sep, cache))
+    return [sep if x is None else next(texts) for x in column]
 
 
 def csv_columns(header: str, *columns, cache: dict | None = None) -> str:
     """Columns of one length as CSV text: the one place artifact numbers
     become text.
 
-    A list of ``str`` is written as it stands, and ``None`` in a list of
-    numbers as an empty cell.  Every number is in round-trip ``.17g``, each
-    distinct value of a column formatted once.  ``cache`` maps a column's
-    exact float64 bytes to its formatted values; texts that share a cache
-    format a column they have in common once.  Columns of different lengths
-    raise ``ValueError``.
+    A column is an array of numbers, a ``Tiled`` run, the ``Rows`` of an
+    array, or a list: of ``str``, written as it stands, or of numbers, with
+    ``None`` as an empty cell.  Every number is in round-trip ``.17g`` and
+    carries its separator, a comma or the line break, so each row is one
+    piece per column.  ``cache`` maps a separator and a column's exact
+    float64 bytes to its texts; texts that share a cache format a column
+    (or a ``Tiled`` block) they have in common once.  No column, or columns
+    of different lengths, raise ``ValueError``.
     """
+    if not columns:
+        raise ValueError("csv_columns needs at least one column, got 0")
     cache = {} if cache is None else cache
-    texts = [_cells(column, cache) for column in columns]
-    # A row is a line break, then each text after a comma but the first.
-    row = ["\n", ""] + [",", ""] * (len(texts) - 1)
-    cells = row * len(texts[0]) + ["\n"]
-    cells[0] = header + "\n"
+    seps = [","] * (len(columns) - 1) + ["\n"]
+    texts = [_cells(column, sep, cache) for column, sep in zip(columns, seps)]
+    rows = len(texts[0])
+    cells = [header + "\n"] + [""] * (rows * len(texts))
     for j, column in enumerate(texts):
-        cells[2 * j + 1 :: len(row)] = column  # raises if the lengths differ
+        if len(column) != rows:
+            raise ValueError(f"columns of different lengths: {rows} and {len(column)} rows")
+        cells[1 + j :: len(texts)] = column
     return "".join(cells)
 
 

@@ -260,6 +260,34 @@ class TestMeasure:
                 assert ours.tobytes() == theirs.tobytes(), name
 
     @pytest.mark.parametrize(
+        "name, delay",
+        [("paper.cfg", None), ("paper_phase.cfg", None), ("paper.cfg", "0.0961234")],
+        ids=["paper", "paper_phase", "fractional-delay"],
+    )
+    def test_one_plan_serves_every_record(self, paper_config_path, monkeypatch, name, delay):
+        """The three records have one length, so ``measure`` builds one
+        chirp-z plan for their band spectra (the width zooms build their
+        own); each spectrum is bit for bit its record's own
+        ``band_magnitude``."""
+        text = Path(paper_config_path).with_name(name).read_text()
+        if delay:
+            text = re.sub(r"^echoes\.0\.delay = .*$", f"echoes.0.delay = {delay}", text, flags=re.M)
+        config = lab.parse_config(text)
+        calls = self.counting(monkeypatch, ((spectrum, "_zoom_plan"), (spectrum, "_zoom")))
+        state = cli.measure(config, cli.MODES)
+        assert calls["_zoom_plan"] == 1 + calls["_zoom"]
+        span = 3.0 / config.tx.duration
+        reach = (config.band[0] - span, config.band[1] + span)
+        for readout in state.readouts:
+            record = waveform.time_slice(
+                state.output(readout.mode), *config.analysis_spans()["record"]
+            )
+            alone = spectrum.band_magnitude(record, config.zero_pad_factor, reach)
+            for field in ("bin_frequencies", "magnitudes"):
+                ours, theirs = getattr(readout.spec, field), getattr(alone, field)
+                assert ours.tobytes() == theirs.tobytes(), (readout.mode, field)
+
+    @pytest.mark.parametrize(
         "name, band",
         [("paper.cfg", None), ("paper_phase.cfg", None), ("paper.cfg", (31, 35))],
         ids=["paper", "paper_phase", "paper-band-31-35-hz"],
@@ -589,6 +617,8 @@ class TestExportBytes:
             assert error <= 1e-12 * peak, readout.mode
 
     def test_frequency_tracks(self, compared):
+        """Each track's frequencies are a ``waveform.Tiled`` run; the file is
+        the per-row rendering of its rows' times and the tiled values."""
         config, out, _ = compared
         tracks = cli._frequency_tracks(config)
         # The lo track's rows are a subset of the shared time column's.
@@ -596,8 +626,9 @@ class TestExportBytes:
         assert 0 < len(times[rows]) < len(times)
         for mode in cli.MODES:
             for name, (times, rows, f) in zip(TRACKS, tracks):
+                assert isinstance(f, waveform.Tiled) and len(f.block) < f.count
                 path = out / mode / f"freq_track_{name}.csv"
-                assert_per_row_csv(path, "time_s,freq_hz", times[rows], f)
+                assert_per_row_csv(path, "time_s,freq_hz", times[rows], waveform._tile(*f))
 
     @pytest.mark.parametrize(
         "case",
@@ -631,6 +662,67 @@ class TestExportBytes:
         cli._export(files)
         assert_per_row_csv(tmp_path / "signal.csv", "time_s,value", t, signal.samples)
         assert_per_row_csv(tmp_path / "track.csv", "time_s,freq_hz", t[rows], freqs)
+
+
+def per_row_csv(header, *columns):
+    """CSV text rendered row by row: text as it stands, ``None`` as an empty
+    cell, numbers as ``.17g`` f-strings."""
+
+    def cell(x):
+        return x if isinstance(x, str) else "" if x is None else f"{x:.17g}"
+
+    return header + "\n" + "".join(
+        ",".join(cell(x) for x in row) + "\n" for row in zip(*columns, strict=True)
+    )
+
+
+def two_cycle_run_text(paper_config_path):
+    """``paper.cfg`` with a 1,200.5-sample period: its signals repeat every
+    2,401 samples, two sweep cycles."""
+    text = Path(paper_config_path).read_text()
+    for key, value in (("sample_rate", "4802"), ("tx.duration", "0.25"), ("lo.f_end", "248")):
+        text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+    return text
+
+
+class TestExportTwoCycleRun:
+    """Every file ``compare`` writes for a configuration whose run spans two
+    sweep cycles equals a test-side per-row rendering of its source."""
+
+    def test_every_file_is_its_per_row_rendering(self, paper_config_path, tmp_path):
+        config = lab.parse_config(two_cycle_run_text(paper_config_path))
+        rows = run_compare(config, tmp_path)
+        state = cli.measure(config, cli.MODES)
+        assert state.tx._repeat == (0, 2401) and state.receiver.sum._repeat[1] == 2401
+        tracks = cli._frequency_tracks(config)
+        assert all(f.block.size < f.count for _, _, f in tracks)
+        assert tracks[0][2].block.size - tracks[0][2].start == 2401
+        expected = {"compare.csv": compare_rendering(rows)}
+        ledger = ledger_rendering(state.ledger)
+        for readout in state.readouts:
+            mode = readout.mode
+            for name, signal in TestExportBytes.signals(state, mode).items():
+                expected[f"{mode}/{name}"] = per_row_csv(
+                    "time_s,value", signal.times(), signal.samples
+                )
+            spec = readout.spec
+            expected[f"{mode}/spectrum.csv"] = per_row_csv(
+                "freq_hz,magnitude", spec.bin_frequencies, spec.magnitudes
+            )
+            expected[f"{mode}/phase_table.csv"] = ledger
+            for name, (times, picked, f) in zip(TRACKS, tracks):
+                expected[f"{mode}/freq_track_{name}.csv"] = per_row_csv(
+                    "time_s,freq_hz", times[picked], waveform._tile(*f)
+                )
+        written = {
+            path.relative_to(tmp_path).as_posix(): path.read_text()
+            for path in tmp_path.rglob("*.csv")
+        }
+        assert len(expected) == 31 and sorted(written) == sorted(expected)
+        for name, text in expected.items():
+            got, want = written[name].split("\n"), text.split("\n")
+            bad = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+            assert bad is None and len(got) == len(want), (name, bad)
 
 
 def ledger_rendering(report):

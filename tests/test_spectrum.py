@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import ctfm_lab as lab
 from ctfm_lab import spectrum as spectrum_module
-from ctfm_lab.waveform import csv_columns
+from ctfm_lab.waveform import Tiled, _tile, csv_columns
 from full_grid import assert_same_readout
 from oracles import SAMPLE_RATE
 
@@ -287,6 +287,37 @@ class TestReadoutGrid:
         assert spectrum_module.readout_grid(1, SAMPLE_RATE, 1, True)[0] == 1
         spec = lab.dft_magnitude(signal, 4)
         assert spec.bin_frequencies.size == 4 * 800 // 2 + 1
+
+
+class TestSpectrumFields:
+    """A spectrum refuses a record duration or padding factor it cannot use,
+    from the constructor and from ``_fresh`` alike, naming the field."""
+
+    @pytest.mark.parametrize("build", ["constructor", "fresh"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("record_duration", 0.0),
+            ("record_duration", -1.0),
+            ("record_duration", math.nan),
+            ("record_duration", math.inf),
+            ("zero_pad_factor", 0.5),
+            ("zero_pad_factor", math.nan),
+            ("zero_pad_factor", -2),
+        ],
+    )
+    def test_a_field_it_cannot_use_is_refused(self, build, field, value):
+        # The 21-bin spike spectrum of the span tests: peak at 10 Hz, lobes
+        # at 4 and 16 Hz.
+        mags = np.full(21, 0.01)
+        mags[10] = 1.0
+        mags[[4, 16]] = 0.5
+        fields = {"record_duration": 100.0, "zero_pad_factor": 1, field: value}
+        with pytest.raises(lab.DomainError, match=f"^{field} must be finite"):
+            if build == "constructor":
+                lab.Spectrum(np.arange(21.0), mags, **fields)
+            else:
+                lab.Spectrum._fresh(np.arange(21.0), mags, *fields.values())
 
 
 class TestSidelobeReport:
@@ -819,16 +850,47 @@ class TestSerialization:
     def test_no_rows(self):
         assert csv_columns("h1,h2", [], np.array([])) == "h1,h2\n"
 
+    def test_no_column_raises(self):
+        with pytest.raises(ValueError, match="needs at least one column, got 0"):
+            csv_columns("h")
+
     @pytest.mark.parametrize("short", [0, 1, 2])
     def test_columns_of_different_lengths_raise(self, short):
         columns = [np.arange(4.0), ["w", "x", "y", "z"], [1.0, None, 3.0, 4.0]]
         columns[short] = columns[short][:3]
-        with pytest.raises(ValueError):
+        lengths = "3 and 4" if short == 0 else "4 and 3"
+        with pytest.raises(ValueError, match=f"columns of different lengths: {lengths} rows"):
             csv_columns("h1,h2,h3", *columns)
 
+    @given(
+        bits=st.lists(float_bits, min_size=1, max_size=40),
+        split=st.integers(min_value=0, max_value=39),
+        count=st.integers(min_value=0, max_value=200),
+    )
+    @example(bits=SPECIAL_BITS[:6], split=2, count=6)  # count == len(block)
+    @example(bits=SPECIAL_BITS[:6], split=4, count=3)  # count < len(block)
+    @example(bits=SPECIAL_BITS[:6], split=3, count=3)  # count == start
+    @example(bits=SPECIAL_BITS[4:9], split=4, count=57)  # a run of one value
+    @example(bits=SPECIAL_BITS, split=0, count=200)  # the whole block repeats
+    @settings(max_examples=200, deadline=None)
+    def test_a_tiled_column_is_its_tile_formatted_per_row(self, bits, split, count):
+        """A ``Tiled(block, start, count)`` column, first or last, reads as
+        per-row ``.17g`` of ``_tile(block, start, count)``: -0.0, NaN, +-inf
+        and subnormals included."""
+        block = np.array(bits, dtype=np.int64).view(np.float64)
+        column = Tiled(block, split % block.size, count)
+        values = _tile(block, column.start, count)
+        expected = "h1,h2\n" + "".join(f"{x:.17g},{x:.17g}\n" for x in values)
+        assert csv_columns("h1,h2", column, column) == expected
+        assert csv_columns("h1,h2", column, values) == expected
+
+    @pytest.mark.parametrize("start", [3, 4, -1])
+    def test_a_tiled_column_with_no_run_raises(self, start):
+        with pytest.raises(ValueError, match=f"run must start inside the block: start {start}"):
+            csv_columns("h", Tiled(np.ones(3), start, 5))
+
     def test_repeated_values_keep_their_per_row_text(self):
-        """Each distinct bit pattern is formatted once and put back in place:
-        -0.0 stays apart from 0.0, and repeats come back in row order."""
+        """Repeats come back in row order, and -0.0 stays apart from 0.0."""
         cycle = np.array([0.0, -0.0, 0.1, np.nan, np.inf, -np.inf, 0.1, 1e-310, -0.0])
         first = np.tile(cycle, 5)
         second = np.roll(first, 3) * 3.0

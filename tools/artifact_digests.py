@@ -8,10 +8,13 @@ Run from anywhere in a checkout:
 
 For ``configs/paper.cfg`` and ``configs/paper_phase.cfg`` it runs ``compare``,
 ``simulate`` in every mode and ``phase-table`` through the command line, into
-a temporary directory, and prints one ``path digest`` line per CSV file (124
-in all) and one ``stdout:path digest`` line per command (10 in all).  Paths
-are relative to that directory, and each stdout has the directory replaced
-by ``<out>``.  The bundled configurations have whole-sample delays, so it
+a temporary directory.  It also runs ``compare`` on each case of
+``EXPORT_CASES``, ``paper.cfg`` with a few keys changed: at 4,802 Hz and a
+0.25 s sweep a period spans 1,200.5 samples, so every signal and track
+repeats over a two-cycle run of 2,401 samples.  It prints one ``path
+digest`` line per CSV file (155 in all) and one ``stdout:path digest`` line
+per command (11 in all).  Paths are relative to that directory, and each
+stdout has the directory replaced by ``<out>``.  The bundled configurations have whole-sample delays, so it
 also builds the cases of ``RECEIVER_CASES`` with the library, fractional
 delays on the 1,200-sample and the 1,200.5-sample grid, and prints one
 ``receiver:case/signal digest`` line per tx, lo, rx, channel1, channel2 and
@@ -25,6 +28,7 @@ to this directory, never from an installed copy.
 import contextlib
 import hashlib
 import io
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -36,6 +40,11 @@ import ctfm_lab as lab  # noqa: E402
 from ctfm_lab.cli import MODES, main  # noqa: E402
 
 CONFIGS = ("paper.cfg", "paper_phase.cfg")
+
+# name: {key: value} changed in paper.cfg for one ``compare`` export.
+EXPORT_CASES = {
+    "paper-1200.5": {"sample_rate": "4802", "tx.duration": "0.25", "lo.f_end": "248"},
+}
 
 # name: (sweep period in s at 4 kHz, (delay in s, amplitude) per echo).  The
 # 100 -> 200 Hz sweep spans 1,200 samples at 0.3 s and 1,200.5 at 0.300125 s.
@@ -92,6 +101,13 @@ def main_digests() -> None:
             for mode in MODES:
                 invoke(out / stem / "simulate" / mode, "simulate", "--config", config, "--mode", mode)
             invoke(out / stem / "phase-table", "phase-table", "--config", config)
+        for case, values in EXPORT_CASES.items():
+            text = (ROOT / "configs" / "paper.cfg").read_text()
+            for key, value in values.items():
+                text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+            config = out / f"{case}.cfg"
+            config.write_text(text)
+            invoke(out / case / "compare", "compare", "--config", str(config))
         lines += [
             f"{path.relative_to(out).as_posix()} {_digest(path.read_bytes())}"
             for path in out.rglob("*.csv")
