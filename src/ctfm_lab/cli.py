@@ -196,7 +196,7 @@ def _layout(state: Measurement, readout: Readout, tracks, out_dir: Path):
 def _text(source, columns: dict) -> str:
     if isinstance(source, SampledSignal):
         start, run = source._repeat
-        samples = waveform.Tiled(source.samples[: start + run], start, len(source))
+        samples = waveform.Tiled(source._head(start + run), start, len(source))
         return waveform.csv_columns("time_s,value", source.times(), samples, cache=columns)
     if isinstance(source, spectrum.Spectrum):
         return source.to_csv(columns)

@@ -123,19 +123,20 @@ def _elementwise(op, a: SampledSignal, b: SampledSignal) -> SampledSignal:
     """``op`` of two aligned signals, sample by sample.
 
     Where both inputs repeat, from the later start with a run both runs
-    divide, so does the result: it is computed over one such run and tiled.
+    divide, so does the result: it is computed over one such run of the
+    inputs' heads (``_head``), and tiled only when its samples are read.
     """
     _check_aligned(a, b)
     (start_a, run_a), (start_b, run_b) = a._repeat, b._repeat
     start, run = max(start_a, start_b), math.lcm(run_a, run_b)
     stop = min(len(a), start + run)
-    block = op(a.samples[:stop], b.samples[:stop])
+    block = op(a._head(stop), b._head(stop))
     return SampledSignal._fresh(a.sample_rate, block, a.t0, start, len(a))
 
 
 def mix(a: SampledSignal, b: SampledSignal) -> SampledSignal:
     """Element-wise product of two aligned signals, over one common run
-    of their repetitions and tiled (``_elementwise``)."""
+    of their repetitions (``_elementwise``)."""
     return _elementwise(np.multiply, a, b)
 
 
@@ -147,22 +148,27 @@ def lowpass_filter(signal: SampledSignal, spec: LowpassSpec) -> SampledSignal:
 
     Output n depends only on inputs up to n, so an input that repeats from
     ``start`` with period ``run`` gives an output that repeats from
-    ``start + taps - 1``.  Only the first ``start + taps - 1 + run`` samples
-    are filtered and the rest is tiled.  Each full-overlap output is one
-    contiguous dot product over the taps, so equal input windows give
-    bit-equal outputs.  A signal with no known repetition, or one whose run
-    does not end before the record, is filtered in full.
+    ``start + taps - 1``.  Only the first ``start + taps - 1 + run`` input
+    samples are read (``_head``) and filtered, and the output is tiled when
+    read.  Each full-overlap output is one contiguous dot product over the
+    taps, so equal input windows give bit-equal outputs.  A signal with no
+    known repetition, or one whose run does not end before the record, is
+    filtered in full.
     """
+    return _filter(signal, spec, design_lowpass(spec))
+
+
+def _filter(signal: SampledSignal, spec: LowpassSpec, h: np.ndarray) -> SampledSignal:
+    """``lowpass_filter`` with the taps ``h`` of ``spec`` already designed."""
     if spec.sample_rate != signal.sample_rate:
         raise ShapeError(
             f"filter designed for {spec.sample_rate} Hz, signal is "
             f"{signal.sample_rate} Hz"
         )
-    h = design_lowpass(spec)
     start, run = signal._repeat
     settled = start + h.size - 1  # the first output whose taps all repeat
     stop = min(len(signal), settled + run)
-    filtered = np.convolve(signal.samples[:stop], h)[:stop]
+    filtered = np.convolve(signal._head(stop), h)[:stop]
     return SampledSignal._fresh(
         signal.sample_rate, filtered, signal.t0, settled, len(signal)
     )
@@ -187,12 +193,15 @@ def demodulate(
     """Run the full dual-channel chain and add the channel outputs.
 
     Each channel is mixed and filtered over one run of its repeating inputs
-    and tiled (``mix``, ``lowpass_filter``), bit-identical to filtering the
-    whole record; the sum adds one run of the channels and tiles it too.
+    (``mix``, ``lowpass_filter``), bit-identical to filtering the whole
+    record; the sum adds one run of the channels.  The taps are designed
+    once.  No full record is built: each signal's ``samples`` are tiled on
+    their first read.
     """
     _check_aligned(tx, lo, rx)
-    channel1 = lowpass_filter(mix(tx, rx), lowpass)
-    channel2 = lowpass_filter(mix(lo, rx), lowpass)
+    h = design_lowpass(lowpass)
+    channel1 = _filter(mix(tx, rx), lowpass, h)
+    channel2 = _filter(mix(lo, rx), lowpass, h)
     return DemodOutput(
         channel1=channel1,
         channel2=channel2,

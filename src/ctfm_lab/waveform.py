@@ -199,6 +199,10 @@ class SampledSignal:
     sample equals the one ``run`` earlier.  Only ``_fresh`` records a
     shorter run; every other signal, and any run that does not end before
     the record does, has ``(0, len)``: the run is the whole record.
+
+    Such a signal keeps its block (``_block``) and length (``_count``): its
+    ``samples`` are tiled (``_tile``) on their first read, once, and
+    ``len``, ``duration``, ``times()`` and ``_head`` never tile the record.
     """
 
     sample_rate: float
@@ -207,19 +211,34 @@ class SampledSignal:
 
     def __post_init__(self):
         arr = np.array(self.samples, dtype=float)
-        self._adopt(arr, (0, arr.size))
+        self._adopt(arr, 0, arr.size)
 
-    def _adopt(self, arr: np.ndarray, repeat: tuple[int, int]) -> None:
+    def _adopt(self, block: np.ndarray, start: int, count: int) -> None:
         if _require_finite("sample_rate", self.sample_rate) <= 0.0:
             raise DomainError(f"sample_rate must be positive, got {self.sample_rate}")
         _require_finite("t0", self.t0)
-        if arr.ndim != 1 or arr.size < 1:
+        if block.ndim != 1 or block.size < 1:
             raise ShapeError(
-                f"samples must be a non-empty 1-d sequence, got shape {arr.shape}"
+                f"samples must be a non-empty 1-d sequence, got shape {block.shape}"
             )
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "_repeat", repeat)
+        block.setflags(write=False)
+        if block.size >= count:
+            start = 0
+            object.__setattr__(self, "samples", block[:count])
+        else:
+            _check_run(start, block.size)
+        object.__setattr__(self, "_block", block)
+        object.__setattr__(self, "_repeat", (start, min(block.size, count) - start))
+        object.__setattr__(self, "_count", count)
+
+    def __getattr__(self, name: str):
+        """Tile ``samples`` on their first read; only a lazy signal lacks them."""
+        if name != "samples" or "_block" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        samples = self._head(self._count)
+        samples.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
+        return samples
 
     @classmethod
     def _fresh(
@@ -235,28 +254,37 @@ class SampledSignal:
         Only for arrays no caller holds: the public constructor copies, so
         that later writes to the caller's array cannot leak in.  With a
         ``count`` beyond its length, ``samples`` is the first run of a
-        longer record: it is tiled from ``start`` out to ``count`` samples
-        (``_tile``), and the signal records that repetition.
+        longer record that repeats ``samples[start:]`` out to ``count``
+        samples: the signal records that repetition, refuses a run that
+        does not start inside ``samples``, and tiles the record only when
+        it is read.
         """
         block = np.asarray(samples, dtype=float)
-        count = block.size if count is None else count
-        repeat = (start, block.size - start) if block.size < count else (0, count)
         signal = object.__new__(cls)
         object.__setattr__(signal, "sample_rate", sample_rate)
         object.__setattr__(signal, "t0", t0)
-        signal._adopt(_tile(block, start, count), repeat)
+        signal._adopt(block, start, block.size if count is None else count)
         return signal
 
+    def _head(self, stop: int) -> np.ndarray:
+        """The first ``stop`` samples (all, if fewer), tiled no further."""
+        return _tile(self._block, self._repeat[0], min(stop, self._count))
+
     def __len__(self) -> int:
-        return self.samples.size
+        return self._count
 
     @property
     def duration(self) -> float:
-        return self.samples.size / self.sample_rate
+        return self._count / self.sample_rate
 
     def times(self) -> np.ndarray:
         """Sample instants ``t0 + i / sample_rate``."""
-        return self.t0 + np.arange(self.samples.size) / self.sample_rate
+        return self.t0 + np.arange(self._count) / self.sample_rate
+
+
+def _check_run(start: int, size: int) -> None:
+    if not 0 <= start < size:
+        raise ValueError(f"the run must start inside the block: start {start}, {size} values")
 
 
 def _tile(block: np.ndarray, start: int, count: int) -> np.ndarray:
@@ -268,8 +296,7 @@ def _tile(block: np.ndarray, start: int, count: int) -> np.ndarray:
     """
     if block.size >= count:
         return block[:count]
-    if not 0 <= start < block.size:
-        raise ValueError(f"the run must start inside the block: start {start}, {block.size} values")
+    _check_run(start, block.size)
     record = np.empty(count, dtype=block.dtype)
     record[: block.size] = block
     filled = block.size

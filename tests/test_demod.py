@@ -384,6 +384,43 @@ class TestTiledReceiver:
         assert part._repeat == (0, len(part))
 
 
+class TestLazyRecords:
+    """``demodulate`` reads heads of its inputs and tiles no full record;
+    a channel's record is tiled once, on the first read of its samples."""
+
+    def test_no_full_record_is_tiled_until_read(self, grid_schedule, monkeypatch):
+        tiled = []
+        tile = lab.waveform._tile
+
+        def counted(block, start, count):
+            tiled.append(count)
+            return tile(block, start, count)
+
+        monkeypatch.setattr(lab.waveform, "_tile", counted)
+        echoes = [(0.0432, 1.0), (0.0961234, 0.6), (0.1125, 0.35)]
+        out = lab.demodulate(*receive(grid_schedule(0.3, 120), SAMPLE_RATE, echoes))
+        record = len(out.channel1)
+        assert record == 144000 and tiled and max(tiled) < record
+        tiled.clear()
+        out.channel1.samples
+        out.channel1.samples
+        assert tiled == [record]
+
+    def test_taps_are_designed_once(
+        self, reference_tx, reference_lo, received_096, reference_lowpass, monkeypatch
+    ):
+        designed = []
+        design = lab.demod.design_lowpass
+
+        def counted(spec):
+            designed.append(spec)
+            return design(spec)
+
+        monkeypatch.setattr(lab.demod, "design_lowpass", counted)
+        lab.demodulate(reference_tx, reference_lo, received_096, reference_lowpass)
+        assert designed == [reference_lowpass]
+
+
 class TestCutoffFeasibility:
     def test_reference_interval(self, reference_schedule):
         low, high = lab.feasible_cutoff_interval(reference_schedule)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -360,6 +361,68 @@ class TestTiledSynthesis:
         period, fs = grid
         sampled = waveform.sample_grid(grid_schedule(period, 10), fs)
         assert (sampled.start, sampled.stop) == (0, stop)
+
+
+def lazy_signal(block, start, count, t0=0.25):
+    return lab.SampledSignal._fresh(4000.0, np.asarray(block, dtype=float), t0, start, count)
+
+
+@st.composite
+def runs(draw):
+    """(block, start, count): a block of 1-12 values whose run starts inside
+    it, and a record shorter than, as long as or longer than the block."""
+    values = st.floats(allow_nan=True, allow_infinity=True, width=64)
+    block = draw(st.lists(values, min_size=1, max_size=12))
+    start = draw(st.integers(min_value=0, max_value=len(block) - 1))
+    count = draw(st.integers(min_value=1, max_value=60))
+    return np.array(block, dtype=float), start, count
+
+
+class TestLazySamples:
+    """A signal ``_fresh`` builds from a shorter run tiles its record on the
+    first read of ``samples`` and nowhere else."""
+
+    @given(run=runs(), stop=st.integers(min_value=0, max_value=70))
+    @settings(max_examples=200, deadline=None)
+    def test_head_and_samples_equal_the_tile(self, run, stop):
+        block, start, count = run
+        full = waveform._tile(block, start, count)
+        signal = lazy_signal(block, start, count)
+        assert signal._head(stop).tobytes() == full[:stop].tobytes()
+        assert signal.samples.tobytes() == full.tobytes()
+        assert signal.samples is signal.samples
+        assert not signal.samples.flags.writeable
+
+    def test_run_outside_the_block_refused_at_construction(self):
+        block = np.arange(5.0)
+        with pytest.raises(ValueError, match="must start inside the block"):
+            lazy_signal(block, len(block), 2 * len(block))
+
+    def test_size_and_clock_read_no_samples(self):
+        signal = lazy_signal([1.0, 2.0, 3.0], 1, 10)
+        eager = lab.SampledSignal(4000.0, signal._head(10), t0=0.25)
+        assert (len(signal), signal.duration) == (len(eager), eager.duration) == (10, 0.0025)
+        np.testing.assert_array_equal(signal.times(), eager.times())
+        assert "samples" not in vars(signal)
+        np.testing.assert_array_equal(signal.samples, [1, 2, 3, 2, 3, 2, 3, 2, 3, 2])
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_pickle_and_replace_act_as_on_an_eager_signal(self, read_first):
+        signal = lazy_signal([1.0, 2.0, 3.0], 1, 10)
+        eager = lab.SampledSignal(4000.0, signal._head(10), t0=0.25)
+        if read_first:
+            signal.samples
+        restored = pickle.loads(pickle.dumps(signal))
+        assert (len(restored), restored.t0, restored._repeat) == (10, 0.25, (1, 2))
+        np.testing.assert_array_equal(restored.samples, eager.samples)
+        for source in (signal, eager):
+            moved = dataclasses.replace(source, t0=1.0)
+            assert (len(moved), moved.t0, moved._repeat) == (10, 1.0, (0, 10))
+            np.testing.assert_array_equal(moved.samples, eager.samples)
+
+    def test_other_missing_attributes_still_raise(self):
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            lazy_signal([1.0, 2.0], 0, 5).nope
 
 
 class TestTimeSlice:

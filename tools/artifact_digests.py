@@ -16,9 +16,9 @@ digest`` line per CSV file (155 in all) and one ``stdout:path digest`` line
 per command (11 in all).  Paths are relative to that directory, and each
 stdout has the directory replaced by ``<out>``.  The bundled configurations have whole-sample delays, so it
 also builds the cases of ``RECEIVER_CASES`` with the library, fractional
-delays on the 1,200-sample and the 1,200.5-sample grid, and prints one
-``receiver:case/signal digest`` line per tx, lo, rx, channel1, channel2 and
-sum signal (12 in all).  It prints one ``serialize:name digest`` line for
+delays on the 1,200-sample and the 1,200.5-sample grid, over 12 cycles and
+over 120, and prints one ``receiver:case/signal digest`` line per tx, lo, rx,
+channel1, channel2 and sum signal (18 in all).  It prints one ``serialize:name digest`` line for
 the canonical text ``serialize_config`` writes of each bundled configuration
 and of ``SERIALIZE_TEXT`` (3 in all).  Lines are sorted, so the output of two
 checkouts can be compared with ``diff``.  The package is imported from ``src/`` next
@@ -46,11 +46,14 @@ EXPORT_CASES = {
     "paper-1200.5": {"sample_rate": "4802", "tx.duration": "0.25", "lo.f_end": "248"},
 }
 
-# name: (sweep period in s at 4 kHz, (delay in s, amplitude) per echo).  The
-# 100 -> 200 Hz sweep spans 1,200 samples at 0.3 s and 1,200.5 at 0.300125 s.
+# name: (sweep period in s at 4 kHz, cycles, (delay in s, amplitude) per
+# echo).  The 100 -> 200 Hz sweep spans 1,200 samples at 0.3 s and 1,200.5 at
+# 0.300125 s.  The 120-cycle case is tiled far past its run, as the long
+# multi-echo receiver records of the benchmark are.
 RECEIVER_CASES = {
-    "three-echoes-1200": (0.3, ((0.0123457, 1.0), (0.0961234, 0.5), (0.1100003, 0.25))),
-    "one-echo-1200.5": (0.300125, ((0.0961234, 1.0),)),
+    "three-echoes-1200": (0.3, 12, ((0.0123457, 1.0), (0.0961234, 0.5), (0.1100003, 0.25))),
+    "one-echo-1200.5": (0.300125, 12, ((0.0961234, 1.0),)),
+    "three-echoes-1200-long": (0.3, 120, ((0.045, 0.9), (0.0732167, 0.6), (0.105, 0.35))),
 }
 
 # Three echoes and every optional key off its default, in no canonical order.
@@ -126,9 +129,9 @@ def receiver_digests() -> list[str]:
     """One ``receiver:case/signal digest`` line per signal of each case."""
     fs = 4000.0
     lines = []
-    for case, (period, echoes) in RECEIVER_CASES.items():
+    for case, (period, cycles, echoes) in RECEIVER_CASES.items():
         tx = lab.ChirpSpec(100.0, 200.0, period)
-        schedule = lab.make_schedule(tx, 200.0 + 0.12 * lab.sweep_rate(tx), 0.12, 12)
+        schedule = lab.make_schedule(tx, 200.0 + 0.12 * lab.sweep_rate(tx), 0.12, cycles)
         scene = lab.Scene(tuple(lab.Echo(delay, amplitude) for delay, amplitude in echoes))
         signals = {
             "tx": lab.synthesize_transmit(schedule, fs),
