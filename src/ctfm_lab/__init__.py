@@ -7,7 +7,7 @@ discontinuity left at every channel handoff and the spectral artifacts it
 creates.
 """
 
-from .config import SimConfig, load_config, parse_config, serialize_config
+from .config import SimConfig, derive, load_config, parse_config, serialize_config
 from .demod import (
     DemodOutput,
     LowpassSpec,

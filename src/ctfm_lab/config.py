@@ -306,6 +306,23 @@ def serialize_config(config: SimConfig) -> str:
     return "\n".join(lines(_SWEEP_KEYS) + echoes + lines(_RECEIVER_KEYS)) + "\n"
 
 
+def derive(config: SimConfig, values: dict[str, str | float]) -> SimConfig:
+    """``config`` with the named keys set to ``values``, loaded as a file is.
+
+    Each value replaces its key's line in ``serialize_config(config)``, or is
+    appended where the text has no such key (a new echo index), and the text
+    goes through ``parse_config``: every load check applies, a refusal names
+    the key as given, and no other key is adjusted.
+    """
+    lines = dict(line.split(" = ", 1) for line in serialize_config(config).splitlines())
+    lines.update((key, str(value)) for key, value in values.items())
+    return parse_config("".join(f"{key} = {value}\n" for key, value in lines.items()))
+
+
 def load_config(path: str | Path) -> SimConfig:
-    """Read and parse a configuration file."""
-    return parse_config(Path(path).read_text())
+    """Read and parse a configuration file, decoded as UTF-8."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigLoadError(f"not UTF-8: undecodable byte at offset {exc.start}") from exc
+    return parse_config(text)

@@ -46,10 +46,7 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "echoes", tuple(self.echoes))
-        if self.sound_speed <= 0.0 or not math.isfinite(self.sound_speed):
-            raise DomainError(
-                f"sound_speed must be finite and positive, got {self.sound_speed}"
-            )
+        _check_positive("sound_speed", self.sound_speed)
 
 
 def synthesize_received(
@@ -81,26 +78,33 @@ def synthesize_received(
     return SampledSignal._fresh(sample_rate, block, start=grid.start, count=grid.count)
 
 
+def _check_delay(delay: float) -> None:
+    if not math.isfinite(delay) or delay < 0.0:
+        raise DomainError(f"delay must be finite and >= 0, got {delay}")
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not math.isfinite(value) or value <= 0.0:
+        raise DomainError(f"{name} must be finite and positive, got {value}")
+
+
 def beat_frequency(sweep_slope: float, delay: float) -> float:
     """Difference frequency slope * delay produced by a settled echo."""
-    if delay < 0.0:
-        raise DomainError(f"delay must be >= 0, got {delay}")
+    if not math.isfinite(sweep_slope):
+        raise DomainError(f"sweep_slope must be finite, got {sweep_slope}")
+    _check_delay(delay)
     return sweep_slope * delay
 
 
 def delay_to_range(delay: float, sound_speed: float = 1500.0) -> float:
     """Two-way travel: range = sound_speed * delay / 2."""
-    if delay < 0.0:
-        raise DomainError(f"delay must be >= 0, got {delay}")
-    if sound_speed <= 0.0:
-        raise DomainError(f"sound_speed must be positive, got {sound_speed}")
+    _check_delay(delay)
+    _check_positive("sound_speed", sound_speed)
     return sound_speed * delay / 2.0
 
 
 def ctfm_resolution(bandwidth: float, sound_speed: float = 1500.0) -> float:
     """Baseline range resolution sound_speed / (2 * bandwidth)."""
-    if bandwidth <= 0.0:
-        raise DomainError(f"bandwidth must be positive, got {bandwidth}")
-    if sound_speed <= 0.0:
-        raise DomainError(f"sound_speed must be positive, got {sound_speed}")
+    _check_positive("bandwidth", bandwidth)
+    _check_positive("sound_speed", sound_speed)
     return sound_speed / (2.0 * bandwidth)

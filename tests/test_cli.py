@@ -269,10 +269,9 @@ class TestMeasure:
         chirp-z plan for their band spectra (the width zooms build their
         own); each spectrum is bit for bit its record's own
         ``band_magnitude``."""
-        text = Path(paper_config_path).with_name(name).read_text()
+        config = lab.load_config(Path(paper_config_path).with_name(name))
         if delay:
-            text = re.sub(r"^echoes\.0\.delay = .*$", f"echoes.0.delay = {delay}", text, flags=re.M)
-        config = lab.parse_config(text)
+            config = lab.derive(config, {"echoes.0.delay": delay})
         calls = self.counting(monkeypatch, ((spectrum, "_zoom_plan"), (spectrum, "_zoom")))
         state = cli.measure(config, cli.MODES)
         assert calls["_zoom_plan"] == 1 + calls["_zoom"]
@@ -297,11 +296,10 @@ class TestMeasure:
         sidelobes as the full ``dft_magnitude`` grid does.  With the band
         narrowed to 31-35 Hz, the ddctfm lobes at 30.0 and 36.7 Hz lie outside
         it, inside the 3/T sidelobe span the band spectrum also covers."""
-        text = Path(paper_config_path).with_name(name).read_text()
-        for key, value in zip(("band_low", "band_high"), band or ()):
-            line = f"spectrum.{key} = {value}"
-            text = re.sub(rf"^spectrum\.{key} = .*$", line, text, flags=re.M)
-        config = lab.parse_config(text)
+        config = lab.derive(
+            lab.load_config(Path(paper_config_path).with_name(name)),
+            dict(zip(("spectrum.band_low", "spectrum.band_high"), band or ())),
+        )
         state = cli.measure(config, cli.MODES)
         for readout in state.readouts:
             reference = full_grid_report(config, state.output(readout.mode))
@@ -365,8 +363,8 @@ class TestMeasure:
 
 def two_echo_config(paper_config_path):
     """paper.cfg plus a second echo at 60 ms (a 20 Hz beat), amplitude 0.7."""
-    text = Path(paper_config_path).read_text()
-    return lab.parse_config(text + "echoes.1.delay = 0.06\nechoes.1.amplitude = 0.7\n")
+    paper = lab.load_config(paper_config_path)
+    return lab.derive(paper, {"echoes.1.delay": 0.06, "echoes.1.amplitude": 0.7})
 
 
 class TestMultiEcho:
@@ -676,13 +674,11 @@ def per_row_csv(header, *columns):
     )
 
 
-def two_cycle_run_text(paper_config_path):
+def two_cycle_run_config(paper_config_path):
     """``paper.cfg`` with a 1,200.5-sample period: its signals repeat every
     2,401 samples, two sweep cycles."""
-    text = Path(paper_config_path).read_text()
-    for key, value in (("sample_rate", "4802"), ("tx.duration", "0.25"), ("lo.f_end", "248")):
-        text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
-    return text
+    values = {"sample_rate": "4802", "tx.duration": "0.25", "lo.f_end": "248"}
+    return lab.derive(lab.load_config(paper_config_path), values)
 
 
 class TestExportTwoCycleRun:
@@ -690,7 +686,7 @@ class TestExportTwoCycleRun:
     sweep cycles equals a test-side per-row rendering of its source."""
 
     def test_every_file_is_its_per_row_rendering(self, paper_config_path, tmp_path):
-        config = lab.parse_config(two_cycle_run_text(paper_config_path))
+        config = two_cycle_run_config(paper_config_path)
         rows = run_compare(config, tmp_path)
         state = cli.measure(config, cli.MODES)
         assert state.tx._repeat == (0, 2401) and state.receiver.sum._repeat[1] == 2401
@@ -849,6 +845,18 @@ class TestCommandLine:
         assert "echoes.0.delay" in result.output
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "compare", "phase-table"])
+    def test_undecodable_config_exits_2(self, runner, tmp_path, command):
+        """A file that is not UTF-8 is a configuration error, not a crash."""
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        result = runner.invoke(
+            main, [command, "--config", str(bad), "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "configuration error: not UTF-8: undecodable byte at offset 0" in result.output
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", ["sound_speed", "sample_rate"])
     def test_non_finite_value_exits_2(self, runner, paper_config_path, tmp_path, key, value):
@@ -881,11 +889,9 @@ class TestCommandLine:
         assert result.exit_code == 2
 
     def test_zero_amplitude_scene_exits_3(self, runner, paper_config_path, tmp_path):
-        text = paper_config_path.read_text().replace(
-            "echoes.0.amplitude = 1.0", "echoes.0.amplitude = 0.0"
-        )
+        silent = lab.derive(lab.load_config(paper_config_path), {"echoes.0.amplitude": 0.0})
         cfg = tmp_path / "silent.cfg"
-        cfg.write_text(text)
+        cfg.write_text(lab.serialize_config(silent))
         result = runner.invoke(
             main, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]
         )

@@ -1,10 +1,11 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
 import ctfm_lab as lab
-from ctfm_lab.config import parse_config, serialize_config
+from ctfm_lab.config import derive, parse_config, serialize_config
 
 
 MINIMAL = """
@@ -286,6 +287,68 @@ class TestRoundTrip:
             "sound_speed = 343.0\n"
         )
         assert parse_config(text) == config
+
+
+class TestDerive:
+    """``derive`` edits the canonical text and loads it, so a derived
+    configuration is the one its file edit would load, and a refusal is the
+    loader's own."""
+
+    @pytest.fixture(scope="class")
+    def paper(self, paper_config_path):
+        return lab.load_config(paper_config_path)
+
+    @pytest.mark.parametrize("name", ["paper.cfg", "paper_phase.cfg"])
+    def test_no_values_is_the_same_configuration(self, paper_config_path, name):
+        config = lab.load_config(paper_config_path.with_name(name))
+        assert serialize_config(derive(config, {})) == serialize_config(config)
+
+    def test_delay_lattice_matches_its_text_edit(self, paper, paper_config_path):
+        """The 41 delays of ``tests/test_delay_lattice.py``, against the
+        regular-expression edit of ``paper.cfg`` they were built by."""
+        text = paper_config_path.read_text()
+        for ms in range(80, 121):
+            line = f"echoes.0.delay = {ms / 1000}"
+            edited = re.sub(r"^echoes\.0\.delay = .*$", line, text, flags=re.M)
+            derived = derive(paper, {"echoes.0.delay": ms / 1000})
+            assert serialize_config(derived) == serialize_config(parse_config(edited)), ms
+
+    def test_no_other_key_is_adjusted(self, paper):
+        """Doubling B at a fixed cutoff fails the cutoff check; the cutoff
+        stays at 50 Hz."""
+        with pytest.raises(lab.ConfigLoadError) as excinfo:
+            derive(paper, {"tx.f_end": 300, "lo.f_end": 380})
+        assert excinfo.value.field == "lowpass.cutoff"
+        assert "cutoff 50.0 Hz outside the feasible interval (80.0, 120.0) Hz" in str(
+            excinfo.value
+        )
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("bogus", 1.0, "bogus"),
+            ("lo.f_start", 100.0, "lo.f_start"),
+            ("cycles", "1_2", "cycles"),
+            ("tx.f_end", float("nan"), "tx.f_end"),
+            ("echoes.2.delay", 0.05, "echoes"),
+        ],
+        ids=["unknown", "derived", "underscore", "nan", "echo-gap"],
+    )
+    def test_refusal_is_the_loaders(self, paper, key, value, field):
+        """Each refusal is the one the loader gives the edited file."""
+        lines = serialize_config(paper).splitlines()
+        edited = [line for line in lines if not line.startswith(key + " ")]
+        with pytest.raises(lab.ConfigLoadError) as loaded:
+            parse_config("\n".join(edited) + f"\n{key} = {value}\n")
+        with pytest.raises(lab.ConfigLoadError) as excinfo:
+            derive(paper, {key: value})
+        assert excinfo.value.field == loaded.value.field == field
+        assert str(excinfo.value) == str(loaded.value)
+
+    def test_a_new_echo_index_adds_an_echo(self, paper):
+        config = derive(paper, {"echoes.1.delay": 0.06, "echoes.1.amplitude": 0.7})
+        assert config.echoes == (lab.Echo(0.096, 1.0), lab.Echo(0.06, 0.7))
+        assert derive(paper, {"echoes.1.delay": 0.06}).echoes[1] == lab.Echo(0.06, 1.0)
 
 
 def benchmark_pools():

@@ -10,7 +10,6 @@ Over the same lattice, each readout from the band spectrum is the full-grid
 readout's, within ``full_grid.READOUT_TOL``.
 """
 
-import re
 from pathlib import Path
 
 import pytest
@@ -63,11 +62,10 @@ class TestDelayLattice:
     def sweep(self, paper_config_path):
         """``paper.cfg`` with ``echoes.0.delay`` stepped 80..120 ms: one
         (config, {mode: readout}, measurement) per delay."""
-        text = Path(paper_config_path).read_text()
+        paper = lab.load_config(paper_config_path)
         results = []
         for ms in DELAYS_MS:
-            line = f"echoes.0.delay = {ms / 1000}"
-            config = lab.parse_config(re.sub(r"^echoes\.0\.delay = .*$", line, text, flags=re.M))
+            config = lab.derive(paper, {"echoes.0.delay": ms / 1000})
             assert config.echoes[0].delay == ms / 1000
             state = cli.measure(config, cli.MODES)
             results.append((config, {r.mode: r for r in state.readouts}, state))

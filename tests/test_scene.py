@@ -276,6 +276,28 @@ class TestRangeHelpers:
         with pytest.raises(lab.DomainError):
             lab.ctfm_resolution(0.0, 1500.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "helper, args, index",
+        [
+            (lab.beat_frequency, (333.33, 0.096), 0),
+            (lab.beat_frequency, (333.33, 0.096), 1),
+            (lab.delay_to_range, (0.096, 1500.0), 0),
+            (lab.delay_to_range, (0.096, 1500.0), 1),
+            (lab.ctfm_resolution, (100.0, 1500.0), 0),
+            (lab.ctfm_resolution, (100.0, 1500.0), 1),
+        ],
+        ids=[
+            "beat-slope", "beat-delay", "range-delay", "range-speed",
+            "resolution-bandwidth", "resolution-speed",
+        ],
+    )
+    def test_non_finite_argument_is_refused(self, helper, args, index, value):
+        args = list(args)
+        args[index] = value
+        with pytest.raises(lab.DomainError, match="finite"):
+            helper(*args)
+
 
 class TestBeatAgainstSpectrum:
     def test_settled_channel1_peaks_at_the_beat_frequency(

@@ -9,11 +9,12 @@ Run from anywhere in a checkout:
 For ``configs/paper.cfg`` and ``configs/paper_phase.cfg`` it runs ``compare``,
 ``simulate`` in every mode and ``phase-table`` through the command line, into
 a temporary directory.  It also runs ``compare`` on each case of
-``EXPORT_CASES``, ``paper.cfg`` with a few keys changed: at 4,802 Hz and a
-0.25 s sweep a period spans 1,200.5 samples, so every signal and track
-repeats over a two-cycle run of 2,401 samples.  It prints one ``path
-digest`` line per CSV file (155 in all) and one ``stdout:path digest`` line
-per command (11 in all).  Paths are relative to that directory, and each
+``EXPORT_CASES``, ``paper.cfg`` with a few keys changed by ``derive`` and
+written as ``serialize_config`` text: at 4,802 Hz and a 0.25 s sweep a
+period spans 1,200.5 samples, so every signal and track repeats over a
+two-cycle run of 2,401 samples.  It prints one ``path digest`` line per CSV
+file (155 in all) and one ``stdout:path digest`` line per command (11 in
+all).  Paths are relative to that directory, and each
 stdout has the directory replaced by ``<out>``.  The bundled configurations have whole-sample delays, so it
 also builds the cases of ``RECEIVER_CASES`` with the library, fractional
 delays on the 1,200-sample and the 1,200.5-sample grid, over 12 cycles and
@@ -28,7 +29,6 @@ to this directory, never from an installed copy.
 import contextlib
 import hashlib
 import io
-import re
 import sys
 import tempfile
 from pathlib import Path
@@ -41,7 +41,8 @@ from ctfm_lab.cli import MODES, main  # noqa: E402
 
 CONFIGS = ("paper.cfg", "paper_phase.cfg")
 
-# name: {key: value} changed in paper.cfg for one ``compare`` export.
+# name: {key: value} that ``derive`` changes in paper.cfg for one ``compare``
+# export.
 EXPORT_CASES = {
     "paper-1200.5": {"sample_rate": "4802", "tx.duration": "0.25", "lo.f_end": "248"},
 }
@@ -104,12 +105,10 @@ def main_digests() -> None:
             for mode in MODES:
                 invoke(out / stem / "simulate" / mode, "simulate", "--config", config, "--mode", mode)
             invoke(out / stem / "phase-table", "phase-table", "--config", config)
+        paper = lab.load_config(ROOT / "configs" / "paper.cfg")
         for case, values in EXPORT_CASES.items():
-            text = (ROOT / "configs" / "paper.cfg").read_text()
-            for key, value in values.items():
-                text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
             config = out / f"{case}.cfg"
-            config.write_text(text)
+            config.write_text(lab.serialize_config(lab.derive(paper, values)))
             invoke(out / case / "compare", "compare", "--config", str(config))
         lines += [
             f"{path.relative_to(out).as_posix()} {_digest(path.read_bytes())}"
