@@ -121,7 +121,7 @@ def measure(config: SimConfig, modes: tuple[str, ...] = ()) -> Measurement:
     (checked first) on ``SimConfig.analysis_spans``; no file is written.
     Each record is read on ``spectrum.band_magnitude`` of the band +/- the
     3/T sidelobe span, as on the full grid (see there); the records have one
-    length, so they share one chirp-z plan, built in this call."""
+    length, so they share one chirp-z plan from the process-wide cache."""
     for mode in modes:
         _check_mode(mode)
     schedule, fs = config.schedule, config.sample_rate
@@ -133,11 +133,11 @@ def measure(config: SimConfig, modes: tuple[str, ...] = ()) -> Measurement:
     state = Measurement(tx, lo, rx, receiver, _ideal_output(config), ledger, ())
     spans, span = config.analysis_spans(), 3.0 / config.tx.duration
     reach = (config.band[0] - span, config.band[1] + span)
-    readouts, plans = [], {}
+    readouts = []
     for mode in modes:
         output = state.output(mode)
         record = waveform.time_slice(output, *spans["record"])
-        spec = spectrum.band_magnitude(record, config.zero_pad_factor, reach, plans)
+        spec = spectrum.band_magnitude(record, config.zero_pad_factor, reach)
         peak = spectrum.find_peak(spec, config.band)
         report = spectrum.sidelobe_report(spec, peak, span, SIDELOBE_FLOOR_DB)
         window = waveform.time_slice(output, *spans[mode])

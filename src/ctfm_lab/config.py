@@ -320,9 +320,10 @@ def derive(config: SimConfig, values: dict[str, str | float]) -> SimConfig:
 
 
 def load_config(path: str | Path) -> SimConfig:
-    """Read and parse a configuration file, decoded as UTF-8."""
+    """Read and parse a configuration file, decoded as UTF-8 past a leading
+    byte-order mark, if any."""
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigLoadError(f"not UTF-8: undecodable byte at offset {exc.start}") from exc
     return parse_config(text)

@@ -8,7 +8,9 @@ a three-point parabolic fit on the log magnitude.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -22,6 +24,17 @@ _LOG_FLOOR = 1e-300
 # More than the 3.75 dB a parabolic refinement can add to its bin; see
 # ``sidelobe_report``.
 _VERTEX_MARGIN_DB = 4.0
+# Where numpy's pocketfft switches to its own Bluestein pass, with complex
+# FFTs of about twice the points.  It picks by a cost estimate, so at about
+# 48k points a largest prime factor up to 353 is factored (1.4-3.3 ms), from
+# 379 to 499 some lengths take Bluestein, and past 500 all do (9-15 ms).
+# ``dft_magnitude`` zooms a grid with a factor past this limit itself, with a
+# cached plan and FFTs of the least power of two >= N + points / 2 (3-5.7 ms
+# at 48k points).
+_DIRECT_PRIME_LIMIT = 401
+# Chirp-z plans kept, least recently used dropped first: a sweep reads many
+# records of a few lengths, and a ``compare`` builds four to six plans.
+_PLANS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,21 +120,42 @@ class SpectrumReport:
 
 
 def dft_magnitude(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
-    """Rectangular-window DFT magnitude, zero padded, on [0, Nyquist]."""
-    _check_padding("zero_pad_factor", zero_pad_factor)
-    points, size, freq = readout_grid(len(signal), signal.sample_rate, zero_pad_factor)
-    mags = np.abs(np.fft.rfft(signal.samples, points))
-    return Spectrum._fresh(freq(np.arange(size)), mags, signal.duration, zero_pad_factor)
+    """Rectangular-window DFT magnitude, zero padded, on [0, Nyquist].
+
+    The grid is ``readout_grid``'s.  A transform length with a prime factor
+    past ``_DIRECT_PRIME_LIMIT`` is zoomed on all its bins by ``_chirp_z``,
+    whose magnitudes differ from the rfft's by FFT rounding only; any other
+    is one ``np.fft.rfft``.
+    """
+    factor = _check_padding("zero_pad_factor", zero_pad_factor)
+    points, size, freq = readout_grid(len(signal), signal.sample_rate, factor)
+    if _has_prime_factor_above(points, _DIRECT_PRIME_LIMIT):
+        freqs, mags = _chirp_z(signal, points, range(size))
+    else:
+        freqs, mags = freq(np.arange(size)), np.abs(np.fft.rfft(signal.samples, points))
+    return Spectrum._fresh(freqs, mags, signal.duration, factor)
 
 
-def band_magnitude(signal: SampledSignal, zero_pad_factor: int, band, cache=None) -> Spectrum:
+def _has_prime_factor_above(points: int, limit: int) -> bool:
+    """Trial division by 2 ... ``limit``, stopped early once ``points`` is 1
+    or a prime; what is left is 1 or a product of primes past the last d."""
+    d = 2
+    while d <= limit and d * d <= points:
+        while points % d == 0:
+            points //= d
+        d += 1
+    return points > limit
+
+
+def band_magnitude(signal: SampledSignal, zero_pad_factor: int, band) -> Spectrum:
     """``dft_magnitude`` on ``band``'s bins and one bin either side alone.
 
     The grid is ``dft_magnitude``'s, so each bin frequency is bit for bit its
-    own; the magnitudes come from a ``_zoom`` plan and differ by FFT rounding
-    only.  ``cache`` maps the record's length and rate, the factor and the
-    band to that plan; spectra of equal-length records that share a cache
-    build it once and apply it to each record.  On a ``band`` that reaches
+    own; the magnitudes come from a ``_zoom`` and differ by FFT rounding
+    only.  Its plan is cached by the record's length and rate, the
+    transform length and the bins, so equal-length records read on one band
+    build it once.  ``band`` must satisfy low < high; its reach is clipped
+    at 0 Hz and Nyquist.  On a ``band`` that reaches
     ``search_span`` past each edge of a peak band, ``find_peak`` and
     ``sidelobe_report`` read what they read on the full grid:
 
@@ -134,15 +168,11 @@ def band_magnitude(signal: SampledSignal, zero_pad_factor: int, band, cache=None
       bin on that side, as the full grid's walk, which goes at least as far,
       does.
     """
-    _check_padding("zero_pad_factor", zero_pad_factor)
-    cache = {} if cache is None else cache
-    key = (len(signal), signal.sample_rate, zero_pad_factor, tuple(band))
-    if key not in cache:
-        points, size, freq = readout_grid(len(signal), signal.sample_rate, zero_pad_factor)
-        run = band_bins(size, freq, band)
-        bins = range(max(run.start - 1, 0), min(run.stop + 1, size))
-        cache[key] = _zoom_plan(len(signal), points, bins, freq)
-    return cache[key](signal)
+    factor = _check_padding("zero_pad_factor", zero_pad_factor)
+    _check_band(band)
+    points, size, freq = readout_grid(len(signal), signal.sample_rate, factor)
+    run = band_bins(size, freq, band)
+    return _zoom(signal, points, range(max(run.start - 1, 0), min(run.stop + 1, size)))
 
 
 def band_bins(size: int, freq, band) -> range:
@@ -164,9 +194,15 @@ def readout_grid(samples: int, sample_rate: float, factor: int, power_of_two: bo
     return points, points // 2 + 1, lambda k: k * step
 
 
-def _check_padding(name: str, factor) -> None:
-    if not isinstance(factor, int) or factor < 1:
-        raise DomainError(f"{name} must be a positive integer, got {factor}")
+def _check_padding(name: str, factor) -> int:
+    """``factor`` as an ``int``: any integer type but ``bool``, at least 1."""
+    try:
+        value = None if isinstance(factor, bool) else operator.index(factor)
+    except TypeError:
+        value = None
+    if value is None or value < 1:
+        raise DomainError(f"{name} must be a positive integer, got {factor!r}")
+    return value
 
 
 def _parabolic_vertex(db_left: float, db_mid: float, db_right: float) -> tuple[float, float]:
@@ -218,7 +254,7 @@ def find_peak(spec: Spectrum, band: tuple[float, float]) -> PeakEstimate:
     return _interpolate_bin(spec, selected[first])
 
 
-def _check_band(band: tuple[float, float], first: float, last: float) -> None:
+def _check_band(band: tuple[float, float], first=-math.inf, last=math.inf) -> None:
     low, high = band
     if not low < high:
         raise DomainError(f"band must satisfy low < high, got {band}")
@@ -356,14 +392,14 @@ def mainlobe_width(
     grid's.  The peak bin is picked as ``sidelobe_report`` picks it; no
     sidelobe is cataloged.
     """
-    _check_padding("min_pad_factor", min_pad_factor)
-    points, size, freq = readout_grid(len(signal), signal.sample_rate, min_pad_factor, True)
+    factor = _check_padding("min_pad_factor", min_pad_factor)
+    points, size, freq = readout_grid(len(signal), signal.sample_rate, factor, True)
     _check_band(band, freq(0), freq(size - 1))  # the grid's edges, not the zoom's
     run, margin = band_bins(size, freq, band), points // len(signal) + 1
     lo, hi = run.start - margin, run.stop + margin
     while True:
         lo, hi = max(lo, 0), min(hi, size)
-        spec = _zoom(signal, points, range(lo, hi), freq)
+        spec = _zoom(signal, points, range(lo, hi))
         width, left, right = _mainlobe_extent(spec, _peak_bin(spec, find_peak(spec, band)))
         edges = spec.bin_frequencies[[0, -1]]
         if not (left == edges[0] and lo > 0 or right == edges[1] and hi < size):
@@ -371,32 +407,44 @@ def mainlobe_width(
         lo, hi = lo - (hi - lo), hi + (hi - lo)
 
 
-def _zoom_plan(n: int, points: int, bins: range, freq):
-    """|DFT| of ``points`` points on ``bins`` alone, of any ``n``-sample
-    record, by one Bluestein chirp-z pass (Rabiner, Schafer & Rader, 1969)
-    with FFTs of the least power of two >= N + M - 1.  With L = ``points``
-    and k = k0 + m, X[k] is e^(-iπm²/L) · sum_n x[n] e^(-iπ(n² + 2·k0·n)/L) ·
-    e^(iπ(m - n)²/L); the leading chirp has unit modulus and is skipped.
-    Each phase is reduced mod 2L in int64 before it is scaled, so it is
-    exact at any k0 for L < 2**31.  The plan zooms any number of records:
-    one multiply, one FFT pair and one ``abs`` each.
+@functools.lru_cache(maxsize=_PLANS)
+def _zoom_plan(n: int, points: int, start: int, stop: int, sample_rate: float):
+    """(weights, kernel, freqs) that ``_chirp_z`` zooms any ``n``-sample
+    record with, read-only and shared: |DFT| of ``points`` points on bins
+    ``start`` to ``stop`` - 1 alone, by one Bluestein chirp-z pass (Rabiner,
+    Schafer & Rader, 1969) with FFTs of the least power of two >= N + M - 1.
+    With L = ``points`` and k = k0 + m, X[k] is e^(-iπm²/L) · sum_n x[n]
+    e^(-iπ(n² + 2·k0·n)/L) · e^(iπ(m - n)²/L); the leading chirp has unit
+    modulus and is skipped.  Each phase is reduced mod 2L in int64 before it
+    is scaled, so it is exact at any k0 for L < 2**31.  The bin frequencies
+    are ``readout_grid``'s for a ``points``-point transform.
     """
-    m, k0 = len(bins), bins.start
+    m, k0 = stop - start, start
     i, d = np.arange(n, dtype=np.int64), np.arange(1 - n, m, dtype=np.int64)
     radians = np.pi / points
     weights = np.exp(-1j * radians * ((i * i + 2 * k0 * i) % (2 * points)))
     chirp = np.exp(1j * radians * (d * d % (2 * points)))
-    size = 1 << (n + m - 2).bit_length()
-    kernel, freqs = np.fft.fft(chirp, size), freq(np.arange(k0, bins.stop))
-
-    def zoom(signal: SampledSignal) -> Spectrum:
-        out = np.fft.ifft(np.fft.fft(signal.samples * weights, size) * kernel)
-        mags = np.abs(out[n - 1 : n - 1 + m])
-        return Spectrum._fresh(freqs, mags, signal.duration, points / n)
-
-    return zoom
+    kernel = np.fft.fft(chirp, 1 << (n + m - 2).bit_length())
+    freqs = readout_grid(points, sample_rate, 1)[2](np.arange(start, stop))
+    for array in (weights, kernel, freqs):
+        array.setflags(write=False)
+    return weights, kernel, freqs
 
 
-def _zoom(signal: SampledSignal, points: int, bins: range, freq) -> Spectrum:
-    """``_zoom_plan`` applied once."""
-    return _zoom_plan(len(signal), points, bins, freq)(signal)
+def _chirp_z(signal: SampledSignal, points: int, bins: range):
+    """(bin frequencies, magnitudes) of ``signal``'s ``points``-point DFT on
+    ``bins``, through the cached ``_zoom_plan``: one multiply, one FFT pair
+    and one ``abs``, all but the first in one buffer."""
+    n = len(signal)
+    weights, kernel, freqs = _zoom_plan(n, points, bins.start, bins.stop, signal.sample_rate)
+    work = np.zeros(kernel.size, dtype=complex)
+    np.multiply(signal.samples, weights, out=work[:n])
+    np.fft.fft(work, out=work)
+    work *= kernel
+    np.fft.ifft(work, out=work)
+    return freqs, np.abs(work[n - 1 : n - 1 + len(bins)])
+
+
+def _zoom(signal: SampledSignal, points: int, bins: range) -> Spectrum:
+    """``_chirp_z`` as a ``Spectrum``, its factor ``points / N``."""
+    return Spectrum._fresh(*_chirp_z(signal, points, bins), signal.duration, points / len(signal))

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 import ctfm_lab as lab
 from ctfm_lab import cli, demod, scene, spectrum, waveform
 from ctfm_lab.cli import main, run, run_compare
-from full_grid import assert_same_readout, full_grid_report
+from full_grid import assert_same_readout, full_grid_report, full_rfft, main_record, main_report
 
 
 @pytest.fixture(scope="module")
@@ -265,16 +265,33 @@ class TestMeasure:
         ids=["paper", "paper_phase", "fractional-delay"],
     )
     def test_one_plan_serves_every_record(self, paper_config_path, monkeypatch, name, delay):
-        """The three records have one length, so ``measure`` builds one
-        chirp-z plan for their band spectra (the width zooms build their
-        own); each spectrum is bit for bit its record's own
-        ``band_magnitude``."""
+        """Chirp-z plans come from one process-wide cache: from a cleared
+        cache ``measure`` builds one plan per distinct key, and the three
+        records have one length, so their band spectra share one key (the
+        width zooms key their own); a second ``measure`` builds none.  Each
+        spectrum is bit for bit its record's own ``band_magnitude``, and
+        every plan array is read-only."""
         config = lab.load_config(Path(paper_config_path).with_name(name))
         if delay:
             config = lab.derive(config, {"echoes.0.delay": delay})
-        calls = self.counting(monkeypatch, ((spectrum, "_zoom_plan"), (spectrum, "_zoom")))
+        plan, keys = spectrum._zoom_plan, []
+
+        def recording_plan(*key):
+            keys.append(key)
+            return plan(*key)
+
+        monkeypatch.setattr(spectrum, "_zoom_plan", recording_plan)
+        plan.cache_clear()
         state = cli.measure(config, cli.MODES)
-        assert calls["_zoom_plan"] == 1 + calls["_zoom"]
+        built = plan.cache_info().misses
+        assert built == len(set(keys)) == plan.cache_info().currsize
+        record = main_record(config, state.tx)
+        grid = (len(record), config.zero_pad_factor * len(record))
+        band_keys = [key for key in keys if key[:2] == grid]
+        assert len(band_keys) == len(cli.MODES) and len(set(band_keys)) == 1
+        assert all(not array.flags.writeable for key in keys for array in plan(*key))
+        cli.measure(config, cli.MODES)
+        assert plan.cache_info().misses == built
         span = 3.0 / config.tx.duration
         reach = (config.band[0] - span, config.band[1] + span)
         for readout in state.readouts:
@@ -292,10 +309,11 @@ class TestMeasure:
         ids=["paper", "paper_phase", "paper-band-31-35-hz"],
     )
     def test_readouts_match_the_full_grid(self, paper_config_path, name, band):
-        """The band spectrum reads each bundled configuration's peak and
-        sidelobes as the full ``dft_magnitude`` grid does.  With the band
-        narrowed to 31-35 Hz, the ddctfm lobes at 30.0 and 36.7 Hz lie outside
-        it, inside the 3/T sidelobe span the band spectrum also covers."""
+        """The band spectrum, and ``dft_magnitude``'s whole grid (zoomed by
+        chirp-z at 56,060 points), read each bundled configuration's peak and
+        sidelobes as the full rfft grid does.  With the band narrowed to
+        31-35 Hz, the ddctfm lobes at 30.0 and 36.7 Hz lie outside it, inside
+        the 3/T sidelobe span the band spectrum also covers."""
         config = lab.derive(
             lab.load_config(Path(paper_config_path).with_name(name)),
             dict(zip(("spectrum.band_low", "spectrum.band_high"), band or ())),
@@ -305,6 +323,9 @@ class TestMeasure:
             reference = full_grid_report(config, state.output(readout.mode))
             assert reference.sidelobes or readout.mode == "ideal"
             assert_same_readout(readout.report, reference)
+            record = main_record(config, state.output(readout.mode))
+            whole = spectrum.dft_magnitude(record, config.zero_pad_factor)
+            assert_same_readout(main_report(config, whole), reference)
             if band and readout.mode == "ddctfm":
                 lobes = [lobe.frequency for lobe in reference.sidelobes]
                 assert len(lobes) == 2 and not any(band[0] <= f <= band[1] for f in lobes)
@@ -590,8 +611,8 @@ class TestExportBytes:
     def test_spectra(self, compared):
         """Each file is its ``Readout.spec``: the band 10-50 Hz plus the 3/T
         = 10 Hz sidelobe span and one bin either side, clipped at 0 Hz, so 842
-        bins from 0 to 60.007 Hz.  Those are the full ``dft_magnitude`` grid's
-        bins bit for bit, with magnitudes within 1e-12 of its band peak."""
+        bins from 0 to 60.007 Hz.  Those are the full rfft grid's bins bit
+        for bit, with magnitudes within 1e-12 of its band peak."""
         config, out, state = compared
         for readout in state.readouts:
             spec = readout.spec
@@ -601,9 +622,8 @@ class TestExportBytes:
                 spec.bin_frequencies,
                 spec.magnitudes,
             )
-            output = state.output(readout.mode)
-            record = waveform.time_slice(output, *config.analysis_spans()["record"])
-            full = spectrum.dft_magnitude(record, config.zero_pad_factor)
+            record = main_record(config, state.output(readout.mode))
+            full = full_rfft(record, config.zero_pad_factor * len(record))
             assert spec.bin_frequencies.size == 842
             assert spec.bin_frequencies[0] == 0.0
             assert spec.bin_frequencies[-1] == pytest.approx(60.007, abs=5e-4)
@@ -856,6 +876,16 @@ class TestCommandLine:
         assert result.exit_code == 2, result.output
         assert "configuration error: not UTF-8: undecodable byte at offset 0" in result.output
         assert not (tmp_path / "o").exists()
+
+    def test_config_with_a_byte_order_mark_runs(self, runner, paper_config_path, tmp_path):
+        """A UTF-8 file saved with a byte-order mark loads past it."""
+        marked = tmp_path / "paper.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + paper_config_path.read_bytes())
+        result = runner.invoke(
+            main, ["compare", "--config", str(marked), "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "o" / "compare.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", ["sound_speed", "sample_rate"])

@@ -34,6 +34,12 @@ class TestParseConfig:
         assert config.band == (10.0, 50.0)
         assert config.sound_speed == 1500.0
 
+    def test_a_leading_byte_order_mark_is_read_past(self, paper_config_path, tmp_path):
+        marked = tmp_path / "paper.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + paper_config_path.read_bytes())
+        expected = serialize_config(lab.load_config(paper_config_path))
+        assert serialize_config(lab.load_config(marked)) == expected
+
     def test_shipped_ledger_config(self, paper_phase_config_path):
         config = lab.load_config(paper_phase_config_path)
         assert config.echoes == (lab.Echo(0.093, 1.0),)

@@ -6,8 +6,9 @@ on a comb line n/T, while the ideal beat sits at rate * delay.  These tests
 state that on the 93 ms walkthrough (``paper_phase.cfg``) and over a 1 ms
 lattice of echo delays on ``paper.cfg``.  Tolerances were fixed before the
 readouts were taken: 0.01 Hz for every peak, 5b's own +/-1.5 dB for the lobe.
-Over the same lattice, each readout from the band spectrum is the full-grid
-readout's, within ``full_grid.READOUT_TOL``.
+Over the same lattice, each readout from the band spectrum, and from
+``dft_magnitude``'s whole grid, is the full rfft grid's, within
+``full_grid.READOUT_TOL``.
 """
 
 from pathlib import Path
@@ -15,8 +16,8 @@ from pathlib import Path
 import pytest
 
 import ctfm_lab as lab
-from ctfm_lab import cli
-from full_grid import assert_same_readout, full_grid_report
+from ctfm_lab import cli, spectrum
+from full_grid import assert_same_readout, full_grid_report, main_record, main_report
 
 PEAK_TOL_HZ = 0.01
 LOBE_DB, LOBE_TOL_DB = -7.26, 1.5  # acceptance check 5b
@@ -90,7 +91,12 @@ class TestDelayLattice:
         assert errors[worst] <= PEAK_TOL_HZ, f"ideal at {worst} s: {errors[worst]:.5f} Hz"
 
     def test_readouts_match_the_full_grid(self, sweep):
+        """The band readouts, and those of ``dft_magnitude``'s whole grid
+        (56,060 points, zoomed by chirp-z), are the rfft grid's."""
         for config, by_mode, state in sweep:
             for mode, readout in by_mode.items():
                 reference = full_grid_report(config, state.output(mode))
                 assert_same_readout(readout.report, reference)
+                record = main_record(config, state.output(mode))
+                whole = spectrum.dft_magnitude(record, config.zero_pad_factor)
+                assert_same_readout(main_report(config, whole), reference)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import ctfm_lab as lab
 from ctfm_lab import spectrum as spectrum_module
 from ctfm_lab.waveform import Tiled, _tile, csv_columns
-from full_grid import assert_same_readout
+from full_grid import assert_same_readout, full_rfft
 from oracles import SAMPLE_RATE
 
 
@@ -72,6 +72,46 @@ class TestDftMagnitude:
     def test_rejects_bad_pad_factor(self):
         with pytest.raises(lab.DomainError):
             lab.dft_magnitude(tone(32.0, 0.1), 0)
+
+
+class TestPaddingFactor:
+    """Every readout transform takes its factor as any integer type but
+    ``bool``, and refuses anything else under the parameter's name."""
+
+    READOUTS = {
+        "dft_magnitude": lambda signal, factor: lab.dft_magnitude(signal, factor),
+        "band_magnitude": lambda signal, factor: spectrum_module.band_magnitude(
+            signal, factor, (10.0, 50.0)
+        ),
+        "mainlobe_width": lambda signal, factor: spectrum_module.mainlobe_width(
+            signal, (10.0, 50.0), factor
+        ),
+    }
+    NAMES = {"mainlobe_width": "min_pad_factor"}
+
+    @pytest.mark.parametrize("readout", READOUTS)
+    @pytest.mark.parametrize(
+        "factor", [True, False, np.True_, 0, -4, 4.0, np.float64(4.0), "4", None]
+    )
+    def test_refused(self, readout, factor):
+        name = self.NAMES.get(readout, "zero_pad_factor")
+        message = f"{name} must be a positive integer, got {factor!r}"
+        with pytest.raises(lab.DomainError, match=re.escape(message)):
+            self.READOUTS[readout](tone(32.0, 0.5), factor)
+
+    @pytest.mark.parametrize("readout", READOUTS)
+    @pytest.mark.parametrize("factor", [np.int64(4), np.int32(4), np.uint8(4)])
+    def test_any_integer_type_reads_as_the_int(self, readout, factor):
+        signal = tone(32.0, 0.5)
+        ours, reference = (self.READOUTS[readout](signal, f) for f in (factor, 4))
+        if readout == "mainlobe_width":
+            assert ours.hex() == reference.hex()
+            return
+        assert ours.zero_pad_factor == 4
+        if readout == "dft_magnitude":
+            assert type(ours.zero_pad_factor) is int
+        for field in ("bin_frequencies", "magnitudes"):
+            assert getattr(ours, field).tobytes() == getattr(reference, field).tobytes()
 
     def test_scale_equivariance(self):
         base = tone(32.0, 1.0)
@@ -524,17 +564,6 @@ def tones(rate, samples, lines):
     return lab.SampledSignal(rate, sum(a * np.cos(2 * np.pi * f * t + p) for f, a, p in lines))
 
 
-def full_rfft(signal, points):
-    """The whole one-sided grid of a ``points``-point rfft: the path each
-    zoom replaced, and the reference it is held to."""
-    return lab.Spectrum(
-        np.fft.rfftfreq(points, 1.0 / signal.sample_rate),
-        np.abs(np.fft.rfft(signal.samples, points)),
-        record_duration=signal.duration,
-        zero_pad_factor=points / len(signal),
-    )
-
-
 class TestWidthZoom:
     """``mainlobe_width`` reads a chirp-z zoom of its power-of-two grid; the
     reference is that grid's full rfft, the path the zoom replaced.
@@ -561,8 +590,7 @@ class TestWidthZoom:
         if second >= first * (1.0 - 1e-9) or first < 1e-3 * np.abs(signal.samples).sum():
             return False
         lo, hi = max(run.start - 2, 0), min(run.stop + 2, freqs.size)
-        _, _, freq = spectrum_module.readout_grid(len(signal), signal.sample_rate, factor, True)
-        zoom = spectrum_module._zoom(signal, points, range(lo, hi), freq)
+        zoom = spectrum_module._zoom(signal, points, range(lo, hi))
         np.testing.assert_array_equal(zoom.bin_frequencies, freqs[lo:hi])
         error = np.max(np.abs(zoom.magnitudes - full.magnitudes[lo:hi]))
         assert error <= self.MAG_TOL * first
@@ -677,6 +705,12 @@ class TestBandMagnitude:
         placed = [(low + u * (high - low), a, p) for u, a, p in lines]
         assume(self.check(tones(rate, samples, placed), (low, high), factor) is not None)
 
+    @pytest.mark.parametrize("band", [(30.0, 10.0), (20.0, 20.0), (math.nan, 20.0)])
+    def test_a_reversed_or_empty_band_is_refused(self, band):
+        message = f"band must satisfy low < high, got {band}"
+        with pytest.raises(lab.DomainError, match=re.escape(message)):
+            spectrum_module.band_magnitude(tone(32.0, 0.5), 4, band)
+
     @pytest.mark.parametrize(
         "lines, band, edge",
         [
@@ -712,6 +746,66 @@ class TestBandMagnitude:
             readouts.append(lab.sidelobe_report(grid, peak, span, -20.0))
         assert readouts[1].sidelobes
         assert_same_readout(*readouts)
+
+
+class TestDftRoute:
+    """``dft_magnitude`` takes one rfft of a grid whose prime factors are all
+    at most ``_DIRECT_PRIME_LIMIT``, and zooms every bin of any other grid by
+    chirp-z.  Tolerances fixed before tuning: magnitudes within 1e-12 of the
+    rfft grid's maximum, as for the zooms, and bin frequencies bit for bit."""
+
+    MAG_TOL = 1e-12
+    LIMIT = spectrum_module._DIRECT_PRIME_LIMIT
+
+    @staticmethod
+    def counting_rfft(monkeypatch):
+        calls, rfft = [], np.fft.rfft
+
+        def recording_rfft(*args, **kwargs):
+            calls.append(args[1:])
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+        return calls
+
+    @given(
+        prime=st.sampled_from([2, 3, 7, 397, 401, 409, 499, 2083, 2803]),
+        multiple=st.integers(min_value=1, max_value=6),
+        factor=st.integers(min_value=1, max_value=8),
+        rate=st.sampled_from([4000.0, 3333.3, 7.5]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(prime=409, multiple=3, factor=1, rate=4000.0, seed=0)  # routed, odd
+    @example(prime=2803, multiple=5, factor=4, rate=4000.0, seed=0)  # paper.cfg's grid
+    @example(prime=401, multiple=3, factor=3, rate=4000.0, seed=0)  # direct, odd
+    @example(prime=401, multiple=2, factor=8, rate=4000.0, seed=0)  # direct, even
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_rfft(self, prime, multiple, factor, rate, seed):
+        """White noise on records of ``prime * multiple`` samples: the grid
+        has a prime factor past the limit exactly when ``prime`` is past it."""
+        samples = prime * multiple
+        signal = lab.SampledSignal(rate, np.random.default_rng(seed).standard_normal(samples))
+        points = factor * samples
+        routed = spectrum_module._has_prime_factor_above(points, self.LIMIT)
+        assert routed == (prime > self.LIMIT)
+        spec = lab.dft_magnitude(signal, factor)
+        full = full_rfft(signal, points)
+        assert spec.bin_frequencies.tobytes() == full.bin_frequencies.tobytes()
+        assert spec.zero_pad_factor == factor and spec.record_duration == signal.duration
+        error = np.max(np.abs(spec.magnitudes - full.magnitudes))
+        assert error <= self.MAG_TOL * full.magnitudes.max()
+
+    @pytest.mark.parametrize(
+        "samples, factor, rffts",
+        [(14015, 4, 0), (1200, 64, 1)],
+        ids=["paper-record-56060-points", "paper-window-76800-points"],
+    )
+    def test_route(self, monkeypatch, samples, factor, rffts):
+        """``paper.cfg``'s record, 4 x 14,015 = 2**2 * 5 * 2803 points, takes
+        no rfft; a 1,200-sample window at 64x, 2**10 * 3 * 5**2, takes one."""
+        calls = self.counting_rfft(monkeypatch)
+        lab.dft_magnitude(tone(32.0, samples / SAMPLE_RATE), factor)
+        assert calls == [(factor * samples,)] * rffts
 
 
 class TestStitchedOutputSpectrum:
