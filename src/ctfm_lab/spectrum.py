@@ -32,8 +32,10 @@ _VERTEX_MARGIN_DB = 4.0
 # cached plan and FFTs of the least power of two >= N + points / 2 (3-5.7 ms
 # at 48k points).
 _DIRECT_PRIME_LIMIT = 401
-# Chirp-z plans kept, least recently used dropped first: a sweep reads many
-# records of a few lengths, and a ``compare`` builds four to six plans.
+# Chirp-z plans, and bin-frequency grids, kept, least recently used dropped
+# first: a sweep reads many records of a few lengths, and a ``compare``
+# builds four to six plans.  A plan holds 16 * (N + FFT length) + 8 * bins
+# bytes, at most about 128 per record sample for a full grid at factor 4.
 _PLANS = 16
 
 
@@ -42,8 +44,9 @@ class Spectrum:
     """One-sided DFT magnitude on a uniform frequency grid.
 
     ``zero_pad_factor`` is the transform length over the record length: an
-    integer for ``dft_magnitude``, ``points / N`` as a float for a ``_zoom``:
-    ``band_magnitude``'s factor, or any ratio >= 1 on a power-of-two grid.
+    integer for ``dft_magnitude``, ``points / N`` as a float for
+    ``band_magnitude`` and ``mainlobe_width``: ``band_magnitude``'s factor, or
+    any ratio >= 1 on a power-of-two grid.
     """
 
     bin_frequencies: np.ndarray
@@ -76,8 +79,8 @@ class Spectrum:
     @classmethod
     def _fresh(cls, freqs, mags, record_duration: float, zero_pad_factor: float):
         """Wrap float64 arrays the package has just built and no caller holds,
-        read-only and uncopied, as ``SampledSignal._fresh`` does; spectra of
-        one ``_zoom_plan`` share its bin frequencies."""
+        read-only and uncopied, as ``SampledSignal._fresh`` does; spectra on
+        one grid share its cached bin frequencies."""
         spec = object.__new__(cls)
         object.__setattr__(spec, "record_duration", record_duration)
         object.__setattr__(spec, "zero_pad_factor", zero_pad_factor)
@@ -122,17 +125,18 @@ class SpectrumReport:
 def dft_magnitude(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
     """Rectangular-window DFT magnitude, zero padded, on [0, Nyquist].
 
-    The grid is ``readout_grid``'s.  A transform length with a prime factor
-    past ``_DIRECT_PRIME_LIMIT`` is zoomed on all its bins by ``_chirp_z``,
+    The grid is ``readout_grid``'s, built once per transform length and
+    rate and shared read-only.  A transform length with a prime factor
+    past ``_DIRECT_PRIME_LIMIT`` is zoomed on all its bins by ``_zoom``,
     whose magnitudes differ from the rfft's by FFT rounding only; any other
     is one ``np.fft.rfft``.
     """
     factor = _check_padding("zero_pad_factor", zero_pad_factor)
-    points, size, freq = readout_grid(len(signal), signal.sample_rate, factor)
+    points, size, _ = readout_grid(len(signal), signal.sample_rate, factor)
     if _has_prime_factor_above(points, _DIRECT_PRIME_LIMIT):
-        freqs, mags = _chirp_z(signal, points, range(size))
-    else:
-        freqs, mags = freq(np.arange(size)), np.abs(np.fft.rfft(signal.samples, points))
+        return _zoom(signal, points, range(size), factor)
+    freqs = _bin_frequencies(points, signal.sample_rate, 0, size)
+    mags = np.abs(np.fft.rfft(signal.samples, points))
     return Spectrum._fresh(freqs, mags, signal.duration, factor)
 
 
@@ -172,7 +176,8 @@ def band_magnitude(signal: SampledSignal, zero_pad_factor: int, band) -> Spectru
     _check_band(band)
     points, size, freq = readout_grid(len(signal), signal.sample_rate, factor)
     run = band_bins(size, freq, band)
-    return _zoom(signal, points, range(max(run.start - 1, 0), min(run.stop + 1, size)))
+    bins = range(max(run.start - 1, 0), min(run.stop + 1, size))
+    return _zoom(signal, points, bins, points / len(signal))
 
 
 def band_bins(size: int, freq, band) -> range:
@@ -399,7 +404,7 @@ def mainlobe_width(
     lo, hi = run.start - margin, run.stop + margin
     while True:
         lo, hi = max(lo, 0), min(hi, size)
-        spec = _zoom(signal, points, range(lo, hi))
+        spec = _zoom(signal, points, range(lo, hi), points / len(signal))
         width, left, right = _mainlobe_extent(spec, _peak_bin(spec, find_peak(spec, band)))
         edges = spec.bin_frequencies[[0, -1]]
         if not (left == edges[0] and lo > 0 or right == edges[1] and hi < size):
@@ -409,7 +414,7 @@ def mainlobe_width(
 
 @functools.lru_cache(maxsize=_PLANS)
 def _zoom_plan(n: int, points: int, start: int, stop: int, sample_rate: float):
-    """(weights, kernel, freqs) that ``_chirp_z`` zooms any ``n``-sample
+    """(weights, kernel, freqs) that ``_zoom`` zooms any ``n``-sample
     record with, read-only and shared: |DFT| of ``points`` points on bins
     ``start`` to ``stop`` - 1 alone, by one Bluestein chirp-z pass (Rabiner,
     Schafer & Rader, 1969) with FFTs of the least power of two >= N + M - 1.
@@ -425,26 +430,28 @@ def _zoom_plan(n: int, points: int, start: int, stop: int, sample_rate: float):
     weights = np.exp(-1j * radians * ((i * i + 2 * k0 * i) % (2 * points)))
     chirp = np.exp(1j * radians * (d * d % (2 * points)))
     kernel = np.fft.fft(chirp, 1 << (n + m - 2).bit_length())
-    freqs = readout_grid(points, sample_rate, 1)[2](np.arange(start, stop))
-    for array in (weights, kernel, freqs):
+    for array in (weights, kernel):
         array.setflags(write=False)
-    return weights, kernel, freqs
+    return weights, kernel, _bin_frequencies(points, sample_rate, start, stop)
 
 
-def _chirp_z(signal: SampledSignal, points: int, bins: range):
-    """(bin frequencies, magnitudes) of ``signal``'s ``points``-point DFT on
-    ``bins``, through the cached ``_zoom_plan``: one multiply, one FFT pair
-    and one ``abs``, all but the first in one buffer."""
+@functools.lru_cache(maxsize=_PLANS)
+def _bin_frequencies(points: int, sample_rate: float, start: int, stop: int) -> np.ndarray:
+    """``readout_grid``'s frequencies of bins ``start`` to ``stop`` - 1 of a
+    ``points``-point transform, read-only and shared, so a sweep over records
+    of one length builds each grid once."""
+    freqs = readout_grid(points, sample_rate, 1)[2](np.arange(start, stop))
+    freqs.setflags(write=False)
+    return freqs
+
+
+def _zoom(signal: SampledSignal, points: int, bins: range, factor: float) -> Spectrum:
+    """``signal``'s ``points``-point |DFT| on ``bins`` alone, as a ``Spectrum``
+    of ``factor``, through the cached ``_zoom_plan``: one multiply, one FFT
+    pair and one ``abs``."""
     n = len(signal)
     weights, kernel, freqs = _zoom_plan(n, points, bins.start, bins.stop, signal.sample_rate)
-    work = np.zeros(kernel.size, dtype=complex)
-    np.multiply(signal.samples, weights, out=work[:n])
-    np.fft.fft(work, out=work)
+    work = np.fft.fft(signal.samples * weights, kernel.size)
     work *= kernel
-    np.fft.ifft(work, out=work)
-    return freqs, np.abs(work[n - 1 : n - 1 + len(bins)])
-
-
-def _zoom(signal: SampledSignal, points: int, bins: range) -> Spectrum:
-    """``_chirp_z`` as a ``Spectrum``, its factor ``points / N``."""
-    return Spectrum._fresh(*_chirp_z(signal, points, bins), signal.duration, points / len(signal))
+    mags = np.abs(np.fft.ifft(work)[n - 1 : n - 1 + len(bins)])
+    return Spectrum._fresh(freqs, mags, signal.duration, factor)

@@ -140,10 +140,10 @@ class TestCopyRule:
         assert freqs.flags.writeable and mags.flags.writeable
 
     def test_built_spectra_are_read_only_and_not_copied(self, monkeypatch):
-        """``dft_magnitude`` wraps the grid ``readout_grid`` has just built,
-        ``rfftfreq``'s bit for bit, and the width zoom the two arrays it has
-        just built: each owns its memory, so no view pins a larger transform
-        buffer."""
+        """``dft_magnitude`` wraps its cached ``readout_grid`` frequencies,
+        ``rfftfreq``'s bit for bit, and the width zoom its plan's frequencies
+        and the magnitudes it has just built: each owns its memory, so no
+        view pins a larger transform buffer."""
         built = []
         fresh = lab.Spectrum._fresh
 
@@ -590,7 +590,7 @@ class TestWidthZoom:
         if second >= first * (1.0 - 1e-9) or first < 1e-3 * np.abs(signal.samples).sum():
             return False
         lo, hi = max(run.start - 2, 0), min(run.stop + 2, freqs.size)
-        zoom = spectrum_module._zoom(signal, points, range(lo, hi))
+        zoom = spectrum_module._zoom(signal, points, range(lo, hi), points / len(signal))
         np.testing.assert_array_equal(zoom.bin_frequencies, freqs[lo:hi])
         error = np.max(np.abs(zoom.magnitudes - full.magnitudes[lo:hi]))
         assert error <= self.MAG_TOL * first
@@ -806,6 +806,33 @@ class TestDftRoute:
         calls = self.counting_rfft(monkeypatch)
         lab.dft_magnitude(tone(32.0, samples / SAMPLE_RATE), factor)
         assert calls == [(factor * samples,)] * rffts
+
+    @pytest.mark.parametrize("samples, factor", [(14015, 4), (1200, 64)])
+    def test_records_of_one_length_share_one_grid(self, samples, factor):
+        """On both routes, equal-length records read one read-only array of
+        bin frequencies, built once."""
+        first, second = (
+            lab.dft_magnitude(tone(f, samples / SAMPLE_RATE), factor) for f in (32.0, 33.0)
+        )
+        assert first.bin_frequencies is second.bin_frequencies
+        assert not first.bin_frequencies.flags.writeable
+
+    def test_takes_only_the_oldest_supported_fft_arguments(self, monkeypatch):
+        """The package declares numpy>=1.24, whose ``np.fft`` functions take
+        ``(a, n, axis, norm)`` alone; every transform path runs on those."""
+        for name in ("fft", "ifft", "rfft"):
+            transform = getattr(np.fft, name)
+
+            def oldest(a, n=None, axis=-1, norm=None, _transform=transform):
+                return _transform(a, n, axis, norm)
+
+            monkeypatch.setattr(np.fft, name, oldest)
+        spectrum_module._zoom_plan.cache_clear()
+        record, window = tone(32.0, 14015 / SAMPLE_RATE), tone(32.0, 1200 / SAMPLE_RATE)
+        lab.dft_magnitude(record, 4)
+        lab.dft_magnitude(window, 64)
+        spectrum_module.band_magnitude(record, 4, (20.0, 40.0))
+        spectrum_module.mainlobe_width(window, (20.0, 40.0), 64)
 
 
 class TestStitchedOutputSpectrum:
