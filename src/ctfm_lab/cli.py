@@ -80,16 +80,23 @@ def _ideal_output(config: SimConfig) -> SampledSignal:
     Each echo contributes its beat at the mixer's product amplitude, with
     no phase discontinuities; this is the yardstick the stitched output is
     judged against.  The sum starts from the first echo's term, so a
-    single echo gives that term exactly.
+    single echo gives that term exactly.  On the keys' decimal values a beat
+    advances p/q cycles a sample, so the sum repeats every lcm(q) samples: only
+    that run (or the record, if shorter) is evaluated, and the signal tiles it.
     """
-    rate = waveform.sweep_rate(config.tx)
-    count = waveform.sample_count(config.schedule, config.sample_rate)
-    t = np.arange(count) / config.sample_rate
+    from fractions import Fraction  # imported on first use: it costs ~3 ms
+
+    tx, fs = config.tx, config.sample_rate
+    rate, count = waveform.sweep_rate(tx), waveform.sample_count(config.schedule, fs)
+    per_delay = Fraction(repr(tx.f_end)) - Fraction(repr(tx.f_start))  # beat cycles a sample
+    per_delay /= Fraction(repr(tx.duration)) * Fraction(repr(fs))  # per second of delay
+    run = math.lcm(*((per_delay * Fraction(repr(e.delay))).denominator for e in config.echoes))
+    t = np.arange(min(run, count)) / fs
     beats = (
         0.5 * echo.amplitude * np.cos(2.0 * math.pi * scene.beat_frequency(rate, echo.delay) * t)
         for echo in config.echoes
     )
-    return SampledSignal._fresh(config.sample_rate, functools.reduce(np.add, beats))
+    return SampledSignal._fresh(fs, functools.reduce(np.add, beats), count=count)
 
 
 def _check_mode(mode: str) -> None:
@@ -99,7 +106,10 @@ def _check_mode(mode: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Measurement:
-    """One receiver pass, every mode a view of it, its ledger and readouts."""
+    """One receiver pass, every mode a view of it, its ledger and readouts.
+
+    With several echoes, ``ledger`` (and every ``phase_table.csv``) describes
+    ``echoes[0]`` only."""
 
     tx: SampledSignal
     lo: SampledSignal

@@ -117,3 +117,33 @@ def received_on_index_grid(
                 total += amplitude * mpmath.cos(phase)
             values.append(float(total))
     return values
+
+
+def exact_ideal_beat(count, sample_rate, f_start, f_end, period, echoes) -> list[float]:
+    """The ideal output, sum of 0.5 * a * cos(2 pi * rate * delay * n / fs),
+    on samples n = 0 .. count - 1 of the decimal values as written.
+
+    Each echo's beat advances (f_end - f_start) * delay / (period * fs)
+    cycles a sample, an exact rational; its phase at sample n is reduced mod
+    1 in ``Fraction``, and only then is the cosine taken, in mpmath at 40
+    digits.  So no sample inherits the rounding of a large phase, and the
+    result carries no rounding of the package's own.  ``echoes`` is a
+    sequence of (delay, amplitude) pairs.
+    """
+    import mpmath
+
+    per_delay = (frac(f_end) - frac(f_start)) / (frac(period) * frac(sample_rate))
+    cosines: dict[Fraction, object] = {}
+    values = []
+    with mpmath.workdps(40):
+        steps = [(per_delay * frac(d), mpmath.mpf(str(a)) / 2) for d, a in echoes]
+        for n in range(count):
+            total = mpmath.mpf(0)
+            for step, half_amplitude in steps:
+                cycles = step * n % 1
+                if cycles not in cosines:
+                    turn = mpmath.mpf(cycles.numerator) / cycles.denominator
+                    cosines[cycles] = mpmath.cos(2 * mpmath.pi * turn)
+                total += half_amplitude * cosines[cycles]
+            values.append(float(total))
+    return values

@@ -1,3 +1,4 @@
+import functools
 import os
 import re
 import subprocess
@@ -12,6 +13,7 @@ import ctfm_lab as lab
 from ctfm_lab import cli, demod, scene, spectrum, waveform
 from ctfm_lab.cli import main, run, run_compare
 from full_grid import assert_same_readout, full_grid_report, full_rfft, main_record, main_report
+from oracles import exact_ideal_beat
 
 
 @pytest.fixture(scope="module")
@@ -382,6 +384,15 @@ class TestMeasure:
         assert not (tmp_path / "out").exists()
 
 
+def formula_beat(config, count):
+    """The sum of 0.5 * A * cos(2 pi rate tau t) over the first ``count``
+    samples, started from the first echo's term."""
+    rate = (config.tx.f_end - config.tx.f_start) / config.tx.duration
+    t = np.arange(count) / config.sample_rate
+    beats = [0.5 * e.amplitude * np.cos(2.0 * np.pi * (rate * e.delay) * t) for e in config.echoes]
+    return functools.reduce(np.add, beats)
+
+
 def two_echo_config(paper_config_path):
     """paper.cfg plus a second echo at 60 ms (a 20 Hz beat), amplitude 0.7."""
     paper = lab.load_config(paper_config_path)
@@ -411,14 +422,48 @@ class TestMultiEcho:
             32.0, abs=0.01
         )
 
-    def test_single_echo_ideal_is_the_one_beat_exactly(self, paper_config_path):
-        """Bit-equal to 0.5 * A * cos(2 pi rate tau t): the sum starts from
-        the first term, not from zero (which would turn -0.0 into 0.0)."""
-        config = lab.load_config(paper_config_path)
-        t = np.arange(14_400) / 4000.0
-        beat = 0.5 * 1.0 * np.cos(2.0 * np.pi * (100.0 / 0.3 * 0.096) * t)
-        ideal = cli._ideal_output(config).samples
-        assert ideal.tobytes() == beat.tobytes()
+    def test_single_echo_ideal_is_the_one_beat_exactly(
+        self, paper_config_path, paper_phase_config_path
+    ):
+        """The beat advances p/q cycles a sample on the decimal values, so
+        it repeats every q samples.  The first run is bit-equal to
+        0.5 * A * cos(2 pi rate tau t), the sum started from the first term,
+        not from zero (which would turn -0.0 into 0.0), and every later
+        sample to the one a run earlier.  At 0.0961234 s (480,617/60,000,000
+        cycles a sample) the run would outlast the record, so the whole
+        record is that formula."""
+        paper = lab.load_config(paper_config_path)
+        cases = (
+            (paper, 125),  # 32 Hz at 4 kHz: 1/125 cycles a sample
+            (lab.load_config(paper_phase_config_path), 4000),  # 31 Hz: 31/4000
+            (lab.derive(paper, {"echoes.0.delay": 0.0961234}), 14_400),
+        )
+        for config, run in cases:
+            ideal = cli._ideal_output(config)
+            assert ideal._repeat == (0, run)
+            assert ideal.samples[:run].tobytes() == formula_beat(config, run).tobytes()
+            assert ideal.samples[run:].tobytes() == ideal.samples[:-run].tobytes()
+
+    def test_two_echo_ideal_repeats_over_the_lcm_of_its_runs(self, compared):
+        """32 Hz repeats every 125 samples and 20 Hz every 200: the sum
+        every 1,000, its first run the formula's."""
+        config = compared[0]
+        ideal = cli._ideal_output(config)
+        assert ideal._repeat == (0, 1000)
+        assert ideal.samples[:1000].tobytes() == formula_beat(config, 1000).tobytes()
+        assert ideal.samples[1000:].tobytes() == ideal.samples[:-1000].tobytes()
+
+    @pytest.mark.parametrize("name", ["paper.cfg", "paper_phase.cfg"])
+    def test_ideal_is_within_4e_14_of_the_exact_decimal_beat(self, name, paper_config_path):
+        """Every sample against ``oracles.exact_ideal_beat``: a beat evaluated
+        over the whole record at t up to 3.6 s rounds its phase far more."""
+        config = lab.load_config(paper_config_path.with_name(name))
+        tx, echoes = config.tx, [(echo.delay, echo.amplitude) for echo in config.echoes]
+        exact = exact_ideal_beat(
+            14_400, config.sample_rate, tx.f_start, tx.f_end, tx.duration, echoes
+        )
+        error = np.abs(cli._ideal_output(config).samples - np.array(exact))
+        assert error.max() <= 4e-14
 
     def test_ledger_and_windows_follow_the_first_echo(self, compared, paper_config_path):
         """A later echo moves neither the phase ledger nor the ctfm and

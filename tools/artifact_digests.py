@@ -12,9 +12,10 @@ a temporary directory.  It also runs ``compare`` on each case of
 ``EXPORT_CASES``, ``paper.cfg`` with a few keys changed by ``derive`` and
 written as ``serialize_config`` text: at 4,802 Hz and a 0.25 s sweep a
 period spans 1,200.5 samples, so every signal and track repeats over a
-two-cycle run of 2,401 samples.  It prints one ``path digest`` line per CSV
-file (155 in all) and one ``stdout:path digest`` line per command (11 in
-all).  Paths are relative to that directory, and each
+two-cycle run of 2,401 samples; at a 96.1234 ms delay the ideal beat
+advances 480,617/60,000,000 cycles a sample, so it has no run shorter
+than the record.  It prints one ``path digest`` line per CSV file (186 in
+all) and one ``stdout:path digest`` line per command (12 in all).  Paths are relative to that directory, and each
 stdout has the directory replaced by ``<out>``.  The bundled configurations have whole-sample delays, so it
 also builds the cases of ``RECEIVER_CASES`` with the library, fractional
 delays on the 1,200-sample and the 1,200.5-sample grid, over 12 cycles and
@@ -45,6 +46,7 @@ CONFIGS = ("paper.cfg", "paper_phase.cfg")
 # export.
 EXPORT_CASES = {
     "paper-1200.5": {"sample_rate": "4802", "tx.duration": "0.25", "lo.f_end": "248"},
+    "paper-delay-0.0961234": {"echoes.0.delay": "0.0961234"},
 }
 
 # name: (sweep period in s at 4 kHz, cycles, (delay in s, amplitude) per
