@@ -230,11 +230,12 @@ def _export(files) -> None:
     groups: dict[int, tuple[object, list[Path]]] = {}
     for path, source in files:
         groups.setdefault(id(source), (source, []))[1].append(path)
+    for directory in dict.fromkeys(path.parent for path, _ in files):
+        directory.mkdir(parents=True, exist_ok=True)
     columns: dict = {}
     for source, paths in groups.values():
         text = _text(source, columns)
         for path in paths:
-            path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
 
 

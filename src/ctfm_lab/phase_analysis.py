@@ -212,20 +212,22 @@ def phase_table(schedule: SweepSchedule, tau: float) -> PhaseReport:
     period = schedule.period
     t_reset = period
     t_handoff = period + tau
+    # At the reset both channels read the completing sweep's end and the
+    # opening window's start, so their rows are plain differences.  The
+    # channel 2 handoff row keeps ``channel2_phase``: it snaps window fuzz.
+    tx_end, echo_end = tx_phase(schedule.tx, period), _echo_phase(schedule, tau, t_reset)
+    lo_start, tx_tau = lo_phase(schedule.lo, 0.0), tx_phase(schedule.tx, tau)
+    echo_tau = _echo_phase(schedule, tau, t_handoff)
     rows = (
-        ("tx phase at sweep end", t_reset, tx_phase(schedule.tx, period)),
-        ("echo phase at sweep end", t_reset, _echo_phase(schedule, tau, t_reset)),
-        ("lo initial phase", t_reset, lo_phase(schedule.lo, 0.0)),
-        ("channel 1 phase at sweep end", t_reset, channel1_phase(schedule, tau, t_reset)),
-        ("channel 2 phase at sweep end", t_reset, channel2_phase(schedule, tau, t_reset)),
-        ("tx phase at handoff (restarted sweep)", t_handoff, tx_phase(schedule.tx, tau)),
-        ("echo phase at handoff", t_handoff, _echo_phase(schedule, tau, t_handoff)),
+        ("tx phase at sweep end", t_reset, tx_end),
+        ("echo phase at sweep end", t_reset, echo_end),
+        ("lo initial phase", t_reset, lo_start),
+        ("channel 1 phase at sweep end", t_reset, tx_end - echo_end),
+        ("channel 2 phase at sweep end", t_reset, lo_start - echo_end),
+        ("tx phase at handoff (restarted sweep)", t_handoff, tx_tau),
+        ("echo phase at handoff", t_handoff, echo_tau),
         ("lo phase at handoff", t_handoff, lo_phase(schedule.lo, tau)),
-        (
-            "channel 1 phase at handoff",
-            t_handoff,
-            tx_phase(schedule.tx, tau) - _echo_phase(schedule, tau, t_handoff),
-        ),
+        ("channel 1 phase at handoff", t_handoff, tx_tau - echo_tau),
         ("channel 2 phase at handoff", t_handoff, channel2_phase(schedule, tau, t_handoff)),
     )
     wrapped = wrap_phase(np.array([row[2] for row in rows])).tolist()

@@ -384,13 +384,18 @@ def csv_columns(header: str, *columns, cache: dict | None = None) -> str:
 
 
 def time_slice(signal: SampledSignal, t_start: float, t_stop: float) -> SampledSignal:
-    """Samples with t_start <= t < t_stop (relative to the signal's clock)."""
-    i0, i1 = _slice_indices(len(signal), signal.sample_rate, t_start, t_stop, signal.t0)
-    return SampledSignal(
-        sample_rate=signal.sample_rate,
-        samples=signal.samples[i0:i1],
-        t0=signal.t0 + i0 / signal.sample_rate,
-    )
+    """Samples with t_start <= t < t_stop (relative to the signal's clock).
+
+    The cut is read-only and keeps its source's run, shifted by the cut: it
+    is a view of the source's block where that block reaches, and is tiled
+    only when its samples are read.
+    """
+    fs = signal.sample_rate
+    i0, i1 = _slice_indices(len(signal), fs, t_start, t_stop, signal.t0)
+    start, run = signal._repeat
+    first = max(i0, start)
+    head = signal._head(min(i1, first + run))[i0:]
+    return SampledSignal._fresh(fs, head, signal.t0 + i0 / fs, first - i0, i1 - i0)
 
 
 def _slice_indices(

@@ -169,6 +169,23 @@ class TestCompare:
             "demodulate": 1,
         }
 
+    def test_each_output_directory_is_made_once(
+        self, paper_config_path, tmp_path, monkeypatch
+    ):
+        """31 files in three mode directories: three ``mkdir`` calls.  The
+        output directory exists, so ``parents=True`` recurses into none."""
+        (tmp_path / "cmp").mkdir()
+        made = []
+        mkdir = Path.mkdir
+
+        def counted(path, *args, **kwargs):
+            made.append(path)
+            return mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counted)
+        run_compare(lab.load_config(paper_config_path), tmp_path / "cmp")
+        assert made == [tmp_path / "cmp" / mode for mode in ("ctfm", "ddctfm", "ideal")]
+
     def test_mode_directories_match_single_mode_runs(
         self, paper_config_path, tmp_path
     ):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctfm_lab as lab
+from ctfm_lab.cli import MODES, measure
 from oracles import SAMPLE_RATE, SYNTHESIS_GRIDS
 
 
@@ -378,25 +379,35 @@ class TestTiledReceiver:
         np.testing.assert_array_equal(product.samples, a.samples * b.samples)
         assert_repeats(product)
 
-    def test_time_slice_leaves_the_repetition_unknown(self, demod_096):
+    def test_time_slice_keeps_the_run(self, demod_096):
+        """The 0.5-2.0 s cut starts past channel 1's settle, so it repeats
+        from its first sample with the channel's 1,200-sample run."""
         part = lab.time_slice(demod_096.channel1, 0.5, 2.0)
         assert demod_096.channel1._repeat[1] == 1200
-        assert part._repeat == (0, len(part))
+        assert part._repeat == (0, 1200)
+        assert part.samples.tobytes() == demod_096.channel1.samples[2000:8000].tobytes()
+        np.testing.assert_array_equal(part.samples[1200:], part.samples[:-1200])
+
+
+@pytest.fixture
+def tiled(monkeypatch):
+    """The ``count`` of each ``waveform._tile`` call, in call order."""
+    counts = []
+    tile = lab.waveform._tile
+
+    def counted(block, start, count):
+        counts.append(count)
+        return tile(block, start, count)
+
+    monkeypatch.setattr(lab.waveform, "_tile", counted)
+    return counts
 
 
 class TestLazyRecords:
     """``demodulate`` reads heads of its inputs and tiles no full record;
     a channel's record is tiled once, on the first read of its samples."""
 
-    def test_no_full_record_is_tiled_until_read(self, grid_schedule, monkeypatch):
-        tiled = []
-        tile = lab.waveform._tile
-
-        def counted(block, start, count):
-            tiled.append(count)
-            return tile(block, start, count)
-
-        monkeypatch.setattr(lab.waveform, "_tile", counted)
+    def test_no_full_record_is_tiled_until_read(self, grid_schedule, tiled):
         echoes = [(0.0432, 1.0), (0.0961234, 0.6), (0.1125, 0.35)]
         out = lab.demodulate(*receive(grid_schedule(0.3, 120), SAMPLE_RATE, echoes))
         record = len(out.channel1)
@@ -405,6 +416,13 @@ class TestLazyRecords:
         out.channel1.samples
         out.channel1.samples
         assert tiled == [record]
+
+    def test_measure_tiles_no_full_record(self, paper_config_path, tiled):
+        """Each readout cuts its record and window from a mode's output and
+        tiles only the cut, never the 14,400-sample output it is cut from."""
+        state = measure(lab.load_config(paper_config_path), MODES)
+        record = len(state.tx)
+        assert record == 14400 and tiled and record not in tiled
 
     def test_taps_are_designed_once(
         self, reference_tx, reference_lo, received_096, reference_lowpass, monkeypatch

@@ -432,6 +432,24 @@ class TestTimeSlice:
         assert len(part) == 400
         np.testing.assert_array_equal(part.samples, reference_tx.samples[400:800])
 
+    @given(run=runs(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_cut_keeps_the_run_shifted_by_the_cut(self, run, data):
+        """A cut [i0, i1) of a lazy signal holds the source's samples and
+        clock, is read-only, and repeats with the source's run from
+        ``max(i0, start) - i0``, unless that run ends at or past the cut."""
+        signal = lazy_signal(*run)
+        i1 = data.draw(st.integers(min_value=1, max_value=len(signal)))
+        i0 = data.draw(st.integers(min_value=0, max_value=i1 - 1))
+        fs, t0 = signal.sample_rate, signal.t0
+        part = lab.time_slice(signal, t0 + i0 / fs, t0 + i1 / fs)
+        start, length = signal._repeat
+        first = max(i0, start)
+        expected = (first - i0, length) if first + length < i1 else (0, i1 - i0)
+        assert (part._repeat, part.t0) == (expected, t0 + i0 / fs)
+        assert part.samples.tobytes() == signal.samples[i0:i1].tobytes()
+        assert not part.samples.flags.writeable
+
     def test_rejects_empty_slices(self, reference_tx):
         with pytest.raises(lab.DomainError):
             lab.time_slice(reference_tx, 0.2, 0.2)

@@ -20,9 +20,14 @@ stdout has the directory replaced by ``<out>``.  The bundled configurations have
 also builds the cases of ``RECEIVER_CASES`` with the library, fractional
 delays on the 1,200-sample and the 1,200.5-sample grid, over 12 cycles and
 over 120, and prints one ``receiver:case/signal digest`` line per tx, lo, rx,
-channel1, channel2 and sum signal (18 in all).  It prints one ``serialize:name digest`` line for
-the canonical text ``serialize_config`` writes of each bundled configuration
-and of ``SERIALIZE_TEXT`` (3 in all).  Lines are sorted, so the output of two
+channel1, channel2 and sum signal (18 in all).  Each signal is also cut with
+``time_slice`` to the settled record (past the filter's delay and ring-in, as
+``SimConfig.analysis_spans`` cuts it) and to a one-period window mid-record,
+from the first echo's arrival (the ddctfm window), and one
+``receiver:case/signal/record`` and ``/window`` line gives the sha256 of each
+cut's samples followed by ``repr`` of its start time (36 in all).  It prints
+one ``serialize:name digest`` line for the canonical text ``serialize_config``
+writes of each bundled configuration and of ``SERIALIZE_TEXT`` (3 in all).  Lines are sorted, so the output of two
 checkouts can be compared with ``diff``.  The package is imported from ``src/`` next
 to this directory, never from an installed copy.
 """
@@ -127,7 +132,8 @@ def main_digests() -> None:
 
 
 def receiver_digests() -> list[str]:
-    """One ``receiver:case/signal digest`` line per signal of each case."""
+    """One ``receiver:case/signal digest`` line per signal of each case, and
+    one ``receiver:case/signal/record`` and ``/window`` line per cut of it."""
     fs = 4000.0
     lines = []
     for case, (period, cycles, echoes) in RECEIVER_CASES.items():
@@ -139,12 +145,20 @@ def receiver_digests() -> list[str]:
             "lo": lab.synthesize_lo(schedule, fs),
             "rx": lab.synthesize_received(schedule, scene, fs),
         }
-        out = lab.demodulate(*signals.values(), lab.LowpassSpec(50.0, 257, fs))
+        lowpass = lab.LowpassSpec(50.0, 257, fs)
+        out = lab.demodulate(*signals.values(), lowpass)
         signals.update(channel1=out.channel1, channel2=out.channel2, sum=out.sum)
-        lines += [
-            f"receiver:{case}/{name} {_digest(signal.samples.tobytes())}"
-            for name, signal in signals.items()
-        ]
+        shift, k, delay = lowpass.group_delay, cycles // 2, echoes[0][0]
+        cuts = {
+            "record": (shift + lowpass.impulse_duration, cycles * period),
+            "window": (k * period + delay + shift, (k + 1) * period + delay + shift),
+        }
+        for name, signal in signals.items():
+            for cut, span in cuts.items():  # cut before the source is read
+                part = lab.time_slice(signal, *span)
+                data = part.samples.tobytes() + repr(part.t0).encode()
+                lines.append(f"receiver:{case}/{name}/{cut} {_digest(data)}")
+            lines.append(f"receiver:{case}/{name} {_digest(signal.samples.tobytes())}")
     return lines
 
 
