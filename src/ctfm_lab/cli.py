@@ -170,7 +170,7 @@ def _frequency_tracks(config: SimConfig):
     grid = waveform.sample_grid(schedule, fs, (0.0, config.echoes[0].delay))
     (_, local), (arrival, echo_local) = grid.arrivals
     active = local < schedule.lo.duration
-    rows, t = grid.tile(active), np.arange(grid.count) / fs
+    rows, t = waveform._tile(active, grid.start, grid.count), np.arange(grid.count) / fs
     f, tiled = waveform.instantaneous_frequency, waveform.Tiled
     lo_start, lo_count = np.count_nonzero(active[: grid.start]), np.count_nonzero(rows)
     echo = tiled(f(schedule.tx, echo_local), grid.start - arrival, grid.count - arrival)
@@ -204,6 +204,8 @@ def _layout(state: Measurement, readout: Readout, tracks, out_dir: Path):
 
 
 def _text(source, columns: dict) -> str:
+    if isinstance(source, str):
+        return source
     if isinstance(source, SampledSignal):
         start, run = source._repeat
         samples = waveform.Tiled(source._head(start + run), start, len(source))
@@ -217,7 +219,8 @@ def _text(source, columns: dict) -> str:
 
 
 def _export(files) -> None:
-    """Format each distinct source once and write it to every path showing it.
+    """Format each distinct source once and write it to every path showing it;
+    the one place the package makes a directory or writes a file.
 
     Sources are grouped by identity, so a signal two modes share (or one
     mode lists twice) is formatted once; each text is dropped once written.
@@ -240,47 +243,48 @@ def _export(files) -> None:
 
 
 def _walk(config: SimConfig, layout: dict[str, Path]):
-    """Measure every mode of ``layout``, a ``{mode: out_dir}``, then write
-    its files; returns the measurement and the (path, source) pairs."""
+    """Measure every mode of ``layout``, a ``{mode: out_dir}``; returns the
+    measurement and the (path, source) pairs its directories hold."""
     state, files = measure(config, tuple(layout)), []
     tracks = _frequency_tracks(config)
     for readout, out_dir in zip(state.readouts, layout.values()):
         files += _layout(state, readout, tracks, out_dir)
-    _export(files)
     return state, files
 
 
 def run(config: SimConfig, mode: str, out_dir: str | Path) -> ReportBundle:
     """Synthesize, demodulate per ``mode``, analyze, and write artifacts."""
     state, files = _walk(config, {mode: Path(out_dir)})
+    _export(files)
     return ReportBundle(state.ledger, state.readouts[0].report, tuple(str(p) for p, _ in files))
 
 
 def run_compare(config: SimConfig, out_dir: str | Path) -> tuple[Readout, ...]:
     """Run every mode on one configuration and tabulate the comparison."""
     out = Path(out_dir)
-    rows = _walk(config, {mode: out / mode for mode in ("ctfm", "ddctfm", "ideal")})[0].readouts
-    (out / "compare.csv").write_text(waveform.csv_columns(
+    state, files = _walk(config, {mode: out / mode for mode in ("ctfm", "ddctfm", "ideal")})
+    rows = state.readouts
+    table = waveform.csv_columns(
         "mode,peak_freq_hz,mainlobe_width_3db_hz,strongest_sidelobe_db",
         [row.mode for row in rows],
         [row.peak_frequency for row in rows],
         [row.mainlobe_width_3db for row in rows],
         [row.strongest_sidelobe_db for row in rows],  # None: an empty cell
-    ))
+    )
+    _export([(out / "compare.csv", table)] + files)
     return rows
 
 
-def _load_or_exit(config_path: str) -> SimConfig:
+def _command(config_path: str, action) -> None:
+    """Load ``config_path``, exiting 2 if it is refused, then run
+    ``action(config)``, exiting 3 on an analysis error."""
     try:
-        return load_config(config_path)
+        config = load_config(config_path)
     except (ConfigLoadError, ConfigurationError, OSError) as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(2)
-
-
-def _analysis_guard(action):
     try:
-        return action()
+        action(config)
     except CtfmLabError as exc:
         click.echo(f"analysis error: {exc}", err=True)
         sys.exit(3)
@@ -296,19 +300,16 @@ def main():
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def phase_table_command(config_path: str, out_dir: str):
     """Evaluate the stitch-boundary phase ledger and write it as CSV."""
-    config = _load_or_exit(config_path)
 
-    def action():
+    def action(config):
         ledger = phase_table(config.schedule, config.echoes[0].delay)
         table = ledger.to_table()
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "phase_table.csv").write_text(table)
+        _export([(Path(out_dir) / "phase_table.csv", table)])
         click.echo(table, nl=False)
         jump = ledger.discontinuities[0][1]
         click.echo(f"# handoff jump: {jump / math.pi:.6g} pi rad at every handoff")
 
-    _analysis_guard(action)
+    _command(config_path, action)
 
 
 @main.command("simulate")
@@ -317,9 +318,8 @@ def phase_table_command(config_path: str, out_dir: str):
 @click.option("--mode", type=click.Choice(MODES), default="ddctfm", show_default=True)
 def simulate_command(config_path: str, out_dir: str, mode: str):
     """Run the full pipeline for one mode and export CSV artifacts."""
-    config = _load_or_exit(config_path)
 
-    def action():
+    def action(config):
         bundle = run(config, mode, out_dir)
         report = bundle.spectrum_report
         click.echo(f"mode: {mode}")
@@ -332,7 +332,7 @@ def simulate_command(config_path: str, out_dir: str, mode: str):
             )
         click.echo(f"artifacts: {len(bundle.manifest)} files in {out_dir}")
 
-    _analysis_guard(action)
+    _command(config_path, action)
 
 
 @main.command("compare")
@@ -340,9 +340,8 @@ def simulate_command(config_path: str, out_dir: str, mode: str):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def compare_command(config_path: str, out_dir: str):
     """Run ctfm, ddctfm, and ideal and report them side by side."""
-    config = _load_or_exit(config_path)
 
-    def action():
+    def action(config):
         rows = run_compare(config, out_dir)
         click.echo("mode     peak_hz    width_hz   strongest_sidelobe_db")
         for row in rows:
@@ -354,7 +353,7 @@ def compare_command(config_path: str, out_dir: str):
                 f"{row.mainlobe_width_3db:<10.4f} {strongest}"
             )
 
-    _analysis_guard(action)
+    _command(config_path, action)
 
 
 if __name__ == "__main__":

@@ -387,14 +387,16 @@ def time_slice(signal: SampledSignal, t_start: float, t_stop: float) -> SampledS
     """Samples with t_start <= t < t_stop (relative to the signal's clock).
 
     The cut is read-only and keeps its source's run, shifted by the cut: it
-    is a view of the source's block where that block reaches, and is tiled
-    only when its samples are read.
+    is a view of the source's block where that block reaches, holds at most
+    ``start + 2 * run`` samples of the source's ``_repeat`` otherwise, and is
+    tiled only when its samples are read.
     """
     fs = signal.sample_rate
     i0, i1 = _slice_indices(len(signal), fs, t_start, t_stop, signal.t0)
     start, run = signal._repeat
     first = max(i0, start)
-    head = signal._head(min(i1, first + run))[i0:]
+    skip = (first - start) // run * run  # whole runs before the cut, never read
+    head = signal._head(min(i1, first + run) - skip)[i0 - skip :]
     return SampledSignal._fresh(fs, head, signal.t0 + i0 / fs, first - i0, i1 - i0)
 
 
@@ -455,10 +457,6 @@ class SampleGrid:
     start: int
     stop: int
     arrivals: tuple[tuple[int, np.ndarray], ...]
-
-    def tile(self, block: np.ndarray) -> np.ndarray:
-        """The record whose first ``stop`` samples are ``block``."""
-        return _tile(block, self.start, self.count)
 
 
 def sample_grid(

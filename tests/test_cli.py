@@ -172,8 +172,9 @@ class TestCompare:
     def test_each_output_directory_is_made_once(
         self, paper_config_path, tmp_path, monkeypatch
     ):
-        """31 files in three mode directories: three ``mkdir`` calls.  The
-        output directory exists, so ``parents=True`` recurses into none."""
+        """``compare.csv`` in the output directory and 30 files in three mode
+        directories: four ``mkdir`` calls, the output directory's first.  It
+        exists, so ``parents=True`` recurses into none."""
         (tmp_path / "cmp").mkdir()
         made = []
         mkdir = Path.mkdir
@@ -184,7 +185,8 @@ class TestCompare:
 
         monkeypatch.setattr(Path, "mkdir", counted)
         run_compare(lab.load_config(paper_config_path), tmp_path / "cmp")
-        assert made == [tmp_path / "cmp" / mode for mode in ("ctfm", "ddctfm", "ideal")]
+        out = tmp_path / "cmp"
+        assert made == [out] + [out / mode for mode in ("ctfm", "ddctfm", "ideal")]
 
     def test_mode_directories_match_single_mode_runs(
         self, paper_config_path, tmp_path

@@ -17,6 +17,7 @@ import pytest
 
 import ctfm_lab as lab
 from ctfm_lab import cli, spectrum
+import sweeps
 from full_grid import assert_same_readout, full_grid_report, main_record, main_report
 
 PEAK_TOL_HZ = 0.01
@@ -64,12 +65,9 @@ class TestDelayLattice:
         """``paper.cfg`` with ``echoes.0.delay`` stepped 80..120 ms: one
         (config, {mode: readout}, measurement) per delay."""
         paper = lab.load_config(paper_config_path)
-        results = []
-        for ms in DELAYS_MS:
-            config = lab.derive(paper, {"echoes.0.delay": ms / 1000})
-            assert config.echoes[0].delay == ms / 1000
-            state = cli.measure(config, cli.MODES)
-            results.append((config, {r.mode: r for r in state.readouts}, state))
+        delays = [ms / 1000 for ms in DELAYS_MS]
+        results = list(sweeps.sweep(paper, "echoes.0.delay", delays))
+        assert [config.echoes[0].delay for config, _, _ in results] == delays
         return results
 
     @pytest.mark.parametrize("mode", ["ctfm", "ddctfm"])

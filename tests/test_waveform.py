@@ -437,7 +437,9 @@ class TestTimeSlice:
     def test_cut_keeps_the_run_shifted_by_the_cut(self, run, data):
         """A cut [i0, i1) of a lazy signal holds the source's samples and
         clock, is read-only, and repeats with the source's run from
-        ``max(i0, start) - i0``, unless that run ends at or past the cut."""
+        ``max(i0, start) - i0``, unless that run ends at or past the cut.
+        It keeps the source's block or an array of at most two runs past
+        ``start``, however late it starts."""
         signal = lazy_signal(*run)
         i1 = data.draw(st.integers(min_value=1, max_value=len(signal)))
         i0 = data.draw(st.integers(min_value=0, max_value=i1 - 1))
@@ -449,6 +451,8 @@ class TestTimeSlice:
         assert (part._repeat, part.t0) == (expected, t0 + i0 / fs)
         assert part.samples.tobytes() == signal.samples[i0:i1].tobytes()
         assert not part.samples.flags.writeable
+        kept = part._block.base
+        assert kept is signal._block or kept.size <= start + 2 * length
 
     def test_rejects_empty_slices(self, reference_tx):
         with pytest.raises(lab.DomainError):
