@@ -6,7 +6,8 @@
     simulate     compare's walk for one mode, with CSV artifacts
     compare      run ctfm, ddctfm, and ideal side by side
 
-Exit codes: 0 success, 2 configuration error, 3 analysis error.
+Exit codes: 0 success, 2 configuration error, 3 analysis error, 4 output error
+(an ``--out`` that cannot be made or written).
 """
 
 from __future__ import annotations
@@ -277,7 +278,8 @@ def run_compare(config: SimConfig, out_dir: str | Path) -> tuple[Readout, ...]:
 
 def _command(config_path: str, action) -> None:
     """Load ``config_path``, exiting 2 if it is refused, then run
-    ``action(config)``, exiting 3 on an analysis error."""
+    ``action(config)``, exiting 3 on an analysis error and 4 when ``_export``
+    cannot make a directory or write a file."""
     try:
         config = load_config(config_path)
     except (ConfigLoadError, ConfigurationError, OSError) as exc:
@@ -288,6 +290,9 @@ def _command(config_path: str, action) -> None:
     except CtfmLabError as exc:
         click.echo(f"analysis error: {exc}", err=True)
         sys.exit(3)
+    except OSError as exc:
+        click.echo(f"output error: {exc}", err=True)
+        sys.exit(4)
 
 
 @click.group()

@@ -20,6 +20,7 @@ leading zero; any other spelling is an unknown key.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -92,11 +93,13 @@ class SimConfig:
     band: tuple[float, float]
     sound_speed: float
 
-    @property
+    # The loader keeps the schedule and scene it validated (``_build``); a
+    # ``dataclasses.replace`` copy builds its own from its fields on first read.
+    @functools.cached_property
     def schedule(self) -> SweepSchedule:
         return make_schedule(self.tx, self.lo_f_end, self.lo_duration, self.cycles)
 
-    @property
+    @functools.cached_property
     def scene(self) -> Scene:
         return Scene(echoes=self.echoes, sound_speed=self.sound_speed)
 
@@ -246,7 +249,7 @@ def _build(values: dict) -> SimConfig:
             field="spectrum.band_low",
         )
     sound_speed = values["sound_speed"]
-    _domain("sound_speed", lambda: Scene(echoes=echoes, sound_speed=sound_speed))
+    scene = _domain("sound_speed", lambda: Scene(echoes=echoes, sound_speed=sound_speed))
     config = SimConfig(
         tx=tx,
         lo_f_end=values["lo.f_end"],
@@ -259,6 +262,7 @@ def _build(values: dict) -> SimConfig:
         band=band,
         sound_speed=sound_speed,
     )
+    vars(config).update(schedule=schedule, scene=scene)  # read by the cached properties
     count = sample_count(schedule, sample_rate)
     for name, span in config.analysis_spans().items():
         try:

@@ -55,9 +55,10 @@ def synthesize_received(
     """Sample the received signal: the sum of delayed transmit copies.
 
     Each echo is evaluated in closed form at sample instants (no
-    resampling), and samples before its first arrival are zero.  The sum,
-    echoes added in scene order onto zero, is evaluated up to the end of
-    the first whole-sample run after the last arrival and tiled from there
+    resampling), all of them in one array pass over the grid's rows, and
+    samples before its first arrival are zero.  The sum, echoes added in
+    scene order onto zero, is evaluated up to the end of the first
+    whole-sample run after the last arrival and tiled from there
     (``waveform.sample_grid``).  Whole-sample delays give exactly the
     per-sample values.  A fractional delay's local time is read near the
     record start, where it carries less rounding than at a late sample; it
@@ -72,9 +73,11 @@ def synthesize_received(
                 f"{period} s; longer delays leave no valid beat segment"
             )
     grid = sample_grid(schedule, sample_rate, [echo.delay for echo in scene.echoes])
+    terms = np.cos(sweep_phase(schedule.tx, grid.local))
+    terms *= np.array([[echo.amplitude] for echo in scene.echoes], dtype=float)
     block = np.zeros(grid.stop)
-    for echo, (first, local) in zip(scene.echoes, grid.arrivals):
-        block[first:] += echo.amplitude * np.cos(sweep_phase(schedule.tx, local))
+    for first, term in zip(grid.firsts, terms):
+        block[first:] += term[: grid.stop - first]
     return SampledSignal._fresh(sample_rate, block, start=grid.start, count=grid.count)
 
 

@@ -449,14 +449,23 @@ class SampleGrid:
     first index with index - d * sample_rate >= 0.  From ``start``, the
     latest arrival, the record repeats every run of whole cycles spanning
     whole samples, and ``stop`` ends the first such run (or the record, if
-    no shorter run exists).  ``arrivals`` holds per delay its arrival index
-    and the local times (``local_times_on_grid``) from there up to ``stop``.
+    no shorter run exists).  Row j of ``local`` holds delay j's local times
+    (``local_times_on_grid``) from its arrival index ``firsts[j]`` on: its
+    first ``stop - firsts[j]`` are that copy's up to ``stop``, and the rest
+    only give every row one length.  ``arrivals`` pairs each arrival index
+    with its copy's times.
     """
 
     count: int
     start: int
     stop: int
-    arrivals: tuple[tuple[int, np.ndarray], ...]
+    firsts: tuple[int, ...]
+    local: np.ndarray
+
+    @property
+    def arrivals(self) -> tuple[tuple[int, np.ndarray], ...]:
+        rows = zip(self.firsts, self.local)
+        return tuple((first, row[: self.stop - first]) for first, row in rows)
 
 
 def sample_grid(
@@ -466,20 +475,21 @@ def sample_grid(
 
     A period spans ``period * sample_rate`` samples, a binary fraction
     num/den, so the shortest run spanning whole samples is den cycles, num
-    samples: one cycle at 1,200 samples per period, two at 1,200.5.
+    samples: one cycle at 1,200 samples per period, two at 1,200.5.  Every
+    delay's local times come from one pass over a 2-d array, each element
+    through the same float operations as one delay's on its own.
     """
     count = sample_count(schedule, sample_rate)
     run = (schedule.period * sample_rate).as_integer_ratio()[0]
-    firsts = [min(math.ceil(d * sample_rate), count) for d in delays]
+    shifts = [d * sample_rate for d in delays]
+    firsts = [min(math.ceil(shift), count) for shift in shifts]
     start = max(firsts, default=0)
     stop = min(count, start + run)
-    arrivals = []
-    for delay, first in zip(delays, firsts):
-        src = np.arange(first, stop, dtype=float)
-        src -= delay * sample_rate
-        local = local_times_on_grid(src, sample_rate, schedule.period)
-        arrivals.append((first, local))
-    return SampleGrid(count, start, stop, tuple(arrivals))
+    columns = np.array([firsts, shifts], dtype=float)[..., None]
+    src = np.arange(stop - min(firsts, default=stop), dtype=float) + columns[0]
+    src -= columns[1]  # row j: sample firsts[j] on, less delay j in samples
+    local = local_times_on_grid(src, sample_rate, schedule.period)
+    return SampleGrid(count, start, stop, tuple(firsts), local)
 
 
 def synthesize_transmit(schedule: SweepSchedule, sample_rate: float) -> SampledSignal:

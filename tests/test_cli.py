@@ -992,6 +992,20 @@ class TestCommandLine:
         assert result.exit_code == 3
         assert "analysis error" in result.output
 
+    @pytest.mark.parametrize("command", ["simulate", "compare", "phase-table"])
+    def test_unwritable_out_exits_4(self, runner, paper_config_path, tmp_path, command):
+        """An ``--out`` that is an existing file: one line, no traceback."""
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        result = runner.invoke(
+            main, [command, "--config", str(paper_config_path), "--out", str(taken)]
+        )
+        assert result.exit_code == 4, result.output
+        assert result.output.startswith("output error: ")
+        assert result.output.count("\n") == 1, result.output
+        assert "Traceback" not in result.output
+        assert taken.read_text() == "kept\n"
+
     def test_unknown_mode_rejected_by_click(self, runner, paper_config_path, tmp_path):
         result = runner.invoke(
             main,

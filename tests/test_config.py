@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import re
 from pathlib import Path
@@ -58,6 +59,33 @@ class TestParseConfig:
         assert schedule.lo.f_start == 200.0
         assert schedule.cycles == 12
         assert config.scene.sound_speed == 1500.0
+
+    def test_loaded_schedule_and_scene_are_kept(self, paper_config_path, monkeypatch):
+        """Reading them builds nothing: they are the objects the loader validated."""
+        config = lab.load_config(paper_config_path)
+        calls = []
+
+        def counted(factory):
+            def build(*args, **kwargs):
+                calls.append(factory.__name__)
+                return factory(*args, **kwargs)
+
+            return build
+
+        monkeypatch.setattr("ctfm_lab.config.make_schedule", counted(lab.make_schedule))
+        monkeypatch.setattr("ctfm_lab.config.Scene", counted(lab.Scene))
+        schedule, scene = config.schedule, config.scene
+        assert config.schedule is schedule and config.scene is scene
+        assert calls == []
+        assert (schedule.cycles, scene.echoes) == (12, config.echoes)
+
+    def test_a_replaced_copy_builds_its_own_schedule_and_scene(self, paper_config_path):
+        config = lab.load_config(paper_config_path)
+        assert (config.schedule.cycles, len(config.scene.echoes)) == (12, 1)  # read first
+        copy = dataclasses.replace(config, cycles=5, echoes=(lab.Echo(0.05, 0.5),))
+        assert copy.schedule.cycles == 5
+        assert copy.scene.echoes == (lab.Echo(0.05, 0.5),)
+        assert copy.schedule == lab.make_schedule(config.tx, config.lo_f_end, config.lo_duration, 5)
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# leading comment\n\n" + MINIMAL + "\nsound_speed = 340 # inline\n"

@@ -242,6 +242,70 @@ class TestTiledReceived:
         assert np.max(np.abs(rx - exact)) <= np.max(np.abs(reference - exact))
 
 
+def per_echo_received(schedule, scene, sample_rate):
+    """The received run evaluated one echo at a time: each delay's own grid
+    row, phase and cosine, added in scene order onto zero up to the grid's
+    ``stop``.  ``synthesize_received`` must match it bit for bit."""
+    grid = waveform.sample_grid(schedule, sample_rate, [echo.delay for echo in scene.echoes])
+    block = np.zeros(grid.stop)
+    for echo in scene.echoes:
+        first = min(math.ceil(echo.delay * sample_rate), grid.count)
+        src = np.arange(first, grid.stop, dtype=float)
+        src -= echo.delay * sample_rate
+        local = waveform.local_times_on_grid(src, sample_rate, schedule.period)
+        block[first:] += echo.amplitude * np.cos(lab.tx_phase(schedule.tx, local))
+    return waveform._tile(block, grid.start, grid.count)
+
+
+@st.composite
+def one_pass_cases(draw):
+    """(period, fs, cycles, echoes): 1-6 echoes, each delayed by 0, a whole
+    number of samples or a fraction of one, with zero, negative or positive
+    amplitudes, on the 1,200-sample, 1,200.5-sample and no-run grids."""
+    period, fs = draw(st.sampled_from(SYNTHESIS_GRIDS))
+    last = math.ceil(period * fs) - 2  # the latest whole-sample delay below a period
+    delays = st.one_of(
+        st.just(0.0),
+        st.integers(min_value=1, max_value=last).map(lambda n: n / fs),
+        st.floats(min_value=0.0, max_value=period, exclude_max=True),
+    )
+    amplitudes = st.one_of(st.sampled_from([0.0, -0.0, -1.0]), st.floats(-2.0, 2.0))
+    echoes = draw(st.lists(st.tuples(delays, amplitudes), min_size=1, max_size=6))
+    return period, fs, draw(st.integers(min_value=2, max_value=5)), echoes
+
+
+class TestOnePassReceived:
+    def test_an_empty_scene_is_silence(self, reference_schedule):
+        rx = lab.synthesize_received(reference_schedule, lab.Scene(()), SAMPLE_RATE)
+        count = waveform.sample_count(reference_schedule, SAMPLE_RATE)
+        assert len(rx) == count
+        np.testing.assert_array_equal(rx.samples, np.zeros(count))
+        assert not np.any(np.signbit(rx.samples))
+
+    @given(case=one_pass_cases())
+    @example(case=(0.3, 4000.0, 3, [(0.0, 1.0), (0.096, 0.0), (0.0123457, -0.5)]))
+    @example(case=(0.25, 4802.0, 2, [(0.0, -0.0), (0.1, -2.0)] * 3))
+    @settings(max_examples=40, deadline=None)
+    def test_bit_equal_to_the_per_echo_loop(self, grid_schedule, case):
+        period, fs, cycles, echoes = case
+        schedule = grid_schedule(period, cycles)
+        scene = lab.Scene(tuple(lab.Echo(d, a) for d, a in echoes))
+        rx = lab.synthesize_received(schedule, scene, fs).samples
+        expected = per_echo_received(schedule, scene, fs)
+        # Bit patterns, so that a -0.0 in place of a 0.0 would show.
+        np.testing.assert_array_equal(rx.view(np.int64), expected.view(np.int64))
+        grid = waveform.sample_grid(schedule, fs, [d for d, _ in echoes])
+        for (first, local), (delay, _) in zip(grid.arrivals, echoes):
+            single = waveform.sample_grid(schedule, fs, (delay,))
+            (own_first, own), = single.arrivals
+            assert first == own_first
+            assert local.size == grid.stop - first
+            # The multi-delay row runs to the latest arrival's run end, the
+            # single-delay one to its own; they agree wherever both reach.
+            reach = min(local.size, own.size)
+            np.testing.assert_array_equal(local[:reach].view(np.int64), own[:reach].view(np.int64))
+
+
 class TestRangeHelpers:
     def test_beat_frequency_of_the_reference_setup(self, reference_schedule):
         rate = lab.sweep_rate(reference_schedule.tx)

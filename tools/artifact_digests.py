@@ -19,13 +19,13 @@ all) and one ``stdout:path digest`` line per command (12 in all).  Paths are rel
 stdout has the directory replaced by ``<out>``.  The bundled configurations have whole-sample delays, so it
 also builds the cases of ``RECEIVER_CASES`` with the library, fractional
 delays on the 1,200-sample and the 1,200.5-sample grid, over 12 cycles and
-over 120, and prints one ``receiver:case/signal digest`` line per tx, lo, rx,
-channel1, channel2 and sum signal (18 in all).  Each signal is also cut with
+over 120, from one echo to six, and prints one ``receiver:case/signal
+digest`` line per tx, lo, rx, channel1, channel2 and sum signal (24 in all).  Each signal is also cut with
 ``time_slice`` to the settled record (past the filter's delay and ring-in, as
 ``SimConfig.analysis_spans`` cuts it) and to a one-period window mid-record,
 from the first echo's arrival (the ddctfm window), and one
 ``receiver:case/signal/record`` and ``/window`` line gives the sha256 of each
-cut's samples followed by ``repr`` of its start time (36 in all).  It prints
+cut's samples followed by ``repr`` of its start time (48 in all).  It prints
 one ``serialize:name digest`` line for the canonical text ``serialize_config``
 writes of each bundled configuration and of ``SERIALIZE_TEXT`` (3 in all).  Lines are sorted, so the output of two
 checkouts can be compared with ``diff``.  The package is imported from ``src/`` next
@@ -57,11 +57,24 @@ EXPORT_CASES = {
 # name: (sweep period in s at 4 kHz, cycles, (delay in s, amplitude) per
 # echo).  The 100 -> 200 Hz sweep spans 1,200 samples at 0.3 s and 1,200.5 at
 # 0.300125 s.  The 120-cycle case is tiled far past its run, as the long
-# multi-echo receiver records of the benchmark are.
+# multi-echo receiver records of the benchmark are.  The six-echo case, in no
+# order of delay, holds a delay-0 echo and a zero-amplitude one.
 RECEIVER_CASES = {
     "three-echoes-1200": (0.3, 12, ((0.0123457, 1.0), (0.0961234, 0.5), (0.1100003, 0.25))),
     "one-echo-1200.5": (0.300125, 12, ((0.0961234, 1.0),)),
     "three-echoes-1200-long": (0.3, 120, ((0.045, 0.9), (0.0732167, 0.6), (0.105, 0.35))),
+    "six-echoes-1200.5": (
+        0.300125,
+        12,
+        (
+            (0.0481234, -0.6),
+            (0.0, 0.8),
+            (0.0235, 0.0),
+            (0.1123456, -0.3),
+            (0.075, 0.45),
+            (0.0999999, 1.0),
+        ),
+    ),
 }
 
 # Three echoes and every optional key off its default, in no canonical order.
