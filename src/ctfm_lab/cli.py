@@ -208,9 +208,7 @@ def _text(source, columns: dict) -> str:
     if isinstance(source, str):
         return source
     if isinstance(source, SampledSignal):
-        start, run = source._repeat
-        samples = waveform.Tiled(source._head(start + run), start, len(source))
-        return waveform.csv_columns("time_s,value", source.times(), samples, cache=columns)
+        return waveform.csv_columns("time_s,value", source.times(), source, cache=columns)
     if isinstance(source, spectrum.Spectrum):
         return source.to_csv(columns)
     if isinstance(source, PhaseReport):
@@ -226,10 +224,10 @@ def _export(files) -> None:
     Sources are grouped by identity, so a signal two modes share (or one
     mode lists twice) is formatted once; each text is dropped once written.
     Columns are keyed by their bytes, so the time column of the signals, or
-    the frequency column of the spectra, is formatted once.  Samples are
-    ``waveform.Tiled`` over their run (``_repeat``), so only the run is
-    formatted.  A track carries its rows of that time column and takes those
-    rows' texts.
+    the frequency column of the spectra, is formatted once.  A signal's
+    samples are formatted over their run alone (``waveform.csv_columns``).
+    A track carries its rows of that time column and takes those rows'
+    texts.
     """
     groups: dict[int, tuple[object, list[Path]]] = {}
     for path, source in files:

@@ -5,7 +5,8 @@ dots for grouping (``tx.f_start``, ``echoes.0.delay``).  The oscillator's
 start frequency and initial phase are always derived from the transmit
 sweep and cannot be set.  Every cross-field invariant is checked at load
 time and reported with the offending key path; the first echo's delay
-must not exceed ``lo.duration``, so that the handoff ledger exists, and
+must not exceed ``lo.duration``, so that the handoff ledger exists, some
+echo amplitude must be nonzero, so that the spectra have a peak, and
 every analysis window (``SimConfig.analysis_spans``) must put at least
 three bins of its readout transform in the band, which may not reach past
 that transform's last bin.  Values are plain ASCII decimal; non-finite
@@ -196,6 +197,8 @@ def _collect_echoes(values: dict) -> tuple[Echo, ...]:
             raise ConfigLoadError("missing required key", field=delay_key)
         amplitude = values.get(f"echoes.{n}.amplitude", 1.0)
         echoes.append(_domain(f"echoes.{n}", lambda: Echo(values[delay_key], amplitude)))
+    if not any(echo.amplitude for echo in echoes):
+        raise ConfigLoadError("every echo amplitude is zero", field="echoes.0.amplitude")
     return tuple(echoes)
 
 

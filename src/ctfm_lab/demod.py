@@ -10,13 +10,12 @@ blind window, so a plain sample-wise sum concatenates the valid segments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError
-from .waveform import GRID_SLACK, SampledSignal, SweepSchedule, _require_finite, sweep_rate
+from .waveform import SampledSignal, SweepSchedule, _check_aligned, _require_finite, sweep_rate
 
 
 @dataclass(frozen=True)
@@ -99,45 +98,10 @@ def check_cutoff(schedule: SweepSchedule, lowpass: LowpassSpec) -> None:
         )
 
 
-def _check_aligned(*signals: SampledSignal) -> None:
-    """Same rate and length, and start times on one sample grid.
-
-    Start times may differ by rounding, up to ``GRID_SLACK`` of a sample
-    period, the slack ``time_slice`` allows.
-    """
-    first = signals[0]
-    for other in signals[1:]:
-        if (
-            other.sample_rate != first.sample_rate
-            or len(other) != len(first)
-            or not abs(other.t0 - first.t0) * first.sample_rate < GRID_SLACK
-        ):
-            raise ShapeError(
-                "signals must share sample rate, length, and start time: "
-                f"({first.sample_rate} Hz, {len(first)}, t0={first.t0}) vs "
-                f"({other.sample_rate} Hz, {len(other)}, t0={other.t0})"
-            )
-
-
-def _elementwise(op, a: SampledSignal, b: SampledSignal) -> SampledSignal:
-    """``op`` of two aligned signals, sample by sample.
-
-    Where both inputs repeat, from the later start with a run both runs
-    divide, so does the result: it is computed over one such run of the
-    inputs' heads (``_head``), and tiled only when its samples are read.
-    """
-    _check_aligned(a, b)
-    (start_a, run_a), (start_b, run_b) = a._repeat, b._repeat
-    start, run = max(start_a, start_b), math.lcm(run_a, run_b)
-    stop = min(len(a), start + run)
-    block = op(a._head(stop), b._head(stop))
-    return SampledSignal._fresh(a.sample_rate, block, a.t0, start, len(a))
-
-
 def mix(a: SampledSignal, b: SampledSignal) -> SampledSignal:
     """Element-wise product of two aligned signals, over one common run
-    of their repetitions (``_elementwise``)."""
-    return _elementwise(np.multiply, a, b)
+    of their repetitions (``SampledSignal._derive``)."""
+    return a._derive(np.multiply, b)
 
 
 def lowpass_filter(signal: SampledSignal, spec: LowpassSpec) -> SampledSignal:
@@ -146,14 +110,11 @@ def lowpass_filter(signal: SampledSignal, spec: LowpassSpec) -> SampledSignal:
     The output is not advanced to compensate the filter delay: callers
     shift their analysis windows by ``spec.group_delay`` instead.
 
-    Output n depends only on inputs up to n, so an input that repeats from
-    ``start`` with period ``run`` gives an output that repeats from
-    ``start + taps - 1``.  Only the first ``start + taps - 1 + run`` input
-    samples are read (``_head``) and filtered, and the output is tiled when
-    read.  Each full-overlap output is one contiguous dot product over the
-    taps, so equal input windows give bit-equal outputs.  A signal with no
-    known repetition, or one whose run does not end before the record, is
-    filtered in full.
+    Output n reads inputs n - taps + 1 to n alone, so the filter is a
+    ``SampledSignal._derive`` with ``settle = taps - 1``: it filters one run
+    of its input and tiles the output when read.  Each full-overlap output
+    is one contiguous dot product over the taps, so equal input windows give
+    bit-equal outputs, as filtering the whole record does.
     """
     return _filter(signal, spec, design_lowpass(spec))
 
@@ -165,13 +126,7 @@ def _filter(signal: SampledSignal, spec: LowpassSpec, h: np.ndarray) -> SampledS
             f"filter designed for {spec.sample_rate} Hz, signal is "
             f"{signal.sample_rate} Hz"
         )
-    start, run = signal._repeat
-    settled = start + h.size - 1  # the first output whose taps all repeat
-    stop = min(len(signal), settled + run)
-    filtered = np.convolve(signal._head(stop), h)[:stop]
-    return SampledSignal._fresh(
-        signal.sample_rate, filtered, signal.t0, settled, len(signal)
-    )
+    return signal._derive(lambda x: np.convolve(x, h)[: x.size], settle=h.size - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +160,7 @@ def demodulate(
     return DemodOutput(
         channel1=channel1,
         channel2=channel2,
-        sum=_elementwise(np.add, channel1, channel2),
+        sum=channel1._derive(np.add, channel2),
         group_delay=lowpass.group_delay,
     )
 

@@ -165,9 +165,9 @@ def band_magnitude(signal: SampledSignal, zero_pad_factor: int, band) -> Spectru
 
     - ``find_peak`` returns a peak inside the peak band, so the sidelobe
       span, peak +/- ``search_span``, lies inside ``band``;
-    - the one-bin margin gives every scanned bin both neighbours, and keeps
-      scanned bins off the zoom's edges, where ``_interpolate_bin`` does not
-      interpolate;
+    - the one-bin margin gives every scanned bin both neighbours, so
+      scanned bins stay off the zoom's edges, which ``_interpolate_bin`` is
+      never passed;
     - a ``_mainlobe_extent`` walk that hits a zoom edge excludes every scanned
       bin on that side, as the full grid's walk, which goes at least as far,
       does.
@@ -222,8 +222,7 @@ def _parabolic_vertex(db_left: float, db_mid: float, db_right: float) -> tuple[f
 
 def _interpolate_bin(spec: Spectrum, index: int) -> PeakEstimate:
     mags = spec.magnitudes
-    if index == 0 or index == len(mags) - 1:
-        return PeakEstimate(float(spec.bin_frequencies[index]), float(mags[index]))
+    # Callers pass interior bins only: band-interior maxima, or [1, size - 2].
     neighborhood = mags[index - 1 : index + 2]
     # A genuine lobe sampled on the padded grid has neighbors within a few
     # dB of its crest; a neighbor tens of dB down means the bin sits next to
@@ -370,9 +369,8 @@ def sidelobe_report(
     )
     sidelobes = []
     for i in (lo + np.flatnonzero(candidates)).tolist():
+        # i is a strict local maximum, so its refined magnitude is positive.
         estimate = _interpolate_bin(spec, i)
-        if estimate.magnitude <= 0.0:
-            continue
         ratio_db = 20.0 * math.log10(estimate.magnitude / peak.magnitude)
         if ratio_db >= floor_db:
             sidelobes.append(Sidelobe(estimate.frequency, min(ratio_db, 0.0)))

@@ -203,6 +203,8 @@ class SampledSignal:
     Such a signal keeps its block (``_block``) and length (``_count``): its
     ``samples`` are tiled (``_tile``) on their first read, once, and
     ``len``, ``duration``, ``times()`` and ``_head`` never tile the record.
+    A record computed from others gets its run from ``_derive``, and
+    ``csv_columns`` writes it over that run: no other module reads a run.
     """
 
     sample_rate: float
@@ -270,6 +272,22 @@ class SampledSignal:
         """The first ``stop`` samples (all, if fewer), tiled no further."""
         return _tile(self._block, self._repeat[0], min(stop, self._count))
 
+    def _derive(self, op, *others: SampledSignal, settle: int = 0) -> SampledSignal:
+        """``op`` of this signal and the aligned ``others``, on this clock.
+
+        Output n of ``op`` may read inputs n - ``settle`` to n alone, so the
+        result repeats from the inputs' latest start plus ``settle`` with the
+        lcm of their runs; ``op`` reads each ``_head`` to the end of that run
+        (or of the record), and the result is tiled only when read.
+        """
+        signals = (self, *others)
+        _check_aligned(*signals)
+        start = max(signal._repeat[0] for signal in signals) + settle
+        run = math.lcm(*(signal._repeat[1] for signal in signals))
+        stop = min(self._count, start + run)
+        block = op(*(signal._head(stop) for signal in signals))
+        return self._fresh(self.sample_rate, block, self.t0, start, self._count)
+
     def __len__(self) -> int:
         return self._count
 
@@ -280,6 +298,26 @@ class SampledSignal:
     def times(self) -> np.ndarray:
         """Sample instants ``t0 + i / sample_rate``."""
         return self.t0 + np.arange(self._count) / self.sample_rate
+
+
+def _check_aligned(*signals: SampledSignal) -> None:
+    """Same rate and length, and start times on one sample grid.
+
+    Start times may differ by rounding, up to ``GRID_SLACK`` of a sample
+    period, the slack ``time_slice`` allows.
+    """
+    first = signals[0]
+    for other in signals[1:]:
+        if (
+            other.sample_rate != first.sample_rate
+            or len(other) != len(first)
+            or not abs(other.t0 - first.t0) * first.sample_rate < GRID_SLACK
+        ):
+            raise ShapeError(
+                "signals must share sample rate, length, and start time: "
+                f"({first.sample_rate} Hz, {len(first)}, t0={first.t0}) vs "
+                f"({other.sample_rate} Hz, {len(other)}, t0={other.t0})"
+            )
 
 
 def _check_run(start: int, size: int) -> None:
@@ -342,6 +380,9 @@ def _formatted(column, sep: str, cache: dict) -> list[str]:
 
 def _cells(column, sep: str, cache: dict) -> list[str]:
     """One column's texts, each followed by ``sep``."""
+    if isinstance(column, SampledSignal):
+        start, run = column._repeat
+        column = Tiled(column._head(start + run), start, column._count)
     if isinstance(column, Tiled):
         texts = np.array(_formatted(column.block, sep, cache), dtype=object)
         return _tile(texts, column.start, column.count).tolist()
@@ -360,9 +401,10 @@ def csv_columns(header: str, *columns, cache: dict | None = None) -> str:
     """Columns of one length as CSV text: the one place artifact numbers
     become text.
 
-    A column is an array of numbers, a ``Tiled`` run, the ``Rows`` of an
-    array, or a list: of ``str``, written as it stands, or of numbers, with
-    ``None`` as an empty cell.  Every number is in round-trip ``.17g`` and
+    A column is an array of numbers, a ``SampledSignal`` or a ``Tiled``
+    run, each formatted over its run alone, the ``Rows`` of an array, or a
+    list: of ``str``, written as it stands, or of numbers, with ``None`` as
+    an empty cell.  Every number is in round-trip ``.17g`` and
     carries its separator, a comma or the line break, so each row is one
     piece per column.  ``cache`` maps a separator and a column's exact
     float64 bytes to its texts; texts that share a cache format a column

@@ -982,15 +982,29 @@ class TestCommandLine:
         )
         assert result.exit_code == 2
 
-    def test_zero_amplitude_scene_exits_3(self, runner, paper_config_path, tmp_path):
-        silent = lab.derive(lab.load_config(paper_config_path), {"echoes.0.amplitude": 0.0})
+    @pytest.mark.parametrize("command", ["simulate", "compare", "phase-table"])
+    def test_zero_amplitude_scene_exits_2(self, runner, paper_config_path, tmp_path, command):
+        """A silent scene has no spectral peak, so the loader refuses it."""
         cfg = tmp_path / "silent.cfg"
-        cfg.write_text(lab.serialize_config(silent))
+        text = paper_config_path.read_text()
+        cfg.write_text(text.replace("echoes.0.amplitude = 1.0", "echoes.0.amplitude = 0"))
         result = runner.invoke(
-            main, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]
+            main, [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "configuration error: echoes.0.amplitude:" in result.output
+        assert not (tmp_path / "o").exists()
+
+    def test_analysis_error_exits_3(self, runner, paper_config_path, tmp_path, monkeypatch):
+        def no_peak(*args):
+            raise lab.NoPeakError("no spectral energy inside band (10.0, 50.0)")
+
+        monkeypatch.setattr(cli, "measure", no_peak)
+        result = runner.invoke(
+            main, ["simulate", "--config", str(paper_config_path), "--out", str(tmp_path)]
         )
         assert result.exit_code == 3
-        assert "analysis error" in result.output
+        assert "analysis error: no spectral energy" in result.output
 
     @pytest.mark.parametrize("command", ["simulate", "compare", "phase-table"])
     def test_unwritable_out_exits_4(self, runner, paper_config_path, tmp_path, command):

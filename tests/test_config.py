@@ -365,8 +365,9 @@ class TestDerive:
             ("cycles", "1_2", "cycles"),
             ("tx.f_end", float("nan"), "tx.f_end"),
             ("echoes.2.delay", 0.05, "echoes"),
+            ("echoes.0.amplitude", 0, "echoes.0.amplitude"),
         ],
-        ids=["unknown", "derived", "underscore", "nan", "echo-gap"],
+        ids=["unknown", "derived", "underscore", "nan", "echo-gap", "silent"],
     )
     def test_refusal_is_the_loaders(self, paper, key, value, field):
         """Each refusal is the one the loader gives the edited file."""
@@ -378,6 +379,10 @@ class TestDerive:
             derive(paper, {key: value})
         assert excinfo.value.field == loaded.value.field == field
         assert str(excinfo.value) == str(loaded.value)
+
+    def test_a_zero_amplitude_beside_a_nonzero_one_loads(self, paper):
+        config = derive(paper, {"echoes.0.amplitude": 0, "echoes.1.delay": 0.06})
+        assert config.echoes == (lab.Echo(0.096, 0.0), lab.Echo(0.06, 1.0))
 
     def test_a_new_echo_index_adds_an_echo(self, paper):
         config = derive(paper, {"echoes.1.delay": 0.06, "echoes.1.amplitude": 0.7})

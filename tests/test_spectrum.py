@@ -1005,6 +1005,20 @@ class TestSerialization:
         assert csv_columns("h1,h2", column, column) == expected
         assert csv_columns("h1,h2", column, values) == expected
 
+    @given(
+        bits=st.lists(float_bits, min_size=1, max_size=40),
+        split=st.integers(min_value=0, max_value=39),
+        count=st.integers(min_value=1, max_value=200),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_signal_column_is_its_samples_written_over_its_run(self, bits, split, count):
+        """A lazy signal is written without tiling its samples."""
+        block = np.array(bits, dtype=np.int64).view(np.float64)
+        signal = lab.SampledSignal._fresh(4000.0, block, 0.0, split % block.size, count)
+        text = csv_columns("h", signal)
+        assert ("samples" in vars(signal)) == (block.size >= count)
+        assert text == csv_columns("h", signal.samples)
+
     @pytest.mark.parametrize("start", [3, 4, -1])
     def test_a_tiled_column_with_no_run_raises(self, start):
         with pytest.raises(ValueError, match=f"run must start inside the block: start {start}"):

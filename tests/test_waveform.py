@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -423,6 +425,61 @@ class TestLazySamples:
     def test_other_missing_attributes_still_raise(self):
         with pytest.raises(AttributeError, match="no attribute 'nope'"):
             lazy_signal([1.0, 2.0], 0, 5).nope
+
+
+@st.composite
+def derivations(draw):
+    """1-3 lazy signals on one record and a causal op on them: a pointwise
+    sum or product, then an FIR of 1-5 taps, which settles taps - 1 samples
+    after its inputs repeat."""
+    count = draw(st.integers(min_value=1, max_value=60))
+    values = st.floats(min_value=-1e3, max_value=1e3, width=64)
+    inputs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        block = draw(st.lists(values, min_size=1, max_size=12))
+        start = draw(st.integers(min_value=0, max_value=len(block) - 1))
+        inputs.append((np.array(block, dtype=float), start))
+    combine = draw(st.sampled_from([np.add, np.multiply]))
+    taps = np.array(draw(st.lists(values, min_size=1, max_size=5)), dtype=float)
+
+    def op(*xs):
+        return np.convolve(functools.reduce(combine, xs), taps)[: xs[0].size]
+
+    return inputs, count, op, taps.size - 1
+
+
+class TestDerive:
+    """``_derive``, the one rule for the run of a record computed from
+    repeating records."""
+
+    @given(case=derivations())
+    @settings(max_examples=300, deadline=None)
+    def test_one_run_of_the_op_tiled_is_the_op_of_the_tiled_records(self, case):
+        """Bit-equal to the op over the full records, repeating from the
+        latest start plus the settle with the least common multiple of the
+        runs, read-only, and computed from heads that end with that run."""
+        inputs, count, op, settle = case
+        signals = [lazy_signal(block, start, count) for block, start in inputs]
+        tiled, tile = [], waveform._tile
+
+        def recording(block, start, stop):
+            tiled.append(stop)
+            return tile(block, start, stop)
+
+        with mock.patch.object(waveform, "_tile", recording):
+            result = signals[0]._derive(op, *signals[1:], settle=settle)
+        start = max(signal._repeat[0] for signal in signals) + settle
+        run = math.lcm(*(signal._repeat[1] for signal in signals))
+        assert result._repeat == ((start, run) if start + run < count else (0, count))
+        assert all(stop <= min(count, start + run) for stop in tiled)
+        full = op(*(waveform._tile(block, start, count) for block, start in inputs))
+        assert result.samples.tobytes() == full.tobytes()
+        assert not result.samples.flags.writeable
+        assert (len(result), result.t0, result.sample_rate) == (count, 0.25, 4000.0)
+
+    def test_inputs_off_one_clock_are_refused(self):
+        with pytest.raises(lab.ShapeError, match="share sample rate, length"):
+            lazy_signal([1.0, 2.0], 0, 6)._derive(np.add, lazy_signal([1.0], 0, 5))
 
 
 class TestTimeSlice:
