@@ -109,9 +109,11 @@ def _check_mode(mode: str) -> None:
 class Measurement:
     """One receiver pass, every mode a view of it, its ledger and readouts.
 
-    With several echoes, ``ledger`` (and every ``phase_table.csv``) describes
-    ``echoes[0]`` only."""
+    ``grid`` is the pass's ``waveform.sample_grid``: delay 0's row, which
+    gives tx and lo, then each echo's.  With several echoes, ``ledger`` (and
+    every ``phase_table.csv``) describes ``echoes[0]`` only."""
 
+    grid: waveform.SampleGrid
     tx: SampledSignal
     lo: SampledSignal
     rx: SampledSignal
@@ -130,18 +132,22 @@ class Measurement:
 def measure(config: SimConfig, modes: tuple[str, ...] = ()) -> Measurement:
     """One receiver pass, its ledger and a ``Readout`` of each of ``modes``
     (checked first) on ``SimConfig.analysis_spans``; no file is written.
+    The pass samples one grid, with one cosine pass for tx and every echo,
+    and gives each signal bit for bit as its ``synthesize_*`` function does.
     Each record is read on ``spectrum.band_magnitude`` of the band +/- the
     3/T sidelobe span, as on the full grid (see there); the records have one
     length, so they share one chirp-z plan from the process-wide cache."""
     for mode in modes:
         _check_mode(mode)
     schedule, fs = config.schedule, config.sample_rate
-    tx = waveform.synthesize_transmit(schedule, fs)
-    lo = waveform.synthesize_lo(schedule, fs)
-    rx = scene.synthesize_received(schedule, config.scene, fs)
+    grid = waveform.sample_grid(schedule, fs, (0.0, *(echo.delay for echo in config.echoes)))
+    copies = grid.copies(schedule.tx)  # the transmit sweep's row, then every echo's
+    tx = waveform._transmit(schedule, fs, grid, copies)
+    lo = waveform._oscillator(schedule, fs, grid)
+    rx = scene._received(schedule, config.scene, fs, grid, copies[1:])
     receiver = demod.demodulate(tx, lo, rx, config.lowpass)
     ledger = phase_table(schedule, config.echoes[0].delay)
-    state = Measurement(tx, lo, rx, receiver, _ideal_output(config), ledger, ())
+    state = Measurement(grid, tx, lo, rx, receiver, _ideal_output(config), ledger, ())
     spans, span = config.analysis_spans(), 3.0 / config.tx.duration
     reach = (config.band[0] - span, config.band[1] + span)
     readouts = []
@@ -157,19 +163,18 @@ def measure(config: SimConfig, modes: tuple[str, ...] = ()) -> Measurement:
     return replace(state, readouts=tuple(readouts))
 
 
-def _frequency_tracks(config: SimConfig):
+def _frequency_tracks(config: SimConfig, grid: waveform.SampleGrid):
     """Analytic instantaneous-frequency tracks for plotting.
 
     Three ``(times, rows, freq_hz)`` tracks on the record's time axis
     ``times``: the repeating transmit sweep on every row, the oscillator
     extension on its active rows, and the first echo on the rows from its
-    arrival.  Each is read off the local times the synthesizers sample, on
-    their grid and arrival rule; ``freq_hz`` is ``waveform.Tiled`` over the
-    grid's run, as the synthesizers tile.
+    arrival.  Each is read off the local times of ``grid``, the receiver
+    pass's (``Measurement.grid``), at which its signals are sampled;
+    ``freq_hz`` is ``waveform.Tiled`` over the grid's run, as they tile.
     """
     schedule, fs = config.schedule, config.sample_rate
-    grid = waveform.sample_grid(schedule, fs, (0.0, config.echoes[0].delay))
-    (_, local), (arrival, echo_local) = grid.arrivals
+    (_, local), (arrival, echo_local), *_ = grid.rows(grid.local)
     active = local < schedule.lo.duration
     rows, t = waveform._tile(active, grid.start, grid.count), np.arange(grid.count) / fs
     f, tiled = waveform.instantaneous_frequency, waveform.Tiled
@@ -245,7 +250,7 @@ def _walk(config: SimConfig, layout: dict[str, Path]):
     """Measure every mode of ``layout``, a ``{mode: out_dir}``; returns the
     measurement and the (path, source) pairs its directories hold."""
     state, files = measure(config, tuple(layout)), []
-    tracks = _frequency_tracks(config)
+    tracks = _frequency_tracks(config, state.grid)
     for readout, out_dir in zip(state.readouts, layout.values()):
         files += _layout(state, readout, tracks, out_dir)
     return state, files

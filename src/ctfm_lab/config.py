@@ -5,8 +5,9 @@ dots for grouping (``tx.f_start``, ``echoes.0.delay``).  The oscillator's
 start frequency and initial phase are always derived from the transmit
 sweep and cannot be set.  Every cross-field invariant is checked at load
 time and reported with the offending key path; the first echo's delay
-must not exceed ``lo.duration``, so that the handoff ledger exists, some
-echo amplitude must be nonzero, so that the spectra have a peak, and
+must not exceed ``lo.duration``, so that the handoff ledger exists, the
+echo amplitudes at some delay must not sum to zero, so that the echoes do
+not cancel and the spectra have a peak, and
 every analysis window (``SimConfig.analysis_spans``) must put at least
 three bins of its readout transform in the band, which may not reach past
 that transform's last bin.  Values are plain ASCII decimal; non-finite
@@ -197,9 +198,24 @@ def _collect_echoes(values: dict) -> tuple[Echo, ...]:
             raise ConfigLoadError("missing required key", field=delay_key)
         amplitude = values.get(f"echoes.{n}.amplitude", 1.0)
         echoes.append(_domain(f"echoes.{n}", lambda: Echo(values[delay_key], amplitude)))
-    if not any(echo.amplitude for echo in echoes):
-        raise ConfigLoadError("every echo amplitude is zero", field="echoes.0.amplitude")
+    amplitudes: dict[float, list[float]] = {}
+    for echo in echoes:
+        amplitudes.setdefault(echo.delay, []).append(echo.amplitude)
+    if not any(a[0] if len(a) == 1 else _exact_sum(a) for a in amplitudes.values()):
+        raise ConfigLoadError(
+            "the echo amplitudes sum to zero at every delay, so the echoes cancel",
+            field=f"echoes.{len(echoes) - 1}.amplitude",
+        )
     return tuple(echoes)
+
+
+def _exact_sum(values: list[float]):
+    """The sum of ``values`` with no rounding, so that none hides or fakes a
+    cancellation; ``fractions`` is imported only for echoes sharing a delay,
+    as it costs ~3 ms."""
+    from fractions import Fraction
+
+    return sum(map(Fraction, values))
 
 
 def _build(values: dict) -> SimConfig:

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedRangeError
-from .waveform import (
-    SampledSignal,
-    SweepSchedule,
-    _check_sample_rate,
-    sample_grid,
-    sweep_phase,
-)
+from .waveform import SampledSignal, SweepSchedule, _check_sample_rate, sample_grid
 
 
 @dataclass(frozen=True)
@@ -64,20 +58,23 @@ def synthesize_received(
     record start, where it carries less rounding than at a late sample; it
     stays within 1e-10 * sum(|amplitude|) of per-sample evaluation.
     """
+    grid = sample_grid(schedule, sample_rate, [echo.delay for echo in scene.echoes])
+    return _received(schedule, scene, sample_rate, grid, grid.copies(schedule.tx))
+
+
+def _received(schedule: SweepSchedule, scene: Scene, sample_rate: float, grid, copies):
+    """The echoes of ``scene`` summed from ``copies``, their rows of
+    ``grid.copies(schedule.tx)`` in scene order."""
     _check_sample_rate(sample_rate, schedule.tx)
-    period = schedule.period
     for i, echo in enumerate(scene.echoes):
-        if echo.delay >= period:
+        if echo.delay >= schedule.period:
             raise UnsupportedRangeError(
                 f"echo {i} delay {echo.delay} s must be below the sweep period "
-                f"{period} s; longer delays leave no valid beat segment"
+                f"{schedule.period} s; longer delays leave no valid beat segment"
             )
-    grid = sample_grid(schedule, sample_rate, [echo.delay for echo in scene.echoes])
-    terms = np.cos(sweep_phase(schedule.tx, grid.local))
-    terms *= np.array([[echo.amplitude] for echo in scene.echoes], dtype=float)
     block = np.zeros(grid.stop)
-    for first, term in zip(grid.firsts, terms):
-        block[first:] += term[: grid.stop - first]
+    for (first, term), echo in zip(copies, scene.echoes):
+        block[first:] += term * echo.amplitude
     return SampledSignal._fresh(sample_rate, block, start=grid.start, count=grid.count)
 
 

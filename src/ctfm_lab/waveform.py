@@ -11,6 +11,7 @@ into (-pi, pi] is a separate, explicit operation, ``wrap_phase``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -489,25 +490,29 @@ class SampleGrid:
 
     A copy delayed by d is zero before sample ceil(d * sample_rate), the
     first index with index - d * sample_rate >= 0.  From ``start``, the
-    latest arrival, the record repeats every run of whole cycles spanning
-    whole samples, and ``stop`` ends the first such run (or the record, if
-    no shorter run exists).  Row j of ``local`` holds delay j's local times
-    (``local_times_on_grid``) from its arrival index ``firsts[j]`` on: its
-    first ``stop - firsts[j]`` are that copy's up to ``stop``, and the rest
-    only give every row one length.  ``arrivals`` pairs each arrival index
-    with its copy's times.
+    latest arrival, the record repeats every ``run`` samples, whole cycles
+    spanning whole samples, and ``stop`` ends the first such run (or the
+    record, if no shorter run exists).  ``local`` lays the rows end to end:
+    delay j's row holds its local times (``local_times_on_grid``) from its
+    arrival index ``firsts[j]`` to ``stop``, and nothing more.
     """
 
     count: int
     start: int
     stop: int
+    run: int
     firsts: tuple[int, ...]
     local: np.ndarray
 
-    @property
-    def arrivals(self) -> tuple[tuple[int, np.ndarray], ...]:
-        rows = zip(self.firsts, self.local)
-        return tuple((first, row[: self.stop - first]) for first, row in rows)
+    def rows(self, values: np.ndarray) -> tuple[tuple[int, np.ndarray], ...]:
+        """Each arrival index with its row of ``values``, laid out as ``local``:
+        ``rows(local)`` pairs each arrival with its copy's local times."""
+        starts = itertools.accumulate((self.stop - n for n in self.firsts), initial=0)
+        return tuple((n, values[s : s + self.stop - n]) for n, s in zip(self.firsts, starts))
+
+    def copies(self, spec: ChirpSpec) -> tuple[tuple[int, np.ndarray], ...]:
+        """``rows`` of the cosine of ``spec``'s phase, one pass over every row."""
+        return self.rows(np.cos(sweep_phase(spec, self.local)))
 
 
 def sample_grid(
@@ -518,20 +523,38 @@ def sample_grid(
     A period spans ``period * sample_rate`` samples, a binary fraction
     num/den, so the shortest run spanning whole samples is den cycles, num
     samples: one cycle at 1,200 samples per period, two at 1,200.5.  Every
-    delay's local times come from one pass over a 2-d array, each element
-    through the same float operations as one delay's on its own.
+    delay's local times come from one pass over its row and no further,
+    each element through the same float operations as one delay's on its own.
     """
+    _require_finite("sample_rate", sample_rate)
     count = sample_count(schedule, sample_rate)
     run = (schedule.period * sample_rate).as_integer_ratio()[0]
     shifts = [d * sample_rate for d in delays]
     firsts = [min(math.ceil(shift), count) for shift in shifts]
     start = max(firsts, default=0)
     stop = min(count, start + run)
-    columns = np.array([firsts, shifts], dtype=float)[..., None]
-    src = np.arange(stop - min(firsts, default=stop), dtype=float) + columns[0]
-    src -= columns[1]  # row j: sample firsts[j] on, less delay j in samples
-    local = local_times_on_grid(src, sample_rate, schedule.period)
-    return SampleGrid(count, start, stop, tuple(firsts), local)
+    # Row j: samples firsts[j] to stop, less delay j in samples ([] lets no rows join).
+    rows = [np.arange(first, stop, dtype=float) - shift for first, shift in zip(firsts, shifts)]
+    local = local_times_on_grid(np.concatenate([[], *rows]), sample_rate, schedule.period)
+    return SampleGrid(count, start, stop, run, tuple(firsts), local)
+
+
+def _transmit(schedule: SweepSchedule, sample_rate: float, grid: SampleGrid, copies):
+    """The transmit sweep from ``grid.copies(schedule.tx)``: its first row,
+    which has delay 0, over its own run ``(0, run)``."""
+    _check_sample_rate(sample_rate, schedule.tx)
+    return SampledSignal._fresh(sample_rate, copies[0][1][: grid.run], count=grid.count)
+
+
+def _oscillator(schedule: SweepSchedule, sample_rate: float, grid: SampleGrid):
+    """The oscillator on ``grid``'s first row, which has delay 0, over its
+    own run ``(0, run)``: zero outside its window."""
+    _check_sample_rate(sample_rate, schedule.lo)
+    local = grid.rows(grid.local)[0][1][: grid.run]
+    active = local < schedule.lo.duration
+    block = np.zeros_like(local)
+    block[active] = np.cos(sweep_phase(schedule.lo, local[active]))
+    return SampledSignal._fresh(sample_rate, block, count=grid.count)
 
 
 def synthesize_transmit(schedule: SweepSchedule, sample_rate: float) -> SampledSignal:
@@ -540,11 +563,8 @@ def synthesize_transmit(schedule: SweepSchedule, sample_rate: float) -> SampledS
     Within every cycle the waveform is cos(tx_phase at local time); the
     phase resets to ``phase0`` at each cycle start.
     """
-    _check_sample_rate(sample_rate, schedule.tx)
     grid = sample_grid(schedule, sample_rate)
-    (_, local), = grid.arrivals
-    block = np.cos(sweep_phase(schedule.tx, local))
-    return SampledSignal._fresh(sample_rate, block, start=grid.start, count=grid.count)
+    return _transmit(schedule, sample_rate, grid, grid.copies(schedule.tx))
 
 
 def synthesize_lo(schedule: SweepSchedule, sample_rate: float) -> SampledSignal:
@@ -553,10 +573,4 @@ def synthesize_lo(schedule: SweepSchedule, sample_rate: float) -> SampledSignal:
     Outside its window the output is exactly zero, so channel arithmetic can
     treat transmit and oscillator signals as equal-length streams.
     """
-    _check_sample_rate(sample_rate, schedule.lo)
-    grid = sample_grid(schedule, sample_rate)
-    (_, local), = grid.arrivals
-    active = local < schedule.lo.duration
-    block = np.zeros_like(local)
-    block[active] = np.cos(sweep_phase(schedule.lo, local[active]))
-    return SampledSignal._fresh(sample_rate, block, start=grid.start, count=grid.count)
+    return _oscillator(schedule, sample_rate, sample_grid(schedule, sample_rate))

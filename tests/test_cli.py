@@ -156,18 +156,14 @@ class TestCompare:
 
             monkeypatch.setattr(module, name, wrapper)
 
+        counting(waveform, "sample_grid")
         counting(waveform, "synthesize_transmit")
         counting(waveform, "synthesize_lo")
         counting(scene, "synthesize_received")
         counting(demod, "demodulate")
         counting(demod, "ctfm_demodulate")
         run_compare(lab.load_config(paper_config_path), tmp_path / "cmp")
-        assert calls == {
-            "synthesize_transmit": 1,
-            "synthesize_lo": 1,
-            "synthesize_received": 1,
-            "demodulate": 1,
-        }
+        assert calls == {"sample_grid": 1, "demodulate": 1}
 
     def test_each_output_directory_is_made_once(
         self, paper_config_path, tmp_path, monkeypatch
@@ -228,6 +224,7 @@ class TestMeasure:
     ledger and one ``Readout`` per mode asked for, the walk's own readouts."""
 
     PASS = (
+        (waveform, "sample_grid"),
         (waveform, "synthesize_transmit"),
         (waveform, "synthesize_lo"),
         (scene, "synthesize_received"),
@@ -360,15 +357,53 @@ class TestMeasure:
         state = cli.measure(config, modes)
         assert len(state.readouts) == readouts
         assert calls == {
-            "synthesize_transmit": 1,
-            "synthesize_lo": 1,
-            "synthesize_received": 1,
+            "sample_grid": 1,
+            "synthesize_transmit": 0,
+            "synthesize_lo": 0,
+            "synthesize_received": 0,
             "demodulate": 1,
             "rfft": 0,
             "dft_magnitude": 0,
             "band_magnitude": readouts,
             "mainlobe_width": readouts,
         }
+
+    # (delay in s, amplitude) of up to six echoes at fractional delays, in no
+    # order of delay; the first lies within lo.duration, as the ledger needs.
+    ECHOES = (
+        (0.0961234, 1.0),
+        (0.0123457, -0.5),
+        (0.1100003, 0.25),
+        (0.0481234, -0.6),
+        (0.1999999, 0.45),
+        (0.0732167, 0.8),
+    )
+
+    @pytest.mark.parametrize("echoes", [1, 3, 6])
+    @pytest.mark.parametrize("base", ["paper", "two-cycle-run"])
+    def test_the_pass_is_the_public_synthesizers(self, paper_config_path, base, echoes):
+        """The pass's tx, lo and rx, from one grid and one cosine pass, are
+        bit for bit, run included, what ``synthesize_*`` give on their own."""
+        config = lab.load_config(paper_config_path)
+        if base == "two-cycle-run":
+            config = two_cycle_run_config(paper_config_path)
+        values = {}
+        for n, (delay, amplitude) in enumerate(self.ECHOES[:echoes]):
+            values.update({f"echoes.{n}.delay": delay, f"echoes.{n}.amplitude": amplitude})
+        config = lab.derive(config, values)
+        state = cli.measure(config)
+        schedule, fs = config.schedule, config.sample_rate
+        expected = {
+            "tx": lab.synthesize_transmit(schedule, fs),
+            "lo": lab.synthesize_lo(schedule, fs),
+            "rx": lab.synthesize_received(schedule, config.scene, fs),
+        }
+        assert state.grid.firsts[0] == 0 and len(state.grid.firsts) == echoes + 1
+        for name, want in expected.items():
+            got = getattr(state, name)
+            assert (got._repeat, len(got)) == (want._repeat, len(want)), name
+            bits = got.samples.view(np.int64), want.samples.view(np.int64)
+            np.testing.assert_array_equal(*bits, err_msg=name)
 
     @pytest.mark.parametrize(
         "modes", [("sonar",), ("ddctfm", "record"), ("CTFM",)], ids=["name", "span-key", "case"]
@@ -701,8 +736,8 @@ class TestExportBytes:
     def test_frequency_tracks(self, compared):
         """Each track's frequencies are a ``waveform.Tiled`` run; the file is
         the per-row rendering of its rows' times and the tiled values."""
-        config, out, _ = compared
-        tracks = cli._frequency_tracks(config)
+        config, out, state = compared
+        tracks = cli._frequency_tracks(config, state.grid)
         # The lo track's rows are a subset of the shared time column's.
         times, rows, _ = tracks[1]
         assert 0 < len(times[rows]) < len(times)
@@ -774,7 +809,7 @@ class TestExportTwoCycleRun:
         rows = run_compare(config, tmp_path)
         state = cli.measure(config, cli.MODES)
         assert state.tx._repeat == (0, 2401) and state.receiver.sum._repeat[1] == 2401
-        tracks = cli._frequency_tracks(config)
+        tracks = cli._frequency_tracks(config, state.grid)
         assert all(f.block.size < f.count for _, _, f in tracks)
         assert tracks[0][2].block.size - tracks[0][2].start == 2401
         expected = {"compare.csv": compare_rendering(rows)}

@@ -384,6 +384,53 @@ class TestDerive:
         config = derive(paper, {"echoes.0.amplitude": 0, "echoes.1.delay": 0.06})
         assert config.echoes == (lab.Echo(0.096, 0.0), lab.Echo(0.06, 1.0))
 
+    @pytest.mark.parametrize(
+        "values, field",
+        [
+            ({"echoes.1.delay": 0.096, "echoes.1.amplitude": -1.0}, "echoes.1.amplitude"),
+            (
+                {
+                    "echoes.0.amplitude": 0.5,
+                    "echoes.1.delay": 0.096,
+                    "echoes.1.amplitude": 0.25,
+                    "echoes.2.delay": 0.096,
+                    "echoes.2.amplitude": -0.75,
+                },
+                "echoes.2.amplitude",
+            ),
+            (
+                {
+                    "echoes.1.delay": 0.06,
+                    "echoes.1.amplitude": 0.0,
+                    "echoes.2.delay": 0.096,
+                    "echoes.2.amplitude": -1.0,
+                },
+                "echoes.2.amplitude",
+            ),
+        ],
+        ids=["opposite-pair", "three-way", "cancel-beside-a-silent-echo"],
+    )
+    def test_echoes_that_cancel_at_every_delay_are_refused(self, paper, values, field):
+        """Amplitudes summing to exactly zero at each delay leave no signal:
+        the loader refuses them, as it refuses a single zero amplitude."""
+        with pytest.raises(lab.ConfigLoadError, match="sum to zero at every delay") as excinfo:
+            derive(paper, values)
+        assert excinfo.value.field == field
+
+    def test_echoes_that_cancel_at_one_delay_beside_another_load(self, paper):
+        values = {"echoes.1.delay": 0.096, "echoes.1.amplitude": -1.0, "echoes.2.delay": 0.06}
+        config = derive(paper, values)
+        assert [echo.amplitude for echo in config.echoes] == [1.0, -1.0, 1.0]
+
+    def test_amplitudes_are_summed_exactly(self, paper):
+        """0.1 + 0.2 - 0.3 is not zero in binary, exactly or rounded, and
+        1e16 + 1 - 1e16 rounds to zero but is 1: both leave a signal."""
+        for amplitudes in ((0.1, 0.2, -0.3), (1e16, 1.0, -1e16)):
+            values = {}
+            for n, amplitude in enumerate(amplitudes):
+                values.update({f"echoes.{n}.delay": 0.096, f"echoes.{n}.amplitude": amplitude})
+            assert [e.amplitude for e in derive(paper, values).echoes] == list(amplitudes)
+
     def test_a_new_echo_index_adds_an_echo(self, paper):
         config = derive(paper, {"echoes.1.delay": 0.06, "echoes.1.amplitude": 0.7})
         assert config.echoes == (lab.Echo(0.096, 1.0), lab.Echo(0.06, 0.7))

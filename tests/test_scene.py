@@ -294,10 +294,22 @@ class TestOnePassReceived:
         expected = per_echo_received(schedule, scene, fs)
         # Bit patterns, so that a -0.0 in place of a 0.0 would show.
         np.testing.assert_array_equal(rx.view(np.int64), expected.view(np.int64))
-        grid = waveform.sample_grid(schedule, fs, [d for d, _ in echoes])
-        for (first, local), (delay, _) in zip(grid.arrivals, echoes):
+        evaluated = []
+        local_times = waveform.local_times_on_grid
+
+        def counted(index, *args):
+            evaluated.append(np.size(index))
+            return local_times(index, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(waveform, "local_times_on_grid", counted)
+            grid = waveform.sample_grid(schedule, fs, [d for d, _ in echoes])
+        # Each row from its arrival to ``stop``, and no padding past it.
+        used = sum(grid.stop - first for first in grid.firsts)
+        assert sum(evaluated) == grid.local.size == used
+        for (first, local), (delay, _) in zip(grid.rows(grid.local), echoes):
             single = waveform.sample_grid(schedule, fs, (delay,))
-            (own_first, own), = single.arrivals
+            (own_first, own), = single.rows(single.local)
             assert first == own_first
             assert local.size == grid.stop - first
             # The multi-delay row runs to the latest arrival's run end, the
