@@ -51,8 +51,8 @@ class Readout:
     ``spec`` is the settled record's spectrum on the band plus the 3/T
     sidelobe span and one bin either side, the one ``spectrum.csv`` holds,
     and ``report`` its peak and sidelobes.  The report's -3 dB width
-    is read on the mode's observation window instead, a power-of-two
-    transform at least ``width_pad_factor`` times finer than its native grid.
+    is read on the mode's observation window instead, on a transform
+    ``width_pad_factor`` times finer than its native grid.
     """
 
     mode: str

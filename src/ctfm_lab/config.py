@@ -70,8 +70,8 @@ _DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 # Least zero-pad factor used when measuring mainlobe widths of short
 # observation windows, whose native grids are far too coarse for a -3 dB
-# readout; ``spectrum.mainlobe_width`` rounds the transform up to a power of
-# two and evaluates only the bins around the band.
+# readout; ``spectrum.mainlobe_width`` reads ``factor * N`` points and
+# evaluates only the bins around the band.
 WIDTH_PAD_FACTOR = 64
 
 _DERIVED_KEYS = {
@@ -247,13 +247,12 @@ def _build(values: dict) -> SimConfig:
     sample_rate = values["sample_rate"]
     for sweep in (schedule.tx, schedule.lo):
         _domain("sample_rate", lambda: _check_sample_rate(sample_rate, sweep))
-    lowpass = _domain(
-        "lowpass",
-        lambda: LowpassSpec(
-            cutoff=values["lowpass.cutoff"],
-            tap_count=values["lowpass.taps"],
-            sample_rate=sample_rate,
-        ),
+    taps = values["lowpass.taps"]
+    if taps < 3 or taps % 2 == 0:
+        raise ConfigLoadError(f"must be an odd integer >= 3, got {taps}", field="lowpass.taps")
+    lowpass = _domain(  # the taps are checked above, and the rate against the sweeps
+        "lowpass.cutoff",
+        lambda: LowpassSpec(values["lowpass.cutoff"], taps, sample_rate),
     )
     _domain("lowpass.cutoff", lambda: check_cutoff(schedule, lowpass))
     zero_pad_factor = values["spectrum.zero_pad_factor"]
@@ -294,9 +293,8 @@ def _build(values: dict) -> SimConfig:
                 field="lowpass.taps",
             ) from exc
         # The walk reads the record's spectrum and each window's -3 dB width.
-        width = name != "record"
-        factor = config.width_pad_factor if width else zero_pad_factor
-        _, size, freq = readout_grid(i1 - i0, sample_rate, factor, power_of_two=width)
+        factor = zero_pad_factor if name == "record" else config.width_pad_factor
+        _, size, freq = readout_grid(i1 - i0, sample_rate, factor)
         top = freq(size - 1)
         if band[1] > top:
             raise ConfigLoadError(

@@ -43,10 +43,9 @@ _PLANS = 16
 class Spectrum:
     """One-sided DFT magnitude on a uniform frequency grid.
 
-    ``zero_pad_factor`` is the transform length over the record length: an
-    integer for ``dft_magnitude``, ``points / N`` as a float for
-    ``band_magnitude`` and ``mainlobe_width``: ``band_magnitude``'s factor, or
-    any ratio >= 1 on a power-of-two grid.
+    ``zero_pad_factor`` is the transform length over the record length, the
+    integer factor of every spectrum the package builds: ``dft_magnitude``'s,
+    ``band_magnitude``'s and the zooms ``mainlobe_width`` reads.
     """
 
     bin_frequencies: np.ndarray
@@ -177,7 +176,7 @@ def band_magnitude(signal: SampledSignal, zero_pad_factor: int, band) -> Spectru
     points, size, freq = readout_grid(len(signal), signal.sample_rate, factor)
     run = band_bins(size, freq, band)
     bins = range(max(run.start - 1, 0), min(run.stop + 1, size))
-    return _zoom(signal, points, bins, points / len(signal))
+    return _zoom(signal, points, bins, factor)
 
 
 def band_bins(size: int, freq, band) -> range:
@@ -188,13 +187,11 @@ def band_bins(size: int, freq, band) -> range:
     return range(bisect_left(bins, band[0], key=freq), bisect_right(bins, band[1], key=freq))
 
 
-def readout_grid(samples: int, sample_rate: float, factor: int, power_of_two: bool = False):
+def readout_grid(samples: int, sample_rate: float, factor: int):
     """(points, size, freq) of a readout transform: ``factor`` times the record,
-    or for a width the least power of two at least that (see
-    ``mainlobe_width``); ``size`` one-sided bins, ``freq(k)`` their ``k * step``
-    Hz, computed on demand."""
+    ``size`` one-sided bins, ``freq(k)`` their ``k * step`` Hz, computed on
+    demand."""
     points = factor * samples
-    points = 1 << (points - 1).bit_length() if power_of_two else points
     step = 1.0 / (points * (1.0 / sample_rate))  # numpy's rounding of its rfft grid
     return points, points // 2 + 1, lambda k: k * step
 
@@ -383,31 +380,28 @@ def sidelobe_report(
 
 
 def mainlobe_width(
-    signal: SampledSignal, band: tuple[float, float], min_pad_factor: int
+    signal: SampledSignal, band: tuple[float, float], zero_pad_factor: int
 ) -> float:
     """-3 dB width of the strongest lobe inside ``band``, and nothing else.
 
-    The grid is that of the smallest power of two >= ``min_pad_factor`` times
-    the record (``factor * N`` itself can carry a large prime factor: 64 *
-    14015 = 2**6 * 5 * 2803).  ``_zoom`` evaluates only the band's bins and
-    one native bin either side; while a -3 dB crossing sits on a zoom edge
-    that is not the grid's, the zoom doubles, so the readout is the full
-    grid's.  The peak bin is picked as ``sidelobe_report`` picks it; no
-    sidelobe is cataloged.
+    The lobe is read on ``band_magnitude`` of ``band``: ``dft_magnitude``'s
+    grid, ``zero_pad_factor`` times the record.  While a -3 dB crossing sits
+    on a zoom edge that is not the grid's, the reach widens by its own span
+    each side, so the readout is the full grid's.  The peak bin is picked as ``sidelobe_report`` picks
+    it; no sidelobe is cataloged.
     """
-    factor = _check_padding("min_pad_factor", min_pad_factor)
-    points, size, freq = readout_grid(len(signal), signal.sample_rate, factor, True)
-    _check_band(band, freq(0), freq(size - 1))  # the grid's edges, not the zoom's
-    run, margin = band_bins(size, freq, band), points // len(signal) + 1
-    lo, hi = run.start - margin, run.stop + margin
+    factor = _check_padding("zero_pad_factor", zero_pad_factor)
+    _, size, freq = readout_grid(len(signal), signal.sample_rate, factor)
+    last = freq(size - 1)
+    _check_band(band, 0.0, last)  # the grid's edges, not the zoom's
+    low, high = band
     while True:
-        lo, hi = max(lo, 0), min(hi, size)
-        spec = _zoom(signal, points, range(lo, hi), points / len(signal))
+        spec = band_magnitude(signal, factor, (low, high))
         width, left, right = _mainlobe_extent(spec, _peak_bin(spec, find_peak(spec, band)))
         edges = spec.bin_frequencies[[0, -1]]
-        if not (left == edges[0] and lo > 0 or right == edges[1] and hi < size):
+        if not (left == edges[0] > 0.0 or right == edges[1] < last):
             return width
-        lo, hi = lo - (hi - lo), hi + (hi - lo)
+        low, high = low - (high - low), high + (high - low)
 
 
 @functools.lru_cache(maxsize=_PLANS)
@@ -443,7 +437,7 @@ def _bin_frequencies(points: int, sample_rate: float, start: int, stop: int) -> 
     return freqs
 
 
-def _zoom(signal: SampledSignal, points: int, bins: range, factor: float) -> Spectrum:
+def _zoom(signal: SampledSignal, points: int, bins: range, factor: int) -> Spectrum:
     """``signal``'s ``points``-point |DFT| on ``bins`` alone, as a ``Spectrum``
     of ``factor``, through the cached ``_zoom_plan``: one multiply, one FFT
     pair and one ``abs``."""

@@ -68,7 +68,8 @@ def sweep_rate(spec: ChirpSpec) -> float:
 
 def _local_time(spec: ChirpSpec, t_local) -> np.ndarray:
     t = np.asarray(t_local, dtype=float)
-    if np.any(t < 0.0) or np.any(t > spec.duration):
+    # NaN fails both comparisons; ``initial`` lets an empty array through.
+    if not (np.min(t, initial=0.0) >= 0.0 and np.max(t, initial=0.0) <= spec.duration):
         raise DomainError(
             f"local time must lie in [0, {spec.duration}], got {t_local!r}"
         )
@@ -182,9 +183,14 @@ def cycle_split(t, period: float):
 
     Samples that land exactly on a cycle boundary belong to the starting
     cycle.  Accepts scalars or ndarrays; local times are clipped to
-    [0, period] against floating-point fuzz at the boundaries.
+    [0, period] against floating-point fuzz at the boundaries.  Times must
+    be finite and ``period`` finite and positive.
     """
+    if not 0.0 < period < math.inf:
+        raise DomainError(f"period must be finite and positive, got {period!r}")
     t_arr = np.asarray(t, dtype=float)
+    if not np.isfinite(t_arr).all():
+        raise DomainError(f"times must be finite, got {t!r}")
     k = np.floor(t_arr / period)
     local = np.clip(t_arr - k * period, 0.0, period)
     if np.isscalar(t):
@@ -448,6 +454,8 @@ def _slice_indices(
 ) -> tuple[int, int]:
     """Indices [i0, i1) of the samples of a ``count``-sample record from
     ``t0`` with t_start <= t < t_stop; raises if there are none."""
+    _require_finite("t_start", t_start)
+    _require_finite("t_stop", t_stop)
     if t_stop <= t_start:
         raise DomainError(f"empty slice [{t_start}, {t_stop})")
     i0 = max(0, math.ceil((t_start - t0) * sample_rate - GRID_SLACK))

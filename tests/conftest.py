@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 import ctfm_lab as lab
+from ctfm_lab import spectrum, waveform
 from oracles import (
     CYCLES,
     F_END,
@@ -144,20 +145,36 @@ def short_window_config(tmp_path_factory):
     return build
 
 
+def last_readout_bin(config: lab.SimConfig) -> float:
+    """The lowest last bin of the readout grids ``config``'s walk reads: the
+    record's at ``zero_pad_factor``, each window's at ``width_pad_factor``."""
+    count, fs = waveform.sample_count(config.schedule, config.sample_rate), config.sample_rate
+    tops = []
+    for name, span in config.analysis_spans().items():
+        i0, i1 = waveform._slice_indices(count, fs, *span)
+        factor = config.zero_pad_factor if name == "record" else config.width_pad_factor
+        _, size, freq = spectrum.readout_grid(i1 - i0, fs, factor)
+        tops.append(freq(size - 1))
+    return min(tops)
+
+
 @pytest.fixture(scope="session")
 def band_high_config(tmp_path_factory):
-    """``paper.cfg`` with ``spectrum.band_high`` at Nyquist, 2000 Hz, and a
-    given pad factor: at 1 the record's odd 14,015-point transform has no
-    bin there, at 4 its 56,060 points do."""
+    """``paper.cfg`` with a given pad factor and ``spectrum.band_high`` at
+    Nyquist, 2000 Hz, or on ``last_readout_bin``.  At 1 the record's odd
+    14,015-point transform has no bin at Nyquist; at 4 its 56,060 points
+    do, but the ctfm window's 52,224-point width grid ends one ulp under it,
+    at 1999.9999999999998 Hz."""
     root = tmp_path_factory.mktemp("band-high")
     text = (CONFIG_DIR / "paper.cfg").read_text()
 
-    def build(factor: int) -> Path:
-        path = root / f"pad-{factor}.cfg"
-        path.write_text(
-            text.replace("spectrum.zero_pad_factor = 4", f"spectrum.zero_pad_factor = {factor}")
-            .replace("spectrum.band_high = 50", "spectrum.band_high = 2000")
+    def build(factor: int, on_last_bin: bool = False) -> Path:
+        path = root / f"pad-{factor}-{'last-bin' if on_last_bin else 'nyquist'}.cfg"
+        padded = text.replace(
+            "spectrum.zero_pad_factor = 4", f"spectrum.zero_pad_factor = {factor}"
         )
+        high = repr(last_readout_bin(lab.parse_config(padded))) if on_last_bin else "2000"
+        path.write_text(padded.replace("spectrum.band_high = 50", f"spectrum.band_high = {high}"))
         return path
 
     return build

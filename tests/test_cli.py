@@ -364,7 +364,7 @@ class TestMeasure:
             "demodulate": 1,
             "rfft": 0,
             "dft_magnitude": 0,
-            "band_magnitude": readouts,
+            "band_magnitude": 2 * readouts,  # the record's, and one width zoom
             "mainlobe_width": readouts,
         }
 
@@ -548,12 +548,12 @@ def assert_per_row_csv(path, header, first, second):
 
 
 class TestCompareReadouts:
-    """Tolerances fixed before tuning: each width within 2e-4 relative of a
-    64x ``dft_magnitude`` + ``sidelobe_report`` readout of the same window;
-    each peak and sidelobe within ``full_grid.READOUT_TOL`` of the full-grid
-    readout of the record."""
+    """Tolerances fixed before tuning: each width within 1e-9 relative of a
+    64x ``dft_magnitude`` + ``sidelobe_report`` readout of the same window,
+    the grid it is read on; each peak and sidelobe within
+    ``full_grid.READOUT_TOL`` of the full-grid readout of the record."""
 
-    WIDTH_RTOL = 2e-4
+    WIDTH_RTOL = 1e-9
 
     @pytest.fixture(scope="class")
     def compared(self, paper_config_path, tmp_path_factory):
@@ -616,6 +616,12 @@ class TestCompareReadouts:
         line = {row[0]: row for row in table}[mode]
         assert float(line[2]) == rows[mode].mainlobe_width_3db
 
+    def test_paper_phase_widths_are_the_64x_readouts(self, paper_phase_config_path):
+        config = lab.load_config(paper_phase_config_path)
+        for readout in cli.measure(config, cli.MODES).readouts:
+            width = self.reference(config, readout.mode)[1]
+            assert readout.mainlobe_width_3db == pytest.approx(width, rel=self.WIDTH_RTOL)
+
     @pytest.mark.parametrize("mode", cli.MODES)
     def test_peak_and_sidelobe_columns_are_the_main_readouts(self, compared, mode):
         _, rows, table, _, references = compared
@@ -631,26 +637,26 @@ class TestCompareReadouts:
     @staticmethod
     def assert_on_bins(grid, n, samples, sample_rate):
         """``grid`` is a run of the bins k * fs / n of an n-point transform
-        of ``samples`` samples."""
-        assert grid.zero_pad_factor == n / samples
+        of ``samples`` samples, an integer factor of them."""
+        assert type(grid.zero_pad_factor) is int and grid.zero_pad_factor * samples == n
         step = 1.0 / (n * (1.0 / sample_rate))
         first = round(grid.bin_frequencies[0] / step)
         bins = np.arange(first, first + grid.bin_frequencies.size)
         np.testing.assert_array_equal(grid.bin_frequencies, bins * step)
 
-    def test_width_transforms_are_powers_of_two_at_least_64x(self, compared):
-        """Each width is read on bins k * fs / n of a power-of-two transform
-        n in [64 N, 128 N) of its N-sample window; each main spectrum on the
-        bins k * fs / (4 N) of its N-sample record.  Both are zooms: a run
-        takes no rfft at all."""
+    def test_width_transforms_are_width_pad_factor_times_the_window(self, compared):
+        """Each width is read on bins k * fs / n of the n = 64 N point
+        transform of its N-sample window; each main spectrum on the bins
+        k * fs / (4 N) of its N-sample record.  Both are zooms: a run takes
+        no rfft at all."""
         config, rows, _, spies, references = compared
         windows = [references[mode][3] for mode in rows]
         assert [window for window, _ in spies["width"]] == windows
         for window, grids in spies["width"]:
             assert grids, window
             for grid in grids:
-                n = round(config.sample_rate / grid.bin_spacing)
-                assert n & (n - 1) == 0 and 64 * window <= n < 128 * window, (window, n)
+                n = config.width_pad_factor * window
+                assert round(config.sample_rate / grid.bin_spacing) == n == 64 * window
                 self.assert_on_bins(grid, n, window, config.sample_rate)
         for mode, row in rows.items():
             record = references[mode][2]
@@ -1197,20 +1203,21 @@ class TestOneWalk:
             assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, factor, code",
-        [(["simulate", "--mode", mode], 1, 2) for mode in cli.MODES]
-        + [(["compare"], 1, 2), (["compare"], 4, 0)],
-        ids=[f"simulate-{mode}" for mode in cli.MODES] + ["compare", "compare-loads"],
+        "command, factor, on_last_bin, code",
+        [(["simulate", "--mode", mode], 1, False, 2) for mode in cli.MODES]
+        + [(["compare"], 1, False, 2), (["compare"], 4, False, 2), (["compare"], 4, True, 0)],
+        ids=[f"simulate-{mode}" for mode in cli.MODES]
+        + ["compare", "compare-nyquist", "compare-loads"],
     )
     def test_band_past_the_last_bin_exits_2(
-        self, runner, band_high_config, tmp_path, command, factor, code
+        self, runner, band_high_config, tmp_path, command, factor, on_last_bin, code
     ):
         """At pad factor 1 every mode used to load and then exit 3 in
-        ``find_peak``; at 4 the band ends on the record's last bin."""
+        ``find_peak``; at 4 Nyquist lies past the ctfm window's last bin,
+        and a band that ends on it loads."""
+        config = band_high_config(factor, on_last_bin)
         out = tmp_path / "o"
-        result = runner.invoke(
-            main, [*command, "--config", str(band_high_config(factor)), "--out", str(out)]
-        )
+        result = runner.invoke(main, [*command, "--config", str(config), "--out", str(out)])
         assert result.exit_code == code, result.output
         if code:
             assert "configuration error: spectrum.band_high:" in result.output

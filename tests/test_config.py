@@ -1,11 +1,16 @@
 import dataclasses
 import importlib.util
+import math
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import ctfm_lab as lab
+from ctfm_lab import cli
+from ctfm_lab import config as config_module
 from ctfm_lab.config import derive, parse_config, serialize_config
 
 
@@ -366,8 +371,11 @@ class TestDerive:
             ("tx.f_end", float("nan"), "tx.f_end"),
             ("echoes.2.delay", 0.05, "echoes"),
             ("echoes.0.amplitude", 0, "echoes.0.amplitude"),
+            ("lowpass.taps", 4, "lowpass.taps"),
+            ("lowpass.cutoff", -1.0, "lowpass.cutoff"),
         ],
-        ids=["unknown", "derived", "underscore", "nan", "echo-gap", "silent"],
+        ids=["unknown", "derived", "underscore", "nan", "echo-gap", "silent", "even-taps",
+             "negative-cutoff"],
     )
     def test_refusal_is_the_loaders(self, paper, key, value, field):
         """Each refusal is the one the loader gives the edited file."""
@@ -486,6 +494,69 @@ class TestAnalysisWindowBound:
             assert pool(seed, tmp_path, tmp_path).configs
 
 
+@st.composite
+def derived_values(draw):
+    """Keys ``derive`` changes in ``paper.cfg``: a sweep of B over T with the
+    oscillator on its slope, cycles, rate, filter, pad factor, band, and 1-3
+    echoes, a pair of which may cancel exactly at one delay."""
+    bandwidth = draw(st.floats(50.0, 400.0))
+    period = draw(st.floats(0.1, 0.6))
+    lo_duration = period * draw(st.floats(0.02, 0.45))  # a cutoff exists below T / 2
+    f_end = 100.0 + bandwidth
+    low, high = bandwidth * lo_duration / period, bandwidth * (1.0 - lo_duration / period)
+    values = {
+        "tx.f_end": f_end,
+        "tx.duration": period,
+        "lo.duration": lo_duration,
+        "lo.f_end": f_end + bandwidth / period * lo_duration,
+        "cycles": draw(st.integers(2, 12)),
+        "sample_rate": draw(st.sampled_from(["4000", "4001", "4802", "8000"])),
+        "lowpass.cutoff": low + (high - low) * draw(st.floats(0.05, 0.95)),
+        "lowpass.taps": draw(st.integers(1, 256).map(lambda k: 2 * k + 1) | st.integers(3, 513)),
+        "spectrum.zero_pad_factor": draw(st.integers(1, 8)),
+    }
+    width = draw(st.floats(0.5, 150.0))
+    if draw(st.booleans()):  # a band ending at Nyquist
+        nyquist = float(values["sample_rate"]) / 2.0
+        band = (nyquist - width, nyquist)
+    else:
+        band = (draw(st.floats(0.0, 150.0)),)
+        band += (band[0] + width,)
+    values.update(zip(("spectrum.band_low", "spectrum.band_high"), band))
+    amplitudes = st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.5, 1e-3])
+    echoes = [(lo_duration * draw(st.floats(0.0, 1.1)), draw(amplitudes))]
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):  # cancels the echo before it exactly
+            echoes.append((echoes[-1][0], -echoes[-1][1]))
+        else:
+            echoes.append((period * draw(st.floats(0.0, 1.0)), draw(amplitudes)))
+    for n, (delay, amplitude) in enumerate(echoes):
+        values.update({f"echoes.{n}.delay": delay, f"echoes.{n}.amplitude": amplitude})
+    return values
+
+
+class TestLoadOrRefuse:
+    """A configuration that loads runs in every mode: each draw is refused
+    under a key of the key table or an echo key, or ``measure`` reads finite
+    peaks and widths on the grids the loader checked."""
+
+    @given(values=derived_values())
+    @settings(max_examples=150, deadline=None)
+    def test_a_derived_config_loads_and_runs_or_names_its_key(self, paper_config_path, values):
+        try:
+            config = derive(lab.load_config(paper_config_path), values)
+        except lab.ConfigLoadError as exc:
+            event(f"refused: {exc.field}")
+            assert exc.field in config_module._KEYS or config_module._ECHO_KEY.fullmatch(
+                exc.field or ""
+            ), exc
+            return
+        event("ran")
+        for readout in cli.measure(config, cli.MODES).readouts:
+            assert math.isfinite(readout.peak_frequency), readout.mode
+            assert math.isfinite(readout.mainlobe_width_3db), readout.mode
+
+
 class TestBandHighBound:
     """``find_peak`` refuses a band reaching past its grid's last bin, so
     the loader holds ``spectrum.band_high`` to every readout grid's."""
@@ -498,4 +569,14 @@ class TestBandHighBound:
         assert "record analysis window" in str(excinfo.value)
 
     def test_band_on_the_last_bin_loads(self, band_high_config):
-        assert lab.load_config(band_high_config(4)).band == (10.0, 2000.0)
+        config = lab.load_config(band_high_config(4, on_last_bin=True))
+        assert config.band == (10.0, 1999.9999999999998)
+
+    def test_nyquist_past_a_windows_last_bin_rejected(self, band_high_config):
+        """At pad factor 4 the record's grid reaches 2000 Hz, but the ctfm
+        window's 64 x 816-point width grid ends one ulp under it."""
+        with pytest.raises(lab.ConfigLoadError) as excinfo:
+            lab.load_config(band_high_config(4))
+        assert excinfo.value.field == "spectrum.band_high"
+        assert "last bin (1999.9999999999998 Hz)" in str(excinfo.value)
+        assert "ctfm analysis window's readout grid (816 samples)" in str(excinfo.value)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import pickle
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -61,6 +62,22 @@ class TestTxPhase:
     def test_rejects_times_outside_the_sweep(self, t):
         with pytest.raises(lab.DomainError):
             lab.tx_phase(reference_chirp(), t)
+
+    @pytest.mark.parametrize(
+        "read", [lab.tx_phase, lab.lo_phase, lab.instantaneous_frequency],
+        ids=["tx_phase", "lo_phase", "instantaneous_frequency"],
+    )
+    @pytest.mark.parametrize(
+        "t", [math.nan, np.array([0.1, math.nan, 0.2]), np.array([math.nan])],
+        ids=["scalar", "array", "all-nan"],
+    )
+    def test_rejects_nan_local_times(self, read, t):
+        """NaN lies in no interval; it used to come back as the phase."""
+        with pytest.raises(lab.DomainError, match="local time must lie in"):
+            read(reference_chirp(), t)
+
+    def test_an_empty_array_reads_as_empty(self):
+        assert lab.tx_phase(reference_chirp(), np.array([])).shape == (0,)
 
     def test_vectorized_evaluation(self):
         t = np.linspace(0.0, 0.3, 7)
@@ -207,6 +224,22 @@ class TestPhaseProperties:
         pairs = [lab.cycle_split(x, period) for x in t]
         assert k.tolist() == [cycle for cycle, _ in pairs]
         assert local.tolist() == [value for _, value in pairs]
+
+    @pytest.mark.parametrize(
+        "t", [math.nan, math.inf, -math.inf, np.array([1.0, math.nan]), np.array([0.0, math.inf])],
+        ids=["nan", "inf", "-inf", "array-nan", "array-inf"],
+    )
+    def test_cycle_split_rejects_non_finite_times(self, t):
+        with pytest.raises(lab.DomainError, match="times must be finite"):
+            lab.cycle_split(t, 0.3)
+
+    @pytest.mark.parametrize("period", [0.0, -0.3, math.nan, math.inf, -math.inf])
+    def test_cycle_split_rejects_the_period(self, period):
+        """Refused before any division: no RuntimeWarning escapes."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(lab.DomainError, match="period must be finite and positive"):
+                lab.cycle_split(np.array([0.0, 1.0]), period)
 
 
 def clamped_local_times(index, sample_rate, period, cycles):
@@ -514,3 +547,18 @@ class TestTimeSlice:
     def test_rejects_empty_slices(self, reference_tx):
         with pytest.raises(lab.DomainError):
             lab.time_slice(reference_tx, 0.2, 0.2)
+
+    @pytest.mark.parametrize(
+        "bounds, name",
+        [
+            ((math.nan, 1.0), "t_start"),
+            ((0.0, math.nan), "t_stop"),
+            ((0.0, math.inf), "t_stop"),
+            ((-math.inf, 1.0), "t_start"),
+            ((math.nan, math.inf), "t_start"),
+        ],
+    )
+    def test_rejects_non_finite_bounds(self, reference_tx, bounds, name):
+        """Once a ValueError or OverflowError from ``math.ceil``."""
+        with pytest.raises(lab.DomainError, match=f"{name} must be finite"):
+            lab.time_slice(reference_tx, *bounds)

@@ -15,7 +15,9 @@ period spans 1,200.5 samples, so every signal and track repeats over a
 two-cycle run of 2,401 samples; at a 96.1234 ms delay the ideal beat
 advances 480,617/60,000,000 cycles a sample, so it has no run shorter
 than the record.  It prints one ``path digest`` line per CSV file (186 in
-all) and one ``stdout:path digest`` line per command (12 in all).  Paths are relative to that directory, and each
+all), one ``stdout:path digest`` line per command (12 in all), and one
+``readout:case/mode peak width sidelobe`` line per row of each ``compare.csv``,
+each number in ``repr`` (12 in all), so a moved readout shows how far it moved.  Paths are relative to that directory, and each
 stdout has the directory replaced by ``<out>``.  The bundled configurations have whole-sample delays, so it
 also builds the cases of ``RECEIVER_CASES`` with the library, fractional
 delays on the 1,200-sample and the 1,200.5-sample grid, over 12 cycles and
@@ -134,6 +136,7 @@ def main_digests() -> None:
             f"{path.relative_to(out).as_posix()} {_digest(path.read_bytes())}"
             for path in out.rglob("*.csv")
         ]
+        lines += readout_lines(out)
     lines += receiver_digests()
     texts = {name: (ROOT / "configs" / name).read_text() for name in CONFIGS}
     texts["three-echoes"] = SERIALIZE_TEXT
@@ -142,6 +145,19 @@ def main_digests() -> None:
         for name, text in texts.items()
     ]
     print("\n".join(sorted(lines)))
+
+
+def readout_lines(out: Path) -> list[str]:
+    """One ``readout:case/mode peak width sidelobe`` line per row of each
+    ``compare.csv`` under ``out``, each number in ``repr`` (``-`` for no
+    sidelobe), so that a moved readout shows how far it moved."""
+    lines = []
+    for path in out.glob("*/compare/compare.csv"):
+        for row in path.read_text().splitlines()[1:]:
+            mode, *cells = row.split(",")
+            numbers = " ".join(repr(float(cell)) if cell else "-" for cell in cells)
+            lines.append(f"readout:{path.parent.parent.name}/{mode} {numbers}")
+    return lines
 
 
 def receiver_digests() -> list[str]:
