@@ -170,21 +170,21 @@ def _frequency_tracks(config: SimConfig, grid: waveform.SampleGrid):
     ``times``: the repeating transmit sweep on every row, the oscillator
     extension on its active rows, and the first echo on the rows from its
     arrival.  Each is read off the local times of ``grid``, the receiver
-    pass's (``Measurement.grid``), at which its signals are sampled;
-    ``freq_hz`` is ``waveform.Tiled`` over the grid's run, as they tile.
+    pass's (``Measurement.grid``), at which its signals are sampled.  Each
+    ``freq_hz`` is a ``waveform.Rows``: a block on the grid's first ``stop``
+    rows (zero where the track has none), read at the track's rows of the
+    grid's run tiled over the record.
     """
-    schedule, fs = config.schedule, config.sample_rate
+    schedule, f = config.schedule, waveform.instantaneous_frequency
     (_, local), (arrival, echo_local), *_ = grid.rows(grid.local)
     active = local < schedule.lo.duration
-    rows, t = waveform._tile(active, grid.start, grid.count), np.arange(grid.count) / fs
-    f, tiled = waveform.instantaneous_frequency, waveform.Tiled
-    lo_start, lo_count = np.count_nonzero(active[: grid.start]), np.count_nonzero(rows)
-    echo = tiled(f(schedule.tx, echo_local), grid.start - arrival, grid.count - arrival)
-    return (
-        (t, slice(None), tiled(f(schedule.tx, local), grid.start, grid.count)),
-        (t, rows, tiled(f(schedule.lo, local[active]), lo_start, lo_count)),
-        (t, slice(arrival, None), echo),
-    )
+    index = waveform._tile(np.arange(grid.stop), grid.start, grid.count)
+    lo = np.zeros(grid.stop)
+    lo[active] = f(schedule.lo, local[active])
+    echo = np.concatenate([np.zeros(arrival), f(schedule.tx, echo_local)])
+    t = np.arange(grid.count) / config.sample_rate
+    blocks = (f(schedule.tx, local), slice(None)), (lo, active[index]), (echo, slice(arrival, None))
+    return tuple((t, rows, waveform.Rows(block, index[rows])) for block, rows in blocks)
 
 
 def _layout(state: Measurement, readout: Readout, tracks, out_dir: Path):

@@ -3,8 +3,14 @@
 Format: one ``key = value`` pair per line, ``#`` starts a comment, keys use
 dots for grouping (``tx.f_start``, ``echoes.0.delay``).  The oscillator's
 start frequency and initial phase are always derived from the transmit
-sweep and cannot be set.  Every cross-field invariant is checked at load
-time and reported with the offending key path; the first echo's delay
+sweep and cannot be set.  Every check is made at load time, and a refusal
+names one key: a value outside its own range under that key (checked before
+the constructor that would refuse it), the oscillator window
+(``lo.duration`` <= ``tx.duration``) under ``lo.duration``, the slope rule
+under ``lo.f_end`` with the value that continues the slope, and a missing
+or skipped echo under the first missing ``echoes.K.delay``.  ``tx.phase0``
+must be below 2**23 rad in magnitude, where float64 still spaces phases by
+at most the 1e-9 rad continuity tolerance.  The first echo's delay
 must not exceed ``lo.duration``, so that the handoff ledger exists, the
 echo amplitudes at some delay must not sum to zero, so that the echoes do
 not cancel and the spectra have a peak, and
@@ -33,8 +39,8 @@ from .errors import ConfigLoadError, CtfmLabError
 from .phase_analysis import check_ledger_delay
 from .scene import Echo, Scene
 from .spectrum import band_bins, readout_grid
-from .waveform import ChirpSpec, SweepSchedule, make_schedule, sample_count
-from .waveform import _check_sample_rate, _slice_indices
+from .waveform import CONTINUITY_TOL, ChirpSpec, SweepSchedule, make_schedule, sample_count
+from .waveform import _check_sample_rate, _slice_indices, sweep_phase, sweep_rate
 
 # The key table.  Each global key maps to its default (None: required) and
 # to how a ``SimConfig`` gives its value back; the order is the canonical
@@ -181,23 +187,26 @@ def _domain(field: str, factory):
         raise ConfigLoadError(str(exc), field=field) from exc
 
 
-def _collect_echoes(values: dict) -> tuple[Echo, ...]:
-    indices = sorted(
-        {int(k.split(".")[1]) for k in values if k.startswith("echoes.")}
-    )
-    if not indices:
-        raise ConfigLoadError("at least one echo required", field="echoes")
-    if indices != list(range(len(indices))):
-        raise ConfigLoadError(
-            f"echo indices must be contiguous from 0, got {indices}", field="echoes"
-        )
+def _check(values: dict, key: str, ok: bool, rule: str) -> None:
+    """Refuse ``key``'s value, stating the ``rule`` it breaks, unless ``ok``."""
+    if not ok:
+        raise ConfigLoadError(f"must be {rule}, got {values[key]}", field=key)
+
+
+def _collect_echoes(values: dict, period: float) -> tuple[Echo, ...]:
+    indices = sorted({int(k.split(".")[1]) for k in values if k.startswith("echoes.")})
     echoes = []
-    for n in indices:
-        delay_key = f"echoes.{n}.delay"
-        if delay_key not in values:
-            raise ConfigLoadError("missing required key", field=delay_key)
-        amplitude = values.get(f"echoes.{n}.amplitude", 1.0)
-        echoes.append(_domain(f"echoes.{n}", lambda: Echo(values[delay_key], amplitude)))
+    for n in range(indices[-1] + 1 if indices else 1):
+        key = f"echoes.{n}.delay"
+        if key not in values:
+            gap = f" (at least one echo, indices contiguous from 0, got {indices})"
+            raise ConfigLoadError("missing required key" + ("" if n in indices else gap), field=key)
+        if not 0.0 <= values[key] < period:
+            raise ConfigLoadError(
+                f"echo delay must be < sweep duration ({period} s) and >= 0, got {values[key]} s",
+                field=key,
+            )
+        echoes.append(Echo(values[key], values.get(f"echoes.{n}.amplitude", 1.0)))
     amplitudes: dict[float, list[float]] = {}
     for echo in echoes:
         amplitudes.setdefault(echo.delay, []).append(echo.amplitude)
@@ -219,30 +228,36 @@ def _exact_sum(values: list[float]):
 
 
 def _build(values: dict) -> SimConfig:
-    tx = _domain(
-        "tx",
-        lambda: ChirpSpec(
-            f_start=values["tx.f_start"],
-            f_end=values["tx.f_end"],
-            duration=values["tx.duration"],
-            phase0=values["tx.phase0"],
-        ),
+    for key in ("tx.f_start", "tx.f_end"):
+        _check(values, key, values[key] >= 0.0, "nonnegative")
+    _check(values, "tx.duration", values["tx.duration"] > 0.0, "positive")
+    phase0 = values["tx.phase0"]
+    _check(
+        values,
+        "tx.phase0",
+        math.ulp(abs(phase0)) <= CONTINUITY_TOL,
+        f"below 2**23 rad in magnitude, so float64 holds it to {CONTINUITY_TOL} rad",
     )
-    echoes = _collect_echoes(values)
-    for n, echo in enumerate(echoes):
-        if echo.delay >= tx.duration:
-            raise ConfigLoadError(
-                f"echo delay must be < sweep duration ({tx.duration} s), "
-                f"got {echo.delay} s",
-                field=f"echoes.{n}.delay",
-            )
+    tx = ChirpSpec(values["tx.f_start"], values["tx.f_end"], values["tx.duration"], phase0)
+    end = sweep_phase(tx, tx.duration)  # the oscillator's start phase
+    _check(values, "tx.duration", math.isfinite(end), "short enough to end on a finite phase")
+    echoes = _collect_echoes(values, tx.duration)
     cycles = values["cycles"]
     if cycles < 2:
         raise ConfigLoadError("at least two sweep cycles are required", field="cycles")
-    schedule = _domain(
-        "lo",
-        lambda: make_schedule(tx, values["lo.f_end"], values["lo.duration"], cycles),
+    lo_f_end, lo_duration = values["lo.f_end"], values["lo.duration"]
+    _check(values, "lo.duration", lo_duration > 0.0, "positive")
+    _check(values, "lo.duration", lo_duration <= tx.duration, f"<= tx.duration ({tx.duration} s)")
+    _check(values, "lo.f_end", lo_f_end >= 0.0, "nonnegative")
+    rate = sweep_rate(tx)
+    _check(
+        values,
+        "lo.f_end",
+        abs((lo_f_end - tx.f_end) / lo_duration - rate) <= CONTINUITY_TOL * max(1.0, abs(rate)),
+        f"{tx.f_end + rate * lo_duration}, tx.f_end + rate * lo.duration, so that the "
+        f"oscillator continues the transmit slope ({rate} Hz/s)",
     )
+    schedule = make_schedule(tx, lo_f_end, lo_duration, cycles)
     _domain("echoes.0.delay", lambda: check_ledger_delay(schedule, echoes[0].delay))
     sample_rate = values["sample_rate"]
     for sweep in (schedule.tx, schedule.lo):
@@ -270,8 +285,8 @@ def _build(values: dict) -> SimConfig:
     scene = _domain("sound_speed", lambda: Scene(echoes=echoes, sound_speed=sound_speed))
     config = SimConfig(
         tx=tx,
-        lo_f_end=values["lo.f_end"],
-        lo_duration=values["lo.duration"],
+        lo_f_end=lo_f_end,
+        lo_duration=lo_duration,
         cycles=cycles,
         echoes=echoes,
         sample_rate=sample_rate,

@@ -54,10 +54,14 @@ class Spectrum:
     zero_pad_factor: float
 
     def __post_init__(self):
-        self._adopt(
-            np.array(self.bin_frequencies, dtype=float),
-            np.array(self.magnitudes, dtype=float),
-        )
+        """Copy the arrays; the grid must rise strictly through finite
+        frequencies over at least two bins, as every readout bisects it."""
+        freqs = np.array(self.bin_frequencies, dtype=float)
+        self._adopt(freqs, np.array(self.magnitudes, dtype=float))
+        if freqs.size < 2:
+            raise ShapeError(f"a spectrum needs at least two bins, got {freqs.size}")
+        if not (np.isfinite(freqs).all() and (np.diff(freqs) > 0.0).all()):
+            raise DomainError("bin frequencies must be finite and strictly rising")
 
     def _adopt(self, freqs: np.ndarray, mags: np.ndarray) -> None:
         duration, factor = self.record_duration, self.zero_pad_factor

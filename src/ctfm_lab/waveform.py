@@ -336,8 +336,8 @@ def _tile(block: np.ndarray, start: int, count: int) -> np.ndarray:
     """The ``count``-sample record whose first ``len(block)`` are ``block``.
 
     Later samples repeat ``block[start:]``, copied in doubling chunks, of
-    any dtype (the export tiles texts by it).  A block that already spans
-    the record is cut to it.
+    any dtype (samples, masks, and the positions a repeating column is
+    written at).  A block that already spans the record is cut to it.
     """
     if block.size >= count:
         return block[:count]
@@ -350,14 +350,6 @@ def _tile(block: np.ndarray, start: int, count: int) -> np.ndarray:
         record[filled : filled + chunk] = record[start : start + chunk]
         filled += chunk
     return record
-
-
-class Tiled(NamedTuple):
-    """The column ``_tile(block, start, count)``, written by tiling ``block``'s texts."""
-
-    block: np.ndarray
-    start: int
-    count: int
 
 
 class Rows(NamedTuple):
@@ -389,34 +381,32 @@ def _cells(column, sep: str, cache: dict) -> list[str]:
     """One column's texts, each followed by ``sep``."""
     if isinstance(column, SampledSignal):
         start, run = column._repeat
-        column = Tiled(column._head(start + run), start, column._count)
-    if isinstance(column, Tiled):
-        texts = np.array(_formatted(column.block, sep, cache), dtype=object)
-        return _tile(texts, column.start, column.count).tolist()
+        block = column._head(start + run)
+        column = Rows(block, _tile(np.arange(block.size), start, column._count))
     if isinstance(column, Rows):
         texts = np.array(_formatted(column.values, sep, cache), dtype=object)
         return texts[column.rows].tolist()
     if not isinstance(column, list):
         return _formatted(column, sep, cache)
-    if all(isinstance(cell, str) for cell in column):
-        return [cell + sep for cell in column]
-    texts = iter(_formatted([x for x in column if x is not None], sep, cache))
-    return [sep if x is None else next(texts) for x in column]
+    numbers = [x for x in column if not (x is None or isinstance(x, str))]
+    texts = iter(_formatted(numbers, sep, cache))
+    return [x + sep if isinstance(x, str) else sep if x is None else next(texts) for x in column]
 
 
 def csv_columns(header: str, *columns, cache: dict | None = None) -> str:
     """Columns of one length as CSV text: the one place artifact numbers
     become text.
 
-    A column is an array of numbers, a ``SampledSignal`` or a ``Tiled``
-    run, each formatted over its run alone, the ``Rows`` of an array, or a
-    list: of ``str``, written as it stands, or of numbers, with ``None`` as
-    an empty cell.  Every number is in round-trip ``.17g`` and
-    carries its separator, a comma or the line break, so each row is one
-    piece per column.  ``cache`` maps a separator and a column's exact
-    float64 bytes to its texts; texts that share a cache format a column
-    (or a ``Tiled`` block) they have in common once.  No column, or columns
-    of different lengths, raise ``ValueError``.
+    A column is an array of numbers; the ``Rows`` of an array, whose values
+    are formatted once and read at its rows; a ``SampledSignal``, written as
+    the ``Rows`` of its run, tiled over the record; or a list, written cell
+    by cell: a ``str`` as it stands, ``None`` as an empty cell, and its
+    numbers formatted in one pass.  Every number is in round-trip ``.17g``
+    and carries its separator, a comma or the line break, so each row is
+    one piece per column.  ``cache`` maps a separator and an array's exact
+    float64 bytes to its texts; texts that share a cache format an array
+    they have in common once.  No column, or columns of different lengths,
+    raise ``ValueError``.
     """
     if not columns:
         raise ValueError("csv_columns needs at least one column, got 0")

@@ -740,8 +740,9 @@ class TestExportBytes:
             assert error <= 1e-12 * peak, readout.mode
 
     def test_frequency_tracks(self, compared):
-        """Each track's frequencies are a ``waveform.Tiled`` run; the file is
-        the per-row rendering of its rows' times and the tiled values."""
+        """Each track's frequencies are the ``waveform.Rows`` of a block
+        shorter than the column; the file is the per-row rendering of its
+        rows' times and those rows' values."""
         config, out, state = compared
         tracks = cli._frequency_tracks(config, state.grid)
         # The lo track's rows are a subset of the shared time column's.
@@ -749,9 +750,9 @@ class TestExportBytes:
         assert 0 < len(times[rows]) < len(times)
         for mode in cli.MODES:
             for name, (times, rows, f) in zip(TRACKS, tracks):
-                assert isinstance(f, waveform.Tiled) and len(f.block) < f.count
+                assert isinstance(f, waveform.Rows) and len(f.values) < len(f.values[f.rows])
                 path = out / mode / f"freq_track_{name}.csv"
-                assert_per_row_csv(path, "time_s,freq_hz", times[rows], waveform._tile(*f))
+                assert_per_row_csv(path, "time_s,freq_hz", times[rows], f.values[f.rows])
 
     @pytest.mark.parametrize(
         "case",
@@ -816,8 +817,8 @@ class TestExportTwoCycleRun:
         state = cli.measure(config, cli.MODES)
         assert state.tx._repeat == (0, 2401) and state.receiver.sum._repeat[1] == 2401
         tracks = cli._frequency_tracks(config, state.grid)
-        assert all(f.block.size < f.count for _, _, f in tracks)
-        assert tracks[0][2].block.size - tracks[0][2].start == 2401
+        assert all(f.values.size < len(f.values[f.rows]) for _, _, f in tracks)
+        assert tracks[0][2].values.size == state.grid.start + 2401
         expected = {"compare.csv": compare_rendering(rows)}
         ledger = ledger_rendering(state.ledger)
         for readout in state.readouts:
@@ -833,7 +834,7 @@ class TestExportTwoCycleRun:
             expected[f"{mode}/phase_table.csv"] = ledger
             for name, (times, picked, f) in zip(TRACKS, tracks):
                 expected[f"{mode}/freq_track_{name}.csv"] = per_row_csv(
-                    "time_s,freq_hz", times[picked], waveform._tile(*f)
+                    "time_s,freq_hz", times[picked], f.values[f.rows]
                 )
         written = {
             path.relative_to(tmp_path).as_posix(): path.read_text()

@@ -174,8 +174,30 @@ class TestParseConfig:
 
     def test_slope_mismatch_reported_on_the_lo_field(self):
         text = MINIMAL.replace("lo.f_end = 240", "lo.f_end = 300")
-        with pytest.raises(lab.ConfigLoadError, match="lo: "):
+        with pytest.raises(lab.ConfigLoadError, match="lo.f_end: must be 240.0, ") as excinfo:
             parse_config(text)
+        assert excinfo.value.field == "lo.f_end"
+
+    def test_no_echo_is_a_missing_first_delay(self):
+        with pytest.raises(lab.ConfigLoadError, match="missing required key") as excinfo:
+            parse_config(MINIMAL.replace("echoes.0.delay = 0.096", ""))
+        assert excinfo.value.field == "echoes.0.delay"
+
+    @pytest.mark.parametrize(
+        "phase0, loads",
+        [(8388607, True), (-8388607.999999999, True), (8388608, False), (-8388608, False),
+         (1e17, False)],
+    )
+    def test_phase0_is_held_to_the_continuity_tolerance(self, phase0, loads):
+        """At |phase0| >= 2**23 rad float64 spaces the phase by more than the
+        1e-9 rad continuity tolerance, so the sweeps lose their phase."""
+        text = MINIMAL + f"tx.phase0 = {phase0!r}\n"
+        if loads:
+            assert parse_config(text).tx.phase0 == phase0
+            return
+        with pytest.raises(lab.ConfigLoadError, match="below 2\\*\\*23 rad") as excinfo:
+            parse_config(text)
+        assert excinfo.value.field == "tx.phase0"
 
     def test_infeasible_cutoff_rejected_at_load(self):
         with pytest.raises(lab.ConfigLoadError, match="feasible"):
@@ -328,6 +350,22 @@ class TestRoundTrip:
         assert parse_config(text) == config
 
 
+# (key, value, the key the loader names): single values of ``paper.cfg``
+# outside the range of their sweep or echo, each refused under a key.
+OUT_OF_RANGE = [
+    ("tx.duration", 0, "tx.duration"),
+    ("tx.f_start", -1, "tx.f_start"),
+    ("tx.f_end", -1, "tx.f_end"),
+    ("tx.phase0", 1e17, "tx.phase0"),
+    ("tx.duration", 1e308, "tx.duration"),  # the sweep's end phase overflows
+    ("lo.duration", 0, "lo.duration"),
+    ("lo.duration", 0.5, "lo.duration"),
+    ("lo.f_end", -5, "lo.f_end"),
+    ("tx.f_end", 300, "lo.f_end"),
+    ("echoes.0.delay", -0.01, "echoes.0.delay"),
+]
+
+
 class TestDerive:
     """``derive`` edits the canonical text and loads it, so a derived
     configuration is the one its file edit would load, and a refusal is the
@@ -369,13 +407,14 @@ class TestDerive:
             ("lo.f_start", 100.0, "lo.f_start"),
             ("cycles", "1_2", "cycles"),
             ("tx.f_end", float("nan"), "tx.f_end"),
-            ("echoes.2.delay", 0.05, "echoes"),
+            ("echoes.2.delay", 0.05, "echoes.1.delay"),
             ("echoes.0.amplitude", 0, "echoes.0.amplitude"),
             ("lowpass.taps", 4, "lowpass.taps"),
             ("lowpass.cutoff", -1.0, "lowpass.cutoff"),
+            *OUT_OF_RANGE,
         ],
         ids=["unknown", "derived", "underscore", "nan", "echo-gap", "silent", "even-taps",
-             "negative-cutoff"],
+             "negative-cutoff", *(f"{key}={value}" for key, value, _ in OUT_OF_RANGE)],
     )
     def test_refusal_is_the_loaders(self, paper, key, value, field):
         """Each refusal is the one the loader gives the edited file."""
@@ -498,7 +537,8 @@ class TestAnalysisWindowBound:
 def derived_values(draw):
     """Keys ``derive`` changes in ``paper.cfg``: a sweep of B over T with the
     oscillator on its slope, cycles, rate, filter, pad factor, band, and 1-3
-    echoes, a pair of which may cancel exactly at one delay."""
+    echoes, a pair of which may cancel exactly at one delay; one draw in ten
+    sets a value of ``OUT_OF_RANGE`` or leaves a gap in the echo indices."""
     bandwidth = draw(st.floats(50.0, 400.0))
     period = draw(st.floats(0.1, 0.6))
     lo_duration = period * draw(st.floats(0.02, 0.45))  # a cutoff exists below T / 2
@@ -532,6 +572,9 @@ def derived_values(draw):
             echoes.append((period * draw(st.floats(0.0, 1.0)), draw(amplitudes)))
     for n, (delay, amplitude) in enumerate(echoes):
         values.update({f"echoes.{n}.delay": delay, f"echoes.{n}.amplitude": amplitude})
+    if draw(st.integers(0, 9)) == 0:  # one value out of its range, or an echo gap
+        key, value, _ = draw(st.sampled_from([*OUT_OF_RANGE, ("echoes.4.delay", 0.05, None)]))
+        values[key] = value
     return values
 
 

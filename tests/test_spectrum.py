@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import ctfm_lab as lab
 from ctfm_lab import spectrum as spectrum_module
-from ctfm_lab.waveform import Tiled, _tile, csv_columns
+from ctfm_lab.waveform import Rows, _tile, csv_columns
 from full_grid import assert_same_readout, full_rfft
 from oracles import SAMPLE_RATE
 
@@ -348,6 +348,27 @@ class TestSpectrumFields:
                 lab.Spectrum(np.arange(21.0), mags, **fields)
             else:
                 lab.Spectrum._fresh(np.arange(21.0), mags, *fields.values())
+
+    @pytest.mark.parametrize(
+        "freqs, error, match",
+        [
+            ([0.0], lab.ShapeError, "at least two bins, got 1"),
+            ([], lab.ShapeError, "at least two bins, got 0"),
+            ([0.0, math.nan, 2.0], lab.DomainError, "finite and strictly rising"),
+            ([0.0, 1.0, math.inf], lab.DomainError, "finite and strictly rising"),
+            ([3.0, 2.0, 1.0, 0.0], lab.DomainError, "finite and strictly rising"),
+            ([0.0, 1.0, 1.0, 2.0], lab.DomainError, "finite and strictly rising"),
+        ],
+        ids=["one-bin", "no-bin", "nan", "inf", "falling", "repeated"],
+    )
+    def test_a_grid_it_cannot_be_read_on_is_refused(self, freqs, error, match):
+        """Every readout bisects the grid, so the constructor takes only a
+        finite grid of two or more strictly rising bins."""
+        with pytest.raises(error, match=match):
+            lab.Spectrum(freqs, np.ones(len(freqs)), 1.0, 4)
+
+    def test_a_rising_grid_of_two_bins_is_kept(self):
+        assert lab.Spectrum([0.0, 0.5], [1.0, 2.0], 1.0, 4).bin_spacing == 0.5
 
 
 class TestSidelobeReport:
@@ -958,6 +979,19 @@ class TestSerialization:
         one = "h\n" + "".join(f"{x:.17g}\n" for x in first)
         assert csv_columns("h", first) == one
 
+    def test_a_list_mixing_text_numbers_and_none_is_written_cell_by_cell(self):
+        """Each cell of a list column on its own: text as it stands, ``None``
+        empty, a number in ``.17g``, however the three kinds mix."""
+        mixed = ["x", None, 0.1, "", -0.0, None, np.nan, "1e3", 5e-324]
+        numbers = [None, 2.0, "y", 1e300, None, "z", -np.inf, 3, "w"]
+        expected = "a,b\n" + "".join(
+            ",".join("" if x is None else x if isinstance(x, str) else f"{x:.17g}" for x in row)
+            + "\n"
+            for row in zip(mixed, numbers)
+        )
+        assert csv_columns("a,b", mixed, numbers) == expected
+        assert csv_columns("a,b", ["x", None], [1.0, None]) == "a,b\nx,1\n,\n"
+
     def test_no_rows(self):
         assert csv_columns("h1,h2", [], np.array([])) == "h1,h2\n"
 
@@ -973,6 +1007,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"columns of different lengths: {lengths} rows"):
             csv_columns("h1,h2,h3", *columns)
 
+    # A repeating column: ``_tile(block, start, count)`` written from the texts
+    # of ``block``, as a lazy signal or as the ``Rows`` of its tiled positions.
+    REPEATING = {
+        "signal": lambda block, start, count: lab.SampledSignal._fresh(
+            4000.0, block, 0.0, start, count
+        ),
+        "rows": lambda block, start, count: Rows(
+            block, _tile(np.arange(block.size), start, count)
+        ),
+    }
+
+    @pytest.mark.parametrize("form", sorted(REPEATING))
     @given(
         bits=st.lists(float_bits, min_size=1, max_size=40),
         split=st.integers(min_value=0, max_value=39),
@@ -984,13 +1030,13 @@ class TestSerialization:
     @example(bits=SPECIAL_BITS[4:9], split=4, count=57)  # a run of one value
     @example(bits=SPECIAL_BITS, split=0, count=200)  # the whole block repeats
     @settings(max_examples=200, deadline=None)
-    def test_a_tiled_column_is_its_tile_formatted_per_row(self, bits, split, count):
-        """A ``Tiled(block, start, count)`` column, first or last, reads as
-        per-row ``.17g`` of ``_tile(block, start, count)``: -0.0, NaN, +-inf
-        and subnormals included."""
-        block = np.array(bits, dtype=np.int64).view(np.float64)
-        column = Tiled(block, split % block.size, count)
-        values = _tile(block, column.start, count)
+    def test_a_repeating_column_is_its_tile_formatted_per_row(self, form, bits, split, count):
+        """A repeating column, first or last, reads as per-row ``.17g`` of
+        ``_tile(block, start, count)``: -0.0, NaN, +-inf and subnormals
+        included."""
+        block, start = np.array(bits, dtype=np.int64).view(np.float64), split % len(bits)
+        column = self.REPEATING[form](block, start, count)
+        values = _tile(block, start, count)
         expected = "h1,h2\n" + "".join(f"{x:.17g},{x:.17g}\n" for x in values)
         assert csv_columns("h1,h2", column, column) == expected
         assert csv_columns("h1,h2", column, values) == expected
@@ -1009,10 +1055,11 @@ class TestSerialization:
         assert ("samples" in vars(signal)) == (block.size >= count)
         assert text == csv_columns("h", signal.samples)
 
+    @pytest.mark.parametrize("form", sorted(REPEATING))
     @pytest.mark.parametrize("start", [3, 4, -1])
-    def test_a_tiled_column_with_no_run_raises(self, start):
+    def test_a_repeating_column_with_no_run_raises(self, form, start):
         with pytest.raises(ValueError, match=f"run must start inside the block: start {start}"):
-            csv_columns("h", Tiled(np.ones(3), start, 5))
+            csv_columns("h", self.REPEATING[form](np.ones(3), start, 5))
 
     def test_repeated_values_keep_their_per_row_text(self):
         """Repeats come back in row order, and -0.0 stays apart from 0.0."""

@@ -4,9 +4,10 @@ A code line holds at least one token of code.  Blank lines, comments and
 docstrings (of the module, a class or a function) are not code lines; a
 token that spans several lines, such as a multi-line string, counts each.
 
-Run from the repository root: ``python3 tools/src_lines.py [directory]``
-(default ``src/ctfm_lab``).  Prints one ``module physical code`` row per
-module and a ``total`` row.
+Run from anywhere in a checkout: ``python3 tools/src_lines.py [directory]``
+(default: the checkout's ``src/ctfm_lab``).  Prints one ``module physical
+code`` row per module and a ``total`` row; exits non-zero, printing nothing,
+when the directory holds no module.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import io
 import sys
 import tokenize
 from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ctfm_lab"
 
 _NOT_CODE = {
     tokenize.COMMENT,
@@ -50,9 +53,12 @@ def count(text: str) -> tuple[int, int]:
     return len(text.splitlines()), len(code - docstrings)
 
 
-def main(directory: str = "src/ctfm_lab") -> None:
+def main(directory: str = str(PACKAGE)) -> None:
+    paths = sorted(Path(directory).glob("*.py"))
+    if not paths:
+        sys.exit(f"no module in {directory}")
     totals = [0, 0]
-    for path in sorted(Path(directory).glob("*.py")):
+    for path in paths:
         physical, code = count(path.read_text())
         totals[0] += physical
         totals[1] += code
