@@ -296,6 +296,12 @@ def _build(values: dict) -> SimConfig:
         sound_speed=sound_speed,
     )
     vars(config).update(schedule=schedule, scene=scene)  # read by the cached properties
+    _check(
+        values,
+        "tx.duration",
+        math.isfinite(schedule.total_duration * sample_rate),
+        "short enough that the record's sample count is finite",
+    )
     count = sample_count(schedule, sample_rate)
     for name, span in config.analysis_spans().items():
         try:

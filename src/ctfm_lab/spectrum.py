@@ -28,15 +28,22 @@ _VERTEX_MARGIN_DB = 4.0
 # FFTs of about twice the points.  It picks by a cost estimate, so at about
 # 48k points a largest prime factor up to 353 is factored (1.4-3.3 ms), from
 # 379 to 499 some lengths take Bluestein, and past 500 all do (9-15 ms).
-# ``dft_magnitude`` zooms a grid with a factor past this limit itself, with a
-# cached plan and FFTs of the least power of two >= N + points / 2 (3-5.7 ms
-# at 48k points).
+# A whole ``dft_magnitude`` grid with a factor past this limit is zoomed
+# here, with a cached plan and FFTs of the least power of two >= N + points / 2
+# (3-5.7 ms at 48k points).
 _DIRECT_PRIME_LIMIT = 401
 # Chirp-z plans, and bin-frequency grids, kept, least recently used dropped
 # first: a sweep reads many records of a few lengths, and a ``compare``
-# builds four to six plans.  A plan holds 16 * (N + FFT length) + 8 * bins
-# bytes, at most about 128 per record sample for a full grid at factor 4.
+# builds four to six plans.  A plan holds 16 * (N + FFT length) bytes and its
+# grid 8 * bins, at most about 128 per record sample for a full grid at factor 4.
 _PLANS = 16
+# ``Spectrum._head`` zooms on a 7-smooth FFT length F, which numpy's pocketfft
+# runs on its fastest passes.  Its two complex F-point FFTs take about as long
+# as one rfft of 3.3F points on a 7-smooth length, the fastest full route, so
+# a head is read when 4F <= the transform length.  A length with a prime
+# factor past 7 leaves those passes, and a head of 3F <= it is faster still
+# (``BENCH_lazy_spectrum.json`` ``head_rule``).
+_SMOOTH_PRIME = 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,6 +53,13 @@ class Spectrum:
     ``zero_pad_factor`` is the transform length over the record length, the
     integer factor of every spectrum the package builds: ``dft_magnitude``'s,
     ``band_magnitude``'s and the zooms ``mainlobe_width`` reads.
+
+    ``dft_magnitude``'s spectrum keeps its record and transform length
+    (``_source``): its ``magnitudes`` are transformed on their first read,
+    once, and ``find_peak`` and ``sidelobe_report`` read its ``_head``, a
+    zoom of the low bins alone, until then.  Until that read it keeps its
+    record, and any block the record is a view of, alive; the read drops
+    the record and the head.
     """
 
     bin_frequencies: np.ndarray
@@ -63,21 +77,42 @@ class Spectrum:
         if not (np.isfinite(freqs).all() and (np.diff(freqs) > 0.0).all()):
             raise DomainError("bin frequencies must be finite and strictly rising")
 
-    def _adopt(self, freqs: np.ndarray, mags: np.ndarray) -> None:
+    def _adopt(self, freqs: np.ndarray, mags: np.ndarray | None) -> None:
+        """Take the arrays read-only; ``mags`` None leaves them to
+        ``__getattr__``."""
         duration, factor = self.record_duration, self.zero_pad_factor
         if not 0.0 < duration < math.inf:
             raise DomainError(f"record_duration must be finite and positive, got {duration}")
         if not 1.0 <= factor < math.inf:
             raise DomainError(f"zero_pad_factor must be finite and >= 1, got {factor}")
-        if freqs.shape != mags.shape or freqs.ndim != 1:
+        shape = freqs.shape if mags is None else mags.shape
+        if freqs.shape != shape or freqs.ndim != 1:
             raise ShapeError(
-                f"frequency grid {freqs.shape} and magnitudes {mags.shape} must be "
+                f"frequency grid {freqs.shape} and magnitudes {shape} must be "
                 "1-d and equal-length"
             )
         freqs.setflags(write=False)
-        mags.setflags(write=False)
         object.__setattr__(self, "bin_frequencies", freqs)
+        if mags is not None:
+            mags.setflags(write=False)
+            object.__setattr__(self, "magnitudes", mags)
+
+    def __getattr__(self, name: str):
+        """Transform ``magnitudes`` on their first read; only a lazy spectrum
+        lacks them.  The route is ``dft_magnitude``'s."""
+        if name != "magnitudes" or "_source" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        signal, points = self._source
+        if _has_prime_factor_above(points, _DIRECT_PRIME_LIMIT):
+            bins = range(self.bin_frequencies.size)
+            mags = _zoom(signal, points, bins, self.zero_pad_factor).magnitudes
+        else:
+            mags = np.abs(np.fft.rfft(signal.samples, points))
+            mags.setflags(write=False)
         object.__setattr__(self, "magnitudes", mags)
+        del self.__dict__["_source"]
+        self.__dict__.pop("_kept", None)
+        return mags
 
     @classmethod
     def _fresh(cls, freqs, mags, record_duration: float, zero_pad_factor: float):
@@ -89,6 +124,33 @@ class Spectrum:
         object.__setattr__(spec, "zero_pad_factor", zero_pad_factor)
         spec._adopt(freqs, mags)
         return spec
+
+    def _head(self, stop: int) -> Spectrum:
+        """A spectrum of at least the grid's first ``stop`` bins (all, if
+        fewer), read as the grid reads them.
+
+        A spectrum with its ``magnitudes`` is its own head.  A lazy one zooms
+        bins [0, M), M every bin the least 7-smooth FFT F >= N + ``stop`` - 1
+        holds, on a view of its grid, and keeps that head for the next read.
+        When 4F, or 3F on a length with a prime factor past 7, exceeds the
+        transform length, the full transform is cheaper: it is its own head,
+        and a read of it transforms its ``magnitudes``.
+        """
+        if "magnitudes" in self.__dict__:
+            return self
+        kept = self.__dict__.get("_kept")
+        if kept is not None and kept.bin_frequencies.size >= stop:
+            return kept
+        signal, points = self._source
+        n = len(signal)
+        fft = _smooth_length(n + stop - 1)
+        if (3 if _has_prime_factor_above(points, _SMOOTH_PRIME) else 4) * fft > points:
+            return self
+        bins = range(fft - n + 1)
+        freqs = self.bin_frequencies[: bins.stop]
+        head = _zoom(signal, points, bins, self.zero_pad_factor, freqs, fft)
+        object.__setattr__(self, "_kept", head)
+        return head
 
     @property
     def bin_spacing(self) -> float:
@@ -129,18 +191,19 @@ def dft_magnitude(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
     """Rectangular-window DFT magnitude, zero padded, on [0, Nyquist].
 
     The grid is ``readout_grid``'s, built once per transform length and
-    rate and shared read-only.  A transform length with a prime factor
-    past ``_DIRECT_PRIME_LIMIT`` is zoomed on all its bins by ``_zoom``,
-    whose magnitudes differ from the rfft's by FFT rounding only; any other
-    is one ``np.fft.rfft``.
+    rate and shared read-only.  No transform runs here: the magnitudes are
+    transformed on their first read, and ``find_peak`` and
+    ``sidelobe_report`` read only the low bins they need (``Spectrum._head``).
+    A transform length with a prime factor past ``_DIRECT_PRIME_LIMIT`` is
+    zoomed on all its bins by ``_zoom``, whose magnitudes differ from the
+    rfft's by FFT rounding only; any other is one ``np.fft.rfft``.
     """
     factor = _check_padding("zero_pad_factor", zero_pad_factor)
     points, size, _ = readout_grid(len(signal), signal.sample_rate, factor)
-    if _has_prime_factor_above(points, _DIRECT_PRIME_LIMIT):
-        return _zoom(signal, points, range(size), factor)
     freqs = _bin_frequencies(points, signal.sample_rate, 0, size)
-    mags = np.abs(np.fft.rfft(signal.samples, points))
-    return Spectrum._fresh(freqs, mags, signal.duration, factor)
+    spec = Spectrum._fresh(freqs, None, signal.duration, factor)
+    object.__setattr__(spec, "_source", (signal, points))
+    return spec
 
 
 def _has_prime_factor_above(points: int, limit: int) -> bool:
@@ -248,15 +311,16 @@ def find_peak(spec: Spectrum, band: tuple[float, float]) -> PeakEstimate:
     selected = band_bins(freqs.size, freqs.__getitem__, band)
     if len(selected) < 3:
         raise DomainError(f"band {band} covers only {len(selected)} bins; need >= 3")
-    sub = spec.magnitudes[selected.start : selected.stop]
+    head = spec._head(selected.stop + 1)
+    sub = head.magnitudes[selected.start : selected.stop]
     if not np.any(sub > 0.0):
         raise NoPeakError(f"no spectral energy inside band {band}")
     # np.argmax returns the first maximum: the lower-frequency bin on ties.
     # A maximum on a band edge is read at that bin, as the grid's ends are.
     first = int(np.argmax(sub))
     if first in (0, len(sub) - 1):
-        return PeakEstimate(float(spec.bin_frequencies[selected[first]]), float(sub[first]))
-    return _interpolate_bin(spec, selected[first])
+        return PeakEstimate(float(freqs[selected[first]]), float(sub[first]))
+    return _interpolate_bin(head, selected[first])
 
 
 def _check_band(band: tuple[float, float], first=-math.inf, last=math.inf) -> None:
@@ -330,13 +394,15 @@ def sidelobe_report(
       0.125 * (x - y)**2 / (x + y) <= 0.125 * max(x, y) <= 3.75 dB.
 
     The fit reads magnitudes raised to ``_LOG_FLOOR``, so the mask does too.
+    Bins are read on ``spec._head`` to one past the span, or on the whole
+    grid when the mainlobe walk reaches the head's last bin short of the
+    grid's end.
     """
     if not search_span > 0.0:
         raise DomainError(f"search_span must be positive, got {search_span}")
     if not math.isfinite(floor_db):
         raise DomainError(f"floor_db must be finite, got {floor_db}")
     freqs = spec.bin_frequencies
-    mags = spec.magnitudes
     for field in ("frequency", "magnitude"):
         value = getattr(peak, field)
         if not math.isfinite(value):
@@ -348,16 +414,21 @@ def sidelobe_report(
         )
     if peak.magnitude <= 0.0:
         raise NoPeakError("peak magnitude must be positive")
-    width, lobe_left, lobe_right = _mainlobe_extent(spec, _peak_bin(spec, peak))
+    low = max(peak.frequency - search_span, float(freqs[0]))
+    high = min(peak.frequency + search_span, float(freqs[-1]))
+    span = band_bins(freqs.size, freqs.__getitem__, (low, high))
+    head = spec._head(span.stop + 1)
+    width, lobe_left, lobe_right = _mainlobe_extent(head, _peak_bin(head, peak))
+    if lobe_right == head.bin_frequencies[-1] < freqs[-1]:  # the lobe runs past the head
+        head = spec
+        width, lobe_left, lobe_right = _mainlobe_extent(spec, _peak_bin(spec, peak))
+    mags = head.magnitudes
 
     floor_ratio = 10.0 ** (floor_db / 20.0)
     window_guard = 1.0 / (math.pi * floor_ratio * spec.record_duration)
     exclude_left = min(lobe_left, peak.frequency - window_guard)
     exclude_right = max(lobe_right, peak.frequency + window_guard)
 
-    low = max(peak.frequency - search_span, float(freqs[0]))
-    high = min(peak.frequency + search_span, float(freqs[-1]))
-    span = band_bins(freqs.size, freqs.__getitem__, (low, high))
     lo = max(span.start, 1)
     hi = max(min(span.stop, freqs.size - 1), lo)
     f, m = freqs[lo:hi], mags[lo:hi]
@@ -371,7 +442,7 @@ def sidelobe_report(
     sidelobes = []
     for i in (lo + np.flatnonzero(candidates)).tolist():
         # i is a strict local maximum, so its refined magnitude is positive.
-        estimate = _interpolate_bin(spec, i)
+        estimate = _interpolate_bin(head, i)
         ratio_db = 20.0 * math.log10(estimate.magnitude / peak.magnitude)
         if ratio_db >= floor_db:
             sidelobes.append(Sidelobe(estimate.frequency, min(ratio_db, 0.0)))
@@ -409,26 +480,25 @@ def mainlobe_width(
 
 
 @functools.lru_cache(maxsize=_PLANS)
-def _zoom_plan(n: int, points: int, start: int, stop: int, sample_rate: float):
-    """(weights, kernel, freqs) that ``_zoom`` zooms any ``n``-sample
-    record with, read-only and shared: |DFT| of ``points`` points on bins
+def _zoom_plan(n: int, points: int, start: int, stop: int, fft: int):
+    """(weights, kernel) that ``_zoom`` zooms any ``n``-sample record with,
+    read-only and shared: |DFT| of ``points`` points on bins
     ``start`` to ``stop`` - 1 alone, by one Bluestein chirp-z pass (Rabiner,
-    Schafer & Rader, 1969) with FFTs of the least power of two >= N + M - 1.
+    Schafer & Rader, 1969) with FFTs of ``fft`` >= N + M - 1 points.
     With L = ``points`` and k = k0 + m, X[k] is e^(-iπm²/L) · sum_n x[n]
     e^(-iπ(n² + 2·k0·n)/L) · e^(iπ(m - n)²/L); the leading chirp has unit
     modulus and is skipped.  Each phase is reduced mod 2L in int64 before it
-    is scaled, so it is exact at any k0 for L < 2**31.  The bin frequencies
-    are ``readout_grid``'s for a ``points``-point transform.
+    is scaled, so it is exact at any k0 for L < 2**31.
     """
     m, k0 = stop - start, start
     i, d = np.arange(n, dtype=np.int64), np.arange(1 - n, m, dtype=np.int64)
     radians = np.pi / points
     weights = np.exp(-1j * radians * ((i * i + 2 * k0 * i) % (2 * points)))
     chirp = np.exp(1j * radians * (d * d % (2 * points)))
-    kernel = np.fft.fft(chirp, 1 << (n + m - 2).bit_length())
+    kernel = np.fft.fft(chirp, fft)
     for array in (weights, kernel):
         array.setflags(write=False)
-    return weights, kernel, _bin_frequencies(points, sample_rate, start, stop)
+    return weights, kernel
 
 
 @functools.lru_cache(maxsize=_PLANS)
@@ -441,12 +511,27 @@ def _bin_frequencies(points: int, sample_rate: float, start: int, stop: int) -> 
     return freqs
 
 
-def _zoom(signal: SampledSignal, points: int, bins: range, factor: int) -> Spectrum:
+@functools.lru_cache(maxsize=_PLANS)
+def _smooth_length(n: int) -> int:
+    """The least 7-smooth integer >= ``n``."""
+    while _has_prime_factor_above(n, _SMOOTH_PRIME):
+        n += 1
+    return n
+
+
+def _zoom(
+    signal: SampledSignal, points: int, bins: range, factor: int, freqs=None, fft=None
+) -> Spectrum:
     """``signal``'s ``points``-point |DFT| on ``bins`` alone, as a ``Spectrum``
     of ``factor``, through the cached ``_zoom_plan``: one multiply, one FFT
-    pair and one ``abs``."""
+    pair of ``fft`` points (by default the least power of two >= N + M - 1)
+    and one ``abs``.  The bins' frequencies are ``freqs``, or else the
+    cached ``_bin_frequencies``."""
     n = len(signal)
-    weights, kernel, freqs = _zoom_plan(n, points, bins.start, bins.stop, signal.sample_rate)
+    fft = fft or 1 << (n + len(bins) - 2).bit_length()
+    weights, kernel = _zoom_plan(n, points, bins.start, bins.stop, fft)
+    if freqs is None:
+        freqs = _bin_frequencies(points, signal.sample_rate, bins.start, bins.stop)
     work = np.fft.fft(signal.samples * weights, kernel.size)
     work *= kernel
     mags = np.abs(np.fft.ifft(work)[n - 1 : n - 1 + len(bins)])

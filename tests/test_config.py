@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -463,6 +464,25 @@ class TestDerive:
         with pytest.raises(lab.ConfigLoadError, match="sum to zero at every delay") as excinfo:
             derive(paper, values)
         assert excinfo.value.field == field
+
+    def test_a_record_too_long_to_count_is_refused(self, paper, paper_config_path, tmp_path):
+        """A 1e305 s sweep continued to ``lo.f_end = 200`` ends on a finite
+        phase, but its record's sample count overflows: the loader refuses
+        it under ``tx.duration``, and ``simulate`` exits 2."""
+        values = {"tx.duration": 1e305, "lo.f_end": 200}
+        with pytest.raises(lab.ConfigLoadError, match="sample count is finite") as excinfo:
+            derive(paper, values)
+        assert excinfo.value.field == "tx.duration"
+        text = paper_config_path.read_text()
+        for key, value in values.items():
+            text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+        path = tmp_path / "long.cfg"
+        path.write_text(text)
+        result = CliRunner().invoke(
+            cli.main, ["simulate", "--config", str(path), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "tx.duration" in result.output
 
     def test_echoes_that_cancel_at_one_delay_beside_another_load(self, paper):
         values = {"echoes.1.delay": 0.096, "echoes.1.amplitude": -1.0, "echoes.2.delay": 0.06}

@@ -7,7 +7,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ctfm_lab as lab
+from ctfm_lab import cli, waveform
 from ctfm_lab import spectrum as spectrum_module
+from ctfm_lab.config import derive
 from ctfm_lab.waveform import Rows, _tile, csv_columns
 from full_grid import assert_same_readout, full_rfft
 from oracles import SAMPLE_RATE
@@ -138,9 +140,10 @@ class TestCopyRule:
 
     def test_built_spectra_are_read_only_and_not_copied(self, monkeypatch):
         """``dft_magnitude`` wraps its cached ``readout_grid`` frequencies,
-        ``rfftfreq``'s bit for bit, and the width zoom its plan's frequencies
-        and the magnitudes it has just built: each owns its memory, so no
-        view pins a larger transform buffer."""
+        ``rfftfreq``'s bit for bit, and the magnitudes its first read
+        transforms, kept for every later read; the width zoom wraps its
+        cached frequencies and the magnitudes it has just built: each owns
+        its memory, so no view pins a larger transform buffer."""
         built = []
         fresh = lab.Spectrum._fresh
 
@@ -158,6 +161,8 @@ class TestCopyRule:
         assert spec.bin_frequencies.tobytes() == expected.tobytes()
         zoomed = built[1][2]
         assert 0.0 < zoomed.bin_frequencies[0] < 5.0 and 45.0 < zoomed.bin_frequencies[-1] < 50.0
+        assert built[0][1] is None  # transformed on the first read below
+        built[0] = (built[0][0], spec.magnitudes, spec)
         for freqs, mags, spec in built:
             assert spec.bin_frequencies is freqs and spec.magnitudes is mags
             for values in (freqs, mags):
@@ -812,10 +817,14 @@ class TestDftRoute:
         ids=["paper-record-56060-points", "paper-window-76800-points"],
     )
     def test_route(self, monkeypatch, samples, factor, rffts):
-        """``paper.cfg``'s record, 4 x 14,015 = 2**2 * 5 * 2803 points, takes
-        no rfft; a 1,200-sample window at 64x, 2**10 * 3 * 5**2, takes one."""
+        """At the first read of its magnitudes, ``paper.cfg``'s record,
+        4 x 14,015 = 2**2 * 5 * 2803 points, takes no rfft; a 1,200-sample
+        window at 64x, 2**10 * 3 * 5**2, takes one.  ``dft_magnitude`` itself
+        takes none, and a second read takes none."""
         calls = self.counting_rfft(monkeypatch)
-        lab.dft_magnitude(tone(32.0, samples / SAMPLE_RATE), factor)
+        spec = lab.dft_magnitude(tone(32.0, samples / SAMPLE_RATE), factor)
+        assert calls == []
+        assert spec.magnitudes is spec.magnitudes
         assert calls == [(factor * samples,)] * rffts
 
     @pytest.mark.parametrize("samples, factor", [(14015, 4), (1200, 64)])
@@ -840,10 +849,221 @@ class TestDftRoute:
             monkeypatch.setattr(np.fft, name, oldest)
         spectrum_module._zoom_plan.cache_clear()
         record, window = tone(32.0, 14015 / SAMPLE_RATE), tone(32.0, 1200 / SAMPLE_RATE)
-        lab.dft_magnitude(record, 4)
-        lab.dft_magnitude(window, 64)
+        for signal, factor in ((record, 4), (window, 64)):
+            lab.find_peak(lab.dft_magnitude(signal, factor), (20.0, 40.0))
+            lab.dft_magnitude(signal, factor).magnitudes
         spectrum_module.band_magnitude(record, 4, (20.0, 40.0))
         spectrum_module.mainlobe_width(window, (20.0, 40.0), 64)
+
+
+class TestLazySpectrum:
+    """``dft_magnitude`` transforms nothing until its magnitudes are read;
+    ``find_peak`` and ``sidelobe_report`` read ``Spectrum._head``, a zoom of
+    the grid's low bins.  Tolerances fixed before tuning: peak and sidelobe
+    frequencies within ``READOUT_TOL`` Hz, ratios within ``READOUT_TOL`` dB
+    and widths within 1e-9 relative, of the full rfft grid's readouts and of
+    the materialized spectrum's."""
+
+    WIDTH_RTOL = 1e-9
+    RATE = 1000.0
+
+    @staticmethod
+    def readout(spec, band, search_span, floor_db):
+        peak = lab.find_peak(spec, band)
+        return lab.sidelobe_report(spec, peak, search_span, floor_db)
+
+    @staticmethod
+    def recording_zoom(monkeypatch):
+        bins, zoom = [], spectrum_module._zoom
+
+        def recording(*args, **kwargs):
+            bins.append(args[2])
+            return zoom(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum_module, "_zoom", recording)
+        return bins
+
+    @given(
+        prime=st.sampled_from([2, 3, 7, 401, 409, 2083]),
+        multiple=st.integers(min_value=1, max_value=6),
+        factor=st.sampled_from([1, 4, 16, 64]),
+        edges=st.tuples(st.floats(0.0, 0.6), st.floats(0.0, 0.6)),
+        lines=st.lists(
+            st.tuples(st.floats(-0.1, 1.1), st.floats(0.1, 1.0), st.floats(0.0, 2 * math.pi)),
+            min_size=1,
+            max_size=3,
+        ),
+        span=st.floats(0.1, 8.0),
+        floor_db=st.sampled_from([-40.0, -12.0]),
+    )
+    @example(  # a peak on the band's last bin
+        prime=409, multiple=2, factor=16, edges=(0.1, 0.3), lines=[(1.05, 1.0, 0.0)],
+        span=3.0, floor_db=-40.0,
+    )
+    @example(  # a lobe past the head: the whole grid is read
+        prime=409, multiple=1, factor=64, edges=(0.0, 0.28), lines=[(0.999, 1.0, 0.3)],
+        span=0.2, floor_db=-40.0,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_readouts_match_the_full_grid(
+        self, prime, multiple, factor, edges, lines, span, floor_db
+    ):
+        """Tones across a band in the lower 60% of the grid, up to a tenth of
+        it beyond each edge; the search span is ``span`` native bins.
+        Nothing is checked when the band's two largest bins tie within 1e-9,
+        or its peak is under 1e-3 of sum |x|, as in ``TestWidthZoom``."""
+        samples = prime * multiple
+        _, size, freq = spectrum_module.readout_grid(samples, self.RATE, factor)
+        low, high = sorted(edge * freq(size - 1) for edge in edges)
+        run = spectrum_module.band_bins(size, freq, (low, high))
+        assume(len(run) >= 3)
+        signal = tones(self.RATE, samples, [(low + u * (high - low), a, p) for u, a, p in lines])
+        full = full_rfft(signal, factor * samples)
+        second, first = np.sort(full.magnitudes[run.start : run.stop])[-2:]
+        assume(second < first * (1.0 - 1e-9) and first >= 1e-3 * np.abs(signal.samples).sum())
+        search_span = span * self.RATE / samples
+        reference = self.readout(full, (low, high), search_span, floor_db)
+        lazy = lab.dft_magnitude(signal, factor)
+        materialized = lab.dft_magnitude(signal, factor)
+        assert materialized.magnitudes.size == size and materialized._head(3) is materialized
+        for spec in (lazy, materialized):
+            report = self.readout(spec, (low, high), search_span, floor_db)
+            assert_same_readout(report, reference)
+            width = report.mainlobe_width_3db
+            assert width == pytest.approx(reference.mainlobe_width_3db, rel=self.WIDTH_RTOL)
+
+    def test_a_lobe_past_the_head_reads_the_whole_grid(self, monkeypatch):
+        """A tone just under the band's top, read with a span narrower than
+        its lobe: the head ends inside the lobe, so ``sidelobe_report`` reads
+        the whole grid (409 x 64 points, zoomed since 409 is past the limit),
+        which drops the record and the head."""
+        signal = tones(self.RATE, 409, [(139.86, 1.0, 0.3)])
+        band, search_span = (0.0, 140.0), 0.2 * self.RATE / 409
+        zoomed = self.recording_zoom(monkeypatch)
+        spec = lab.dft_magnitude(signal, 64)
+        report = self.readout(spec, band, search_span, -40.0)
+        size = spec.bin_frequencies.size
+        assert [len(bins) for bins in zoomed] == [3688, size]
+        assert "magnitudes" in vars(spec) and not {"_source", "_kept"} & set(vars(spec))
+        reference = self.readout(full_rfft(signal, 64 * 409), band, search_span, -40.0)
+        assert_same_readout(report, reference)
+        assert report.mainlobe_width_3db == pytest.approx(
+            reference.mainlobe_width_3db, rel=self.WIDTH_RTOL
+        )
+
+    def test_a_read_drops_the_record_and_the_head(self):
+        """Once its magnitudes are read a spectrum holds what an eager one
+        holds; later readouts read those magnitudes, not the head."""
+        spec = lab.dft_magnitude(tone(32.0, 1200 / SAMPLE_RATE), 64)
+        peak = lab.find_peak(spec, (10.0, 50.0))
+        assert {"_source", "_kept"} <= set(vars(spec))
+        spec.magnitudes
+        assert not {"_source", "_kept"} & set(vars(spec))
+        assert spec._head(3) is spec and lab.find_peak(spec, (10.0, 50.0)) == pytest.approx(peak)
+
+    @pytest.mark.parametrize(
+        "samples, factor, head",
+        [
+            (1207, 1, False),
+            (1207, 2, False),
+            (1207, 3, False),
+            (1207, 4, True),  # 4 x 17 x 71 points: 3F <= points
+            (1200, 4, False),  # 2**6 x 3 x 5**2 points: 4F > points
+            (1200, 8, True),
+            (1200, 64, True),
+        ],
+    )
+    def test_a_head_is_read_when_it_costs_less(self, samples, factor, head):
+        """A head on a 7-smooth F is read when 4F <= the transform length, or
+        3F when that length has a prime factor past 7: never below factor 4,
+        where F >= N already passes N x factor / 3."""
+        spec = lab.dft_magnitude(tone(32.0, samples / SAMPLE_RATE), factor)
+        assert (spec._head(61) is not spec) == head
+
+    def test_smooth_length_is_the_least_7_smooth_at_or_above(self):
+        def smooth(n):
+            for p in (2, 3, 5, 7):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        for n in range(1, 3000):
+            found = spectrum_module._smooth_length(n)
+            assert smooth(found) and not any(smooth(k) for k in range(n, found))
+
+    @pytest.mark.parametrize("factor", [4, 64])
+    def test_an_all_zero_record_has_no_peak(self, factor):
+        spec = lab.dft_magnitude(lab.SampledSignal(SAMPLE_RATE, np.zeros(1200)), factor)
+        with pytest.raises(lab.NoPeakError):
+            lab.find_peak(spec, (10.0, 50.0))
+
+    @pytest.fixture(scope="class")
+    def paper_sweep(self, paper_config_path):
+        """(config, settled record, ddctfm window) of ``paper.cfg`` at every
+        cycle count from 8 to 16, the benchmark's sweep."""
+        paper = lab.load_config(paper_config_path)
+        sweep = []
+        for cycles in range(8, 17):
+            config = derive(paper, {"cycles": cycles})
+            output = cli.measure(config).output("ddctfm")
+            spans = config.analysis_spans()
+            sweep.append(
+                (
+                    config,
+                    waveform.time_slice(output, *spans["record"]),
+                    waveform.time_slice(output, *spans["ddctfm"]),
+                )
+            )
+        return sweep
+
+    @staticmethod
+    def read_sweep(sweep):
+        """``find_peak`` and ``sidelobe_report`` on each record at the
+        configured factor and each window at 64x, as the benchmark's
+        ``analysis-sweep`` reads them; the spectra read."""
+        spectra = []
+        for config, record, window in sweep:
+            for signal, factor in ((record, config.zero_pad_factor), (window, 64)):
+                spec = lab.dft_magnitude(signal, factor)
+                peak = lab.find_peak(spec, config.band)
+                lab.sidelobe_report(spec, peak, 3.0 / config.tx.duration, cli.SIDELOBE_FLOOR_DB)
+                spectra.append(spec)
+        return spectra
+
+    def test_paper_readouts_take_no_rfft(self, paper_sweep, monkeypatch):
+        """``paper.cfg``'s records at 4x (8 to 16 cycles; 14,015 samples at
+        12) and its window at 64x are read without an rfft, on one zoom each
+        of fewer bins than their grids hold."""
+        rffts = TestDftRoute.counting_rfft(monkeypatch)
+        zoomed = self.recording_zoom(monkeypatch)
+        (_, record, window), = [row for row in paper_sweep if row[0].cycles == 12]
+        assert (len(record), len(window)) == (14015, 1200)
+        spectra = self.read_sweep(paper_sweep)
+        assert rffts == [] and len(zoomed) == len(spectra) == 2 * len(paper_sweep)
+        for spec, bins in zip(spectra, zoomed):
+            assert "magnitudes" not in vars(spec)
+            assert len(bins) < spec.bin_frequencies.size
+
+    def test_a_sweep_builds_each_plan_and_grid_once(self, paper_sweep):
+        """Over the nine record lengths and their 1,200-sample windows every
+        ``_zoom_plan``, ``_bin_frequencies`` and ``_smooth_length`` entry is
+        built once, within the caches' 16 entries, and a second pass builds
+        none."""
+        caches = (
+            spectrum_module._zoom_plan,
+            spectrum_module._bin_frequencies,
+            spectrum_module._smooth_length,
+        )
+        for cache in caches:
+            cache.cache_clear()
+        self.read_sweep(paper_sweep)
+        built = [cache.cache_info().misses for cache in caches]
+        assert [cache.cache_info().currsize for cache in caches] == built
+        assert built[1] == len({len(record) for _, record, _ in paper_sweep}) + 1
+        assert spectrum_module._PLANS == 16
+        assert all(cache.cache_info().maxsize == 16 for cache in caches)
+        self.read_sweep(paper_sweep)
+        assert [cache.cache_info().misses for cache in caches] == built
 
 
 class TestStitchedOutputSpectrum:
