@@ -29,19 +29,22 @@ _VERTEX_MARGIN_DB = 4.0
 # 48k points a largest prime factor up to 353 is factored (1.4-3.3 ms), from
 # 379 to 499 some lengths take Bluestein, and past 500 all do (9-15 ms).
 # A whole ``dft_magnitude`` grid with a factor past this limit is zoomed
-# here, with a cached plan and FFTs of the least power of two >= N + points / 2
-# (3-5.7 ms at 48k points).
+# here, with a cached plan and FFTs of the least power of two
+# >= max(lead, run) + points / 2 (``_zoom``; 3-5.7 ms at 48k points for a
+# record with no shorter run).
 _DIRECT_PRIME_LIMIT = 401
 # Chirp-z plans, and bin-frequency grids, kept, least recently used dropped
 # first: a sweep reads many records of a few lengths, and a ``compare``
-# builds four to six plans.  A plan holds 16 * (N + FFT length) bytes and its
-# grid 8 * bins, at most about 128 per record sample for a full grid at factor 4.
+# builds four to six plans.  A plan holds 16 * (max(lead, run) + FFT length
+# + bins) bytes and its grid 8 * bins, at most about 160 per record sample for
+# a full grid at factor 4.
 _PLANS = 16
 # ``Spectrum._head`` zooms on a 7-smooth FFT length F, which numpy's pocketfft
-# runs on its fastest passes.  Its two complex F-point FFTs take about as long
-# as one rfft of 3.3F points on a 7-smooth length, the fastest full route, so
-# a head is read when 4F <= the transform length.  A length with a prime
-# factor past 7 leaves those passes, and a head of 3F <= it is faster still
+# runs on its fastest passes.  The two complex F-point FFTs of each row it
+# zooms (the run, and any lead-in) take about as long as one rfft of 3.3F
+# points on a 7-smooth length, the fastest full route, so a head is read when
+# 4F per row <= the transform length.  A length with a prime factor past 7
+# leaves those passes, and a head of 3F per row <= it is faster still
 # (``BENCH_lazy_spectrum.json`` ``head_rule``).
 _SMOOTH_PRIME = 7
 
@@ -130,9 +133,13 @@ class Spectrum:
         fewer), read as the grid reads them.
 
         A spectrum with its ``magnitudes`` is its own head.  A lazy one zooms
-        bins [0, M), M every bin the least 7-smooth FFT F >= N + ``stop`` - 1
-        holds, on a view of its grid, and keeps that head for the next read.
-        When 4F, or 3F on a length with a prime factor past 7, exceeds the
+        its record as ``_zoom`` does, split into a lead-in and copies of one
+        run (``SampledSignal._copies``), so it reads only the record's first
+        lead + run samples.  It zooms bins [0, M), M every bin the least
+        7-smooth FFT F >= max(lead, run) + ``stop`` - 1 holds, on a view of
+        its grid, and keeps that head for the next read.  Each row, the run
+        and any lead-in, costs an FFT pair of F points.  When 4F per row, or
+        3F per row on a length with a prime factor past 7, exceeds the
         transform length, the full transform is cheaper: it is its own head,
         and a read of it transforms its ``magnitudes``.
         """
@@ -142,9 +149,11 @@ class Spectrum:
         if kept is not None and kept.bin_frequencies.size >= stop:
             return kept
         signal, points = self._source
-        n = len(signal)
+        lead, run, _ = signal._copies()
+        n = max(lead, run)
         fft = _smooth_length(n + stop - 1)
-        if (3 if _has_prime_factor_above(points, _SMOOTH_PRIME) else 4) * fft > points:
+        rows = 2 if lead else 1
+        if rows * (3 if _has_prime_factor_above(points, _SMOOTH_PRIME) else 4) * fft > points:
             return self
         bins = range(fft - n + 1)
         freqs = self.bin_frequencies[: bins.stop]
@@ -222,12 +231,13 @@ def band_magnitude(signal: SampledSignal, zero_pad_factor: int, band) -> Spectru
 
     The grid is ``dft_magnitude``'s, so each bin frequency is bit for bit its
     own; the magnitudes come from a ``_zoom`` and differ by FFT rounding
-    only.  Its plan is cached by the record's length and rate, the
-    transform length and the bins, so equal-length records read on one band
-    build it once.  ``band`` must satisfy low < high; its reach is clipped
-    at 0 Hz and Nyquist.  On a ``band`` that reaches
-    ``search_span`` past each edge of a peak band, ``find_peak`` and
-    ``sidelobe_report`` read what they read on the full grid:
+    only.  Its plan is cached by the record's split into a lead-in and
+    copies of one run (``SampledSignal._copies``), the transform length and
+    the bins, so records with one split read on one band build it once.
+    ``band`` must satisfy low < high; its reach is clipped at 0 Hz and
+    Nyquist.  On a ``band`` that reaches ``search_span`` past each edge of a
+    peak band, ``find_peak`` and ``sidelobe_report`` read what they read on
+    the full grid:
 
     - ``find_peak`` returns a peak inside the peak band, so the sidelobe
       span, peak +/- ``search_span``, lies inside ``band``;
@@ -459,17 +469,19 @@ def mainlobe_width(
 ) -> float:
     """-3 dB width of the strongest lobe inside ``band``, and nothing else.
 
-    The lobe is read on ``band_magnitude`` of ``band``: ``dft_magnitude``'s
-    grid, ``zero_pad_factor`` times the record.  While a -3 dB crossing sits
-    on a zoom edge that is not the grid's, the reach widens by its own span
-    each side, so the readout is the full grid's.  The peak bin is picked as ``sidelobe_report`` picks
+    The lobe is read on ``band_magnitude`` of ``band`` and one native bin
+    (1 / duration) either side, so a lobe peaking on a band edge is read in
+    one zoom: ``dft_magnitude``'s grid, ``zero_pad_factor`` times the
+    record.  While a -3 dB crossing sits on a zoom edge that is not the
+    grid's, the reach widens by its own span each side, so the readout is
+    the full grid's.  The peak bin is picked as ``sidelobe_report`` picks
     it; no sidelobe is cataloged.
     """
     factor = _check_padding("zero_pad_factor", zero_pad_factor)
     _, size, freq = readout_grid(len(signal), signal.sample_rate, factor)
     last = freq(size - 1)
     _check_band(band, 0.0, last)  # the grid's edges, not the zoom's
-    low, high = band
+    low, high = band[0] - 1.0 / signal.duration, band[1] + 1.0 / signal.duration
     while True:
         spec = band_magnitude(signal, factor, (low, high))
         width, left, right = _mainlobe_extent(spec, _peak_bin(spec, find_peak(spec, band)))
@@ -480,25 +492,41 @@ def mainlobe_width(
 
 
 @functools.lru_cache(maxsize=_PLANS)
-def _zoom_plan(n: int, points: int, start: int, stop: int, fft: int):
-    """(weights, kernel) that ``_zoom`` zooms any ``n``-sample record with,
-    read-only and shared: |DFT| of ``points`` points on bins
-    ``start`` to ``stop`` - 1 alone, by one Bluestein chirp-z pass (Rabiner,
-    Schafer & Rader, 1969) with FFTs of ``fft`` >= N + M - 1 points.
-    With L = ``points`` and k = k0 + m, X[k] is e^(-iπm²/L) · sum_n x[n]
-    e^(-iπ(n² + 2·k0·n)/L) · e^(iπ(m - n)²/L); the leading chirp has unit
-    modulus and is skipped.  Each phase is reduced mod 2L in int64 before it
-    is scaled, so it is exact at any k0 for L < 2**31.
+def _zoom_plan(lead: int, run: int, copies: int, points: int, start: int, stop: int, fft: int):
+    """(weights, kernel, comb) that ``_zoom`` zooms any record split into
+    ``lead``, ``run`` and ``copies`` (``SampledSignal._copies``) with,
+    read-only and shared: |DFT| of ``points`` points on bins ``start`` to
+    ``stop`` - 1 alone.
+
+    With L = ``points``, a = ``lead``, r = ``run`` and Q = ``copies``, the
+    record is x[:a] and then Q copies of x[a:a + r], so with w = e^(-2πi/L)
+    X[k] = A[k] + w^(ka) · D_Q[k] · B[k]: A is the DFT of the lead-in, B of
+    one run, and the copies, each r samples after the last, sum to the
+    Dirichlet factor D_Q[k] = e^(-iπ(Q - 1)θ) · sin(πQθ) / sin(πθ), with
+    θ = (k·r mod L) / L centred into [-1/2, 1/2), and D_Q = Q where θ = 0,
+    on the comb lines.  ``comb`` is w^(ka) · D_Q[k].  With k = k0 + m, A
+    and B are each e^(-iπm²/L) · sum_n y[n] e^(-iπ(n² + 2·k0·n)/L) ·
+    e^(iπ(m - n)²/L) for their row y, one Bluestein chirp-z pass (Rabiner,
+    Schafer & Rader, 1969) with FFTs of ``fft`` >= max(a, r) + M - 1
+    points; the leading chirp has unit modulus and is common to both rows,
+    so it is skipped.  Each integer phase is reduced mod L or 2L in int64
+    before it is scaled, so it is exact at any k0 for L < 2**31.
     """
-    m, k0 = stop - start, start
+    n, m, k0 = max(lead, run), stop - start, start
     i, d = np.arange(n, dtype=np.int64), np.arange(1 - n, m, dtype=np.int64)
     radians = np.pi / points
     weights = np.exp(-1j * radians * ((i * i + 2 * k0 * i) % (2 * points)))
     chirp = np.exp(1j * radians * (d * d % (2 * points)))
     kernel = np.fft.fft(chirp, fft)
-    for array in (weights, kernel):
+    k = np.arange(start, stop, dtype=np.int64)
+    j = (k * run + points // 2) % points - points // 2  # θ = j / L
+    gain = np.sin(radians * ((copies * j + points) % (2 * points) - points))
+    dirichlet = np.divide(gain, np.sin(radians * j), out=np.full(m, float(copies)), where=j != 0)
+    turn = (2 * (k * lead % points) + (copies - 1) * j) % (2 * points)
+    comb = np.exp(-1j * radians * turn) * dirichlet
+    for array in (weights, kernel, comb):
         array.setflags(write=False)
-    return weights, kernel
+    return weights, kernel, comb
 
 
 @functools.lru_cache(maxsize=_PLANS)
@@ -523,16 +551,27 @@ def _zoom(
     signal: SampledSignal, points: int, bins: range, factor: int, freqs=None, fft=None
 ) -> Spectrum:
     """``signal``'s ``points``-point |DFT| on ``bins`` alone, as a ``Spectrum``
-    of ``factor``, through the cached ``_zoom_plan``: one multiply, one FFT
-    pair of ``fft`` points (by default the least power of two >= N + M - 1)
-    and one ``abs``.  The bins' frequencies are ``freqs``, or else the
-    cached ``_bin_frequencies``."""
-    n = len(signal)
+    of ``factor``, through the cached ``_zoom_plan`` of its split
+    (``SampledSignal._copies``): the lead-in and one run, read from the
+    record's ``_head`` and never tiled further, as the rows of one FFT pair
+    of ``fft`` points (by default the least power of two >= max(lead, run)
+    + M - 1), then |A + comb · B|.  A record with no shorter run is one row
+    and one copy, whose ``comb`` is exactly 1.  The bins' frequencies are
+    ``freqs``, or else the cached ``_bin_frequencies``."""
+    lead, run, copies = signal._copies()
+    n = max(lead, run)
     fft = fft or 1 << (n + len(bins) - 2).bit_length()
-    weights, kernel = _zoom_plan(n, points, bins.start, bins.stop, fft)
+    weights, kernel, comb = _zoom_plan(lead, run, copies, points, bins.start, bins.stop, fft)
     if freqs is None:
         freqs = _bin_frequencies(points, signal.sample_rate, bins.start, bins.stop)
-    work = np.fft.fft(signal.samples * weights, kernel.size)
+    head = signal._head(lead + run)
+    rows = np.zeros((2 if lead else 1, n), dtype=complex)  # the lead-in, if any, and the run
+    rows[0, :lead] = head[:lead] * weights[:lead]
+    rows[-1, :run] = head[lead:] * weights[:run]
+    work = np.fft.fft(rows, fft)
     work *= kernel
-    mags = np.abs(np.fft.ifft(work)[n - 1 : n - 1 + len(bins)])
-    return Spectrum._fresh(freqs, mags, signal.duration, factor)
+    zoomed = np.fft.ifft(work)[:, n - 1 : n - 1 + len(bins)]
+    total = zoomed[-1] * comb
+    if lead:
+        total += zoomed[0]
+    return Spectrum._fresh(freqs, np.abs(total), signal.duration, factor)

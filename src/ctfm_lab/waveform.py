@@ -210,8 +210,9 @@ class SampledSignal:
     Such a signal keeps its block (``_block``) and length (``_count``): its
     ``samples`` are tiled (``_tile``) on their first read, once, and
     ``len``, ``duration``, ``times()`` and ``_head`` never tile the record.
-    A record computed from others gets its run from ``_derive``, and
-    ``csv_columns`` writes it over that run: no other module reads a run.
+    A record computed from others gets its run from ``_derive``,
+    ``csv_columns`` writes it over that run, and the spectrum zooms it as
+    ``_copies`` splits it: no other module reads a run.
     """
 
     sample_rate: float
@@ -278,6 +279,15 @@ class SampledSignal:
     def _head(self, stop: int) -> np.ndarray:
         """The first ``stop`` samples (all, if fewer), tiled no further."""
         return _tile(self._block, self._repeat[0], min(stop, self._count))
+
+    def _copies(self) -> tuple[int, int, int]:
+        """(lead, run, copies): the record is its first ``lead`` samples, then
+        ``copies`` whole copies of the ``run`` samples that follow them, with
+        lead = start + (len - start) mod run.  A record with no shorter run
+        is one copy with no lead-in."""
+        start, run = self._repeat
+        lead = start + (self._count - start) % run
+        return lead, run, (self._count - lead) // run
 
     def _derive(self, op, *others: SampledSignal, settle: int = 0) -> SampledSignal:
         """``op`` of this signal and the aligned ``others``, on this clock.

@@ -147,3 +147,28 @@ def exact_ideal_beat(count, sample_rate, f_start, f_end, period, echoes) -> list
                 total += half_amplitude * cosines[cycles]
             values.append(float(total))
     return values
+
+
+def dft_magnitudes(samples, points, bins, dps=40) -> list[float]:
+    """|X[k]| of the ``points``-point DFT of ``samples`` (zero padded), at
+    each bin k of ``bins``, summed directly over every sample in mpmath at
+    ``dps`` digits.
+
+    X[k] = sum_n x[n] z^n with z = e^(-2 pi i k / points), by Horner's rule
+    from the last sample.  Each sample enters as the double it is, read
+    exactly, and z from the exact turn (k mod points) / points, so the sums
+    carry no rounding of the package's own and never use a repetition in
+    the record.
+    """
+    import mpmath
+
+    magnitudes = []
+    with mpmath.workdps(dps):
+        values = [mpmath.mpf(float(x)) for x in reversed(samples)]
+        for k in bins:
+            z = mpmath.expjpi(-2 * mpmath.mpf(k % points) / points)
+            total = mpmath.mpc(0)
+            for x in values:
+                total = total * z + x
+            magnitudes.append(float(abs(total)))
+    return magnitudes

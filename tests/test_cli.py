@@ -284,10 +284,13 @@ class TestMeasure:
     )
     def test_one_plan_serves_every_record(self, paper_config_path, monkeypatch, name, delay):
         """Chirp-z plans come from one process-wide cache: from a cleared
-        cache ``measure`` builds one plan per distinct key, and the three
-        records have one length, so their band spectra share one key (the
-        width zooms key their own); a second ``measure`` builds none.  Each
-        spectrum is bit for bit its record's own ``band_magnitude``, and
+        cache ``measure`` builds one plan per distinct key, and a plan is
+        keyed by its record's split into a lead-in and copies of one run
+        (``SampledSignal._copies``).  ctfm's and ddctfm's records have one
+        split, so their band spectra share one key; the ideal record's run
+        is its own (125 samples on ``paper.cfg``), so it builds its own plan,
+        and the width zooms key their own.  A second ``measure`` builds none.
+        Each spectrum is bit for bit its record's own ``band_magnitude``, and
         every plan array is read-only."""
         config = lab.load_config(Path(paper_config_path).with_name(name))
         if delay:
@@ -303,10 +306,14 @@ class TestMeasure:
         state = cli.measure(config, cli.MODES)
         built = plan.cache_info().misses
         assert built == len(set(keys)) == plan.cache_info().currsize
-        record = main_record(config, state.tx)
-        grid = (len(record), config.zero_pad_factor * len(record))
-        band_keys = [key for key in keys if key[:2] == grid]
-        assert len(band_keys) == len(cli.MODES) and len(set(band_keys)) == 1
+        points = config.zero_pad_factor * len(main_record(config, state.tx))
+        band_keys = [key for key in keys if key[3] == points]
+        splits = [main_record(config, state.output(mode))._copies() for mode in cli.MODES]
+        assert [key[:3] for key in band_keys] == splits
+        ddctfm, ctfm, ideal = band_keys
+        assert ddctfm == ctfm != ideal and ideal[:3] != ctfm[:3]
+        if name == "paper.cfg" and not delay:
+            assert splits == [(815, 1200, 11)] * 2 + [(15, 125, 112)]
         assert all(not array.flags.writeable for key in keys for array in plan(*key))
         cli.measure(config, cli.MODES)
         assert plan.cache_info().misses == built

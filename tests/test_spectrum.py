@@ -12,6 +12,7 @@ from ctfm_lab import spectrum as spectrum_module
 from ctfm_lab.config import derive
 from ctfm_lab.waveform import Rows, _tile, csv_columns
 from full_grid import assert_same_readout, full_rfft
+import oracles
 from oracles import SAMPLE_RATE
 
 
@@ -641,8 +642,8 @@ class TestWidthZoom:
         [
             ([(0.0, 1.0, 0.0), (12.0, 0.3, 0.0)], (0.0, 20.0), 1),
             ([(1998.0, 1.0, 0.3)], (1900.0, 2000.0), 1),
-            ([(9.0, 1.0, 0.3)], (10.0, 50.0), 2),
-            ([(51.0, 1.0, 0.3)], (10.0, 50.0), 2),
+            ([(9.0, 1.0, 0.3)], (10.0, 50.0), 1),
+            ([(51.0, 1.0, 0.3)], (10.0, 50.0), 1),
             ([(49.0, 1.0, 0.0), (53.0, 1.0, math.pi / 2)], (10.0, 50.0), 2),
         ],
         ids=["band-from-0-hz", "band-to-nyquist", "peak-on-first-bin", "peak-on-last-bin",
@@ -652,8 +653,10 @@ class TestWidthZoom:
         """A band on a true grid edge, where the lobe runs off the grid; a
         band peak on the band's first or last bin, whose outside neighbour
         is higher, read at that bin and never outside the band; and two close
-        tones whose -3 dB skirt runs past the band.  The last three lobes run
-        past the zoom's one-bin margin, so the zoom must widen."""
+        tones whose -3 dB skirt runs past the band.  The first zoom reaches
+        one native bin past each band edge, so it holds a lobe peaking on a
+        band edge; the two tones' skirt runs past that reach, so the zoom
+        must widen."""
         zooms = []
         zoom = spectrum_module._zoom
 
@@ -1044,26 +1047,230 @@ class TestLazySpectrum:
             assert "magnitudes" not in vars(spec)
             assert len(bins) < spec.bin_frequencies.size
 
-    def test_a_sweep_builds_each_plan_and_grid_once(self, paper_sweep):
+    def test_a_sweep_builds_each_plan_and_grid_once(self, paper_sweep, monkeypatch):
         """Over the nine record lengths and their 1,200-sample windows every
         ``_zoom_plan``, ``_bin_frequencies`` and ``_smooth_length`` entry is
         built once, within the caches' 16 entries, and a second pass builds
-        none."""
-        caches = (
-            spectrum_module._zoom_plan,
-            spectrum_module._bin_frequencies,
-            spectrum_module._smooth_length,
-        )
+        none.  A plan is keyed by its record's split (``_copies``): the
+        records share a lead-in of 815 samples and a 1,200-sample run, with
+        one copy fewer than their cycles, and each builds its own plan for
+        its own transform length; the windows, one run with no lead-in,
+        share one.  Every plan array is read-only."""
+        plan, keys = spectrum_module._zoom_plan, []
+
+        def recording_plan(*key):
+            keys.append(key)
+            return plan(*key)
+
+        caches = (plan, spectrum_module._bin_frequencies, spectrum_module._smooth_length)
         for cache in caches:
             cache.cache_clear()
+        monkeypatch.setattr(spectrum_module, "_zoom_plan", recording_plan)
         self.read_sweep(paper_sweep)
         built = [cache.cache_info().misses for cache in caches]
         assert [cache.cache_info().currsize for cache in caches] == built
+        assert built[0] == len(set(keys)) == len(paper_sweep) + 1
+        record_keys, window_keys = keys[0::2], keys[1::2]
+        assert [key[:3] for key in record_keys] == [
+            (815, 1200, config.cycles - 1) for config, _, _ in paper_sweep
+        ]
+        assert set(window_keys) == {window_keys[0]} and window_keys[0][:3] == (0, 1200, 1)
+        assert all(not array.flags.writeable for key in keys for array in plan(*key))
         assert built[1] == len({len(record) for _, record, _ in paper_sweep}) + 1
         assert spectrum_module._PLANS == 16
         assert all(cache.cache_info().maxsize == 16 for cache in caches)
         self.read_sweep(paper_sweep)
         assert [cache.cache_info().misses for cache in caches] == built
+
+
+class TestRunZoom:
+    """A repeating record is zoomed as its lead-in x[:a] and Q copies of its
+    run x[a:a + r] (``SampledSignal._copies``), summed in closed form, and
+    never tiled.  References: the full rfft of its tiled samples, and an
+    mpmath DFT of them at chosen bins (``oracles.dft_magnitudes``).
+    Tolerances fixed before tuning: magnitudes within 1e-12 of the band
+    peak, readouts within ``READOUT_TOL`` and widths within 1e-9 relative."""
+
+    MAG_TOL = 1e-12
+    WIDTH_RTOL = 1e-9
+
+    @given(
+        run=st.sampled_from([1200, 2401, 125]),
+        start=st.integers(min_value=0, max_value=2 * 2401),
+        copies=st.integers(min_value=0, max_value=8),
+        rest=st.integers(min_value=0, max_value=2400),
+        factor=st.sampled_from([1, 4, 16]),
+        edges=st.tuples(st.floats(0.0, 0.6), st.floats(0.0, 0.6)),
+        lines=st.lists(
+            st.tuples(st.floats(-0.1, 1.1), st.floats(0.1, 1.0), st.floats(0.0, 2 * math.pi)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @example(  # one copy after a lead-in, as the 1,200-sample grid's record
+        run=1200, start=255, copies=1, rest=560, factor=4, edges=(0.005, 0.025),
+        lines=[(0.6, 1.0, 0.3)],
+    )
+    @example(  # p = 0: (N - s) is a whole number of runs, so a = s
+        run=1200, start=255, copies=8, rest=0, factor=4, edges=(0.005, 0.025),
+        lines=[(0.6, 1.0, 0.3), (0.2, 0.5, 1.0)],
+    )
+    @example(  # a >= r
+        run=125, start=200, copies=8, rest=15, factor=16, edges=(0.005, 0.2),
+        lines=[(0.3, 1.0, 0.0)],
+    )
+    @example(  # a = 0: the record is whole runs from its first sample
+        run=125, start=0, copies=8, rest=0, factor=4, edges=(0.005, 0.2),
+        lines=[(0.3, 1.0, 0.0)],
+    )
+    @example(  # the 1,200.5-sample grid's two-cycle run, lead-in past one run
+        run=2401, start=332, copies=5, rest=1684, factor=4, edges=(0.005, 0.025),
+        lines=[(0.6, 1.0, 0.3)],
+    )
+    @example(  # a whole-record run: the record ends inside its first run
+        run=2401, start=332, copies=0, rest=1000, factor=16, edges=(0.005, 0.1),
+        lines=[(0.6, 1.0, 0.3)],
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_zoom_reads_the_tiled_record(self, run, start, copies, rest, factor, edges, lines):
+        """``_fresh`` records of ``start`` + ``copies`` x ``run`` + (``rest`` mod
+        ``run``) samples that repeat their run from ``start``: tones across a band in
+        the lower 60% of the grid, up to a tenth of it beyond each edge, over
+        the first run.  The band spectrum, the width zoom and width, and a
+        lazy spectrum's peak and sidelobes read as on the tiled record's full
+        grid.  Nothing is checked on a band whose two largest bins tie within
+        1e-9 or whose peak is under 1e-3 of sum |x|, as in ``TestWidthZoom``."""
+        rate, count = 4000.0, start + copies * run + rest % run
+        assume(count >= 1)
+        _, size, freq = spectrum_module.readout_grid(count, rate, factor)
+        low, high = sorted(edge * freq(size - 1) for edge in edges)
+        band = spectrum_module.band_bins(size, freq, (low, high))
+        assume(len(band) >= 3)
+        placed = [(low + u * (high - low), a, p) for u, a, p in lines]
+        block = tones(rate, start + run, placed).samples.copy()
+        signal = waveform.SampledSignal._fresh(rate, block, start=start, count=count)
+        if count <= start + run:
+            assert signal._copies() == (0, count, 1)
+        else:
+            assert signal._copies() == (start + rest % run, run, copies)
+        assume(TestWidthZoom().check(signal, (low, high), factor))
+        full, spec = TestBandMagnitude().check(signal, (low, high), factor)
+        search_span = 3.0 * rate / run
+        reference = TestLazySpectrum.readout(full, (low, high), search_span, -40.0)
+        report = TestLazySpectrum.readout(
+            lab.dft_magnitude(signal, factor), (low, high), search_span, -40.0
+        )
+        assert_same_readout(report, reference)
+        width = report.mainlobe_width_3db
+        assert width == pytest.approx(reference.mainlobe_width_3db, rel=self.WIDTH_RTOL)
+
+    @staticmethod
+    def band_record(config_path, values, mode):
+        """``mode``'s settled record of ``paper.cfg`` with ``values`` derived,
+        its configuration and its band spectrum, as ``measure`` reads it."""
+        config = lab.derive(lab.load_config(config_path), values)
+        record = waveform.time_slice(
+            cli.measure(config).output(mode), *config.analysis_spans()["record"]
+        )
+        span = 3.0 / config.tx.duration
+        reach = (config.band[0] - span, config.band[1] + span)
+        spec = spectrum_module.band_magnitude(record, config.zero_pad_factor, reach)
+        return config, record, spec
+
+    @pytest.mark.parametrize(
+        "values, mode",
+        [
+            ({}, "ddctfm"),
+            ({}, "ctfm"),
+            ({"sample_rate": "4802", "tx.duration": "0.25", "lo.f_end": "248"}, "ddctfm"),
+        ],
+        ids=["paper-ddctfm", "paper-ctfm", "paper-1200.5-ddctfm"],
+    )
+    def test_band_spectrum_matches_the_direct_dft(self, paper_config_path, values, mode):
+        """At a comb line (theta = 0: 0 Hz), at the bins one and two after it,
+        at the in-band bin of least nonzero |theta| (where sin(pi theta) is
+        smallest), at the bins nearest theta = +1/2 and -1/2, and at the
+        band peak, with theta = (k r mod L) / L centred into [-1/2, 1/2)."""
+        config, record, spec = self.band_record(paper_config_path, values, mode)
+        lead, run, copies = record._copies()
+        assert copies > 1 and lead + copies * run == len(record)
+        points = config.zero_pad_factor * len(record)
+        first = round(spec.bin_frequencies[0] * points / config.sample_rate)
+        k = np.arange(first, first + spec.bin_frequencies.size)
+        theta = (k * run + points // 2) % points - points // 2
+        assert first == 0 and theta[0] == 0
+        off = np.flatnonzero(theta)
+        chosen = [0, 1, 2, off[np.argmin(np.abs(theta[off]))], np.argmax(theta),
+                  np.argmin(theta), np.argmax(spec.magnitudes)]
+        expected = oracles.dft_magnitudes(record.samples, points, k[chosen].tolist())
+        error = np.abs(spec.magnitudes[chosen] - expected)
+        assert np.all(error <= self.MAG_TOL * max(expected))
+
+    def test_a_readout_never_tiles_its_record(self, paper_config_path, monkeypatch):
+        """``paper.cfg``'s three records through ``band_magnitude`` and a lazy
+        ``dft_magnitude``'s ``find_peak`` and ``sidelobe_report``, and the
+        ideal window (a 125-sample run) through ``mainlobe_width``: no record
+        has its ``samples`` read, and no ``_head`` reads past lead + run."""
+        config = lab.load_config(paper_config_path)
+        state, spans = cli.measure(config), config.analysis_spans()
+        records = [waveform.time_slice(state.output(mode), *spans["record"]) for mode in cli.MODES]
+        window = waveform.time_slice(state.ideal, *spans["ideal"])
+        reads, head = [], waveform.SampledSignal._head
+
+        def recording_head(signal, stop):
+            reads.append((signal, stop))
+            return head(signal, stop)
+
+        monkeypatch.setattr(waveform.SampledSignal, "_head", recording_head)
+        span = 3.0 / config.tx.duration
+        for record in records:
+            reach = (config.band[0] - span, config.band[1] + span)
+            spectrum_module.band_magnitude(record, config.zero_pad_factor, reach)
+            spec = lab.dft_magnitude(record, config.zero_pad_factor)
+            lab.sidelobe_report(spec, lab.find_peak(spec, config.band), span, -15.0)
+        spectrum_module.mainlobe_width(window, config.band, config.width_pad_factor)
+        for signal in (*records, window):
+            lead, run, _ = signal._copies()
+            assert lead + run < len(signal) and "samples" not in vars(signal)
+        assert {id(signal) for signal, _ in reads} == {id(s) for s in (*records, window)}
+        assert all(stop <= sum(signal._copies()[:2]) for signal, stop in reads)
+
+    @staticmethod
+    def single_row_zoom(samples, points, bins, fft):
+        """|DFT| of ``samples`` on ``bins`` by one chirp-z pass over the whole
+        record, the zoom every record took before it was split."""
+        n, m, k0 = samples.size, len(bins), bins.start
+        i, d = np.arange(n, dtype=np.int64), np.arange(1 - n, m, dtype=np.int64)
+        radians = np.pi / points
+        weights = np.exp(-1j * radians * ((i * i + 2 * k0 * i) % (2 * points)))
+        kernel = np.fft.fft(np.exp(1j * radians * (d * d % (2 * points))), fft)
+        work = np.fft.fft(samples * weights, fft)
+        work *= kernel
+        return np.abs(np.fft.ifft(work)[n - 1 : n - 1 + m])
+
+    def test_a_record_with_no_shorter_run_keeps_its_bytes(self, paper_config_path):
+        """The ideal record at a 96.1234 ms delay has no shorter run: its band
+        spectrum, its lazy head and its full-grid zoom (4 x 14,015 points,
+        past the prime limit) are byte for byte the single-row zoom's."""
+        config, record, spec = self.band_record(
+            paper_config_path, {"echoes.0.delay": "0.0961234"}, "ideal"
+        )
+        n, factor = len(record), config.zero_pad_factor
+        assert record._copies() == (0, n, 1)
+        points, size, _ = spectrum_module.readout_grid(n, config.sample_rate, factor)
+        first = round(spec.bin_frequencies[0] * points / config.sample_rate)
+        bins = range(first, first + spec.bin_frequencies.size)
+        fft = 1 << (n + len(bins) - 2).bit_length()
+        expected = self.single_row_zoom(record.samples, points, bins, fft)
+        assert spec.magnitudes.tobytes() == expected.tobytes()
+        lazy = lab.dft_magnitude(record, factor)
+        head = lazy._head(900)
+        fft = spectrum_module._smooth_length(n + 900 - 1)
+        expected = self.single_row_zoom(record.samples, points, range(fft - n + 1), fft)
+        assert head is not lazy and head.magnitudes.tobytes() == expected.tobytes()
+        fft = 1 << (n + size - 2).bit_length()
+        expected = self.single_row_zoom(record.samples, points, range(size), fft)
+        assert lazy.magnitudes.tobytes() == expected.tobytes()
 
 
 class TestStitchedOutputSpectrum:
