@@ -2,13 +2,18 @@
 
 The demodulated difference signal is stitched from channel 2 (during each
 blind interval) and channel 1 (for the rest of each cycle).  The stitch at
-a cycle start is phase-continuous by construction of the oscillator; the
-stitch at the end of each blind interval jumps by a fixed wrapped angle
+a cycle start is phase-continuous by construction of the oscillator.  At
+the end of each blind interval the ledger's jump is the reference-phase
+difference tx(delay) - lo(delay), a fixed wrapped angle
 
     wrap(-2*pi*(bandwidth*delay + center_frequency*period))
 
-independent of the cycle index.  This module evaluates both facts exactly
-from the sweep formulas, without touching sampled data.
+independent of the cycle index.  The stitched output itself steps there by
+wrap(-2*pi*bandwidth*delay): the echo channel 1 mixes just after the
+handoff belongs to the new sweep, whose phase differs from the old one's by
+2*pi*center_frequency*period.  The two agree only when
+center_frequency*period is an integer.  This module evaluates the ledger
+exactly from the sweep formulas, without touching sampled data.
 
 Convention at exact instants: a phase evaluated exactly on a sweep reset
 belongs to the sweep that is completing there (left-continuous), except
@@ -121,11 +126,15 @@ def channel2_phase(schedule: SweepSchedule, tau: float, t: float) -> float:
 
 
 def boundary_jump(schedule: SweepSchedule, tau: float, k: int) -> float:
-    """Wrapped phase jump where channel 1 takes over from channel 2.
+    """Wrapped reference-phase jump where channel 1 takes over from
+    channel 2: tx_phase(tau) - lo_phase(tau).
 
     At t = k*period + tau channel 1 reopens on the restarted sweep while
-    channel 2 closes on the oscillator; the echo term is common to both and
-    cancels, leaving tx_phase(tau) - lo_phase(tau).  The result is the same
+    channel 2 closes on the oscillator.  The two channels' echo terms are
+    not common: channel 1 mixes the new sweep's echo, which differs from the
+    old one by 2*pi*center_frequency*period (mod 2*pi).  So the stitched
+    output steps by this jump plus that, wrap(-2*pi*B*tau), and the two agree
+    only when center_frequency*period is an integer.  The result is the same
     for every valid ``k``; the index only asserts that the handoff exists.
     """
     _check_tau(schedule, tau)

@@ -24,29 +24,12 @@ _LOG_FLOOR = 1e-300
 # More than the 3.75 dB a parabolic refinement can add to its bin; see
 # ``sidelobe_report``.
 _VERTEX_MARGIN_DB = 4.0
-# Where numpy's pocketfft switches to its own Bluestein pass, with complex
-# FFTs of about twice the points.  It picks by a cost estimate, so at about
-# 48k points a largest prime factor up to 353 is factored (1.4-3.3 ms), from
-# 379 to 499 some lengths take Bluestein, and past 500 all do (9-15 ms).
-# A whole ``dft_magnitude`` grid with a factor past this limit is zoomed
-# here, with a cached plan and FFTs of the least power of two
-# >= max(lead, run) + points / 2 (``_zoom``; 3-5.7 ms at 48k points for a
-# record with no shorter run).
-_DIRECT_PRIME_LIMIT = 401
 # Chirp-z plans, and bin-frequency grids, kept, least recently used dropped
 # first: a sweep reads many records of a few lengths, and a ``compare``
 # builds four to six plans.  A plan holds 16 * (max(lead, run) + FFT length
 # + bins) bytes and its grid 8 * bins, at most about 160 per record sample for
 # a full grid at factor 4.
 _PLANS = 16
-# ``Spectrum._head`` zooms on a 7-smooth FFT length F, which numpy's pocketfft
-# runs on its fastest passes.  The two complex F-point FFTs of each row it
-# zooms (the run, and any lead-in) take about as long as one rfft of 3.3F
-# points on a 7-smooth length, the fastest full route, so a head is read when
-# 4F per row <= the transform length.  A length with a prime factor past 7
-# leaves those passes, and a head of 3F per row <= it is faster still
-# (``BENCH_lazy_spectrum.json`` ``head_rule``).
-_SMOOTH_PRIME = 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,17 +84,13 @@ class Spectrum:
             object.__setattr__(self, "magnitudes", mags)
 
     def __getattr__(self, name: str):
-        """Transform ``magnitudes`` on their first read; only a lazy spectrum
-        lacks them.  The route is ``dft_magnitude``'s."""
+        """Transform ``magnitudes`` on their first read, by one
+        ``np.fft.rfft``; only a lazy spectrum lacks them."""
         if name != "magnitudes" or "_source" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         signal, points = self._source
-        if _has_prime_factor_above(points, _DIRECT_PRIME_LIMIT):
-            bins = range(self.bin_frequencies.size)
-            mags = _zoom(signal, points, bins, self.zero_pad_factor).magnitudes
-        else:
-            mags = np.abs(np.fft.rfft(signal.samples, points))
-            mags.setflags(write=False)
+        mags = np.abs(np.fft.rfft(signal.samples, points))
+        mags.setflags(write=False)
         object.__setattr__(self, "magnitudes", mags)
         del self.__dict__["_source"]
         self.__dict__.pop("_kept", None)
@@ -136,12 +115,11 @@ class Spectrum:
         its record as ``_zoom`` does, split into a lead-in and copies of one
         run (``SampledSignal._copies``), so it reads only the record's first
         lead + run samples.  It zooms bins [0, M), M every bin the least
-        7-smooth FFT F >= max(lead, run) + ``stop`` - 1 holds, on a view of
-        its grid, and keeps that head for the next read.  Each row, the run
-        and any lead-in, costs an FFT pair of F points.  When 4F per row, or
-        3F per row on a length with a prime factor past 7, exceeds the
-        transform length, the full transform is cheaper: it is its own head,
-        and a read of it transforms its ``magnitudes``.
+        7-smooth FFT F >= max(lead, run) + ``stop`` - 1 holds (numpy's
+        pocketfft runs such lengths on its fastest passes), on a view of
+        its grid, and keeps that head for the next read.  A head that would
+        hold every bin is the grid itself: a read of it transforms its
+        ``magnitudes``.
         """
         if "magnitudes" in self.__dict__:
             return self
@@ -152,10 +130,9 @@ class Spectrum:
         lead, run, _ = signal._copies()
         n = max(lead, run)
         fft = _smooth_length(n + stop - 1)
-        rows = 2 if lead else 1
-        if rows * (3 if _has_prime_factor_above(points, _SMOOTH_PRIME) else 4) * fft > points:
-            return self
         bins = range(fft - n + 1)
+        if bins.stop >= self.bin_frequencies.size:
+            return self
         freqs = self.bin_frequencies[: bins.stop]
         head = _zoom(signal, points, bins, self.zero_pad_factor, freqs, fft)
         object.__setattr__(self, "_kept", head)
@@ -203,9 +180,6 @@ def dft_magnitude(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
     rate and shared read-only.  No transform runs here: the magnitudes are
     transformed on their first read, and ``find_peak`` and
     ``sidelobe_report`` read only the low bins they need (``Spectrum._head``).
-    A transform length with a prime factor past ``_DIRECT_PRIME_LIMIT`` is
-    zoomed on all its bins by ``_zoom``, whose magnitudes differ from the
-    rfft's by FFT rounding only; any other is one ``np.fft.rfft``.
     """
     factor = _check_padding("zero_pad_factor", zero_pad_factor)
     points, size, _ = readout_grid(len(signal), signal.sample_rate, factor)
@@ -213,17 +187,6 @@ def dft_magnitude(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
     spec = Spectrum._fresh(freqs, None, signal.duration, factor)
     object.__setattr__(spec, "_source", (signal, points))
     return spec
-
-
-def _has_prime_factor_above(points: int, limit: int) -> bool:
-    """Trial division by 2 ... ``limit``, stopped early once ``points`` is 1
-    or a prime; what is left is 1 or a product of primes past the last d."""
-    d = 2
-    while d <= limit and d * d <= points:
-        while points % d == 0:
-            points //= d
-        d += 1
-    return points > limit
 
 
 def band_magnitude(signal: SampledSignal, zero_pad_factor: int, band) -> Spectrum:
@@ -541,10 +504,15 @@ def _bin_frequencies(points: int, sample_rate: float, start: int, stop: int) -> 
 
 @functools.lru_cache(maxsize=_PLANS)
 def _smooth_length(n: int) -> int:
-    """The least 7-smooth integer >= ``n``."""
-    while _has_prime_factor_above(n, _SMOOTH_PRIME):
+    """The least 7-smooth integer >= ``n`` >= 1."""
+    while True:
+        rest = n
+        for prime in (2, 3, 5, 7):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return n
         n += 1
-    return n
 
 
 def _zoom(

@@ -2,11 +2,11 @@
 ``find_peak`` and ``sidelobe_report``, as ``cli.measure`` read a record
 before it read the band spectrum ``spectrum.band_magnitude``.
 
-It is the reference the band readouts, and ``dft_magnitude``'s own grid, are
-held to; it takes ``np.fft.rfft`` itself, never ``dft_magnitude``, which
-zooms some grids (``paper.cfg``'s 56,060 points among them) with the chirp-z
-that the band readouts use.  Bounds fixed before tuning: the peak within
-1e-9 Hz, and the same number of sidelobes, each within 1e-9 Hz and 1e-9 dB.
+It is the reference the band readouts, and ``dft_magnitude``'s low-bin head,
+are held to; it takes ``np.fft.rfft`` itself, never ``dft_magnitude``, whose
+readouts zoom the low bins with the chirp-z that the band readouts use.
+Bounds fixed before tuning: the peak within 1e-9 Hz, and the same number of
+sidelobes, each within 1e-9 Hz and 1e-9 dB.
 """
 
 import numpy as np

@@ -334,8 +334,8 @@ class TestMeasure:
         ids=["paper", "paper_phase", "paper-band-31-35-hz"],
     )
     def test_readouts_match_the_full_grid(self, paper_config_path, name, band):
-        """The band spectrum, and ``dft_magnitude``'s whole grid (zoomed by
-        chirp-z at 56,060 points), read each bundled configuration's peak and
+        """The band spectrum, and ``dft_magnitude``'s spectrum (read on its
+        low-bin head, of 56,060 points), read each bundled configuration's peak and
         sidelobes as the full rfft grid does.  With the band narrowed to
         31-35 Hz, the ddctfm lobes at 30.0 and 36.7 Hz lie outside it, inside
         the 3/T sidelobe span the band spectrum also covers."""

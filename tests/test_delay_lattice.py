@@ -7,7 +7,7 @@ state that on the 93 ms walkthrough (``paper_phase.cfg``) and over a 1 ms
 lattice of echo delays on ``paper.cfg``.  Tolerances were fixed before the
 readouts were taken: 0.01 Hz for every peak, 5b's own +/-1.5 dB for the lobe.
 Over the same lattice, each readout from the band spectrum, and from
-``dft_magnitude``'s whole grid, is the full rfft grid's, within
+``dft_magnitude``'s spectrum, is the full rfft grid's, within
 ``full_grid.READOUT_TOL``.
 """
 
@@ -89,8 +89,8 @@ class TestDelayLattice:
         assert errors[worst] <= PEAK_TOL_HZ, f"ideal at {worst} s: {errors[worst]:.5f} Hz"
 
     def test_readouts_match_the_full_grid(self, sweep):
-        """The band readouts, and those of ``dft_magnitude``'s whole grid
-        (56,060 points, zoomed by chirp-z), are the rfft grid's."""
+        """The band readouts, and those of ``dft_magnitude``'s spectrum
+        (56,060 points, read on its low-bin head), are the rfft grid's."""
         for config, by_mode, state in sweep:
             for mode, readout in by_mode.items():
                 reference = full_grid_report(config, state.output(mode))

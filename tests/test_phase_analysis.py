@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctfm_lab as lab
-from ctfm_lab import phase_analysis
+from ctfm_lab import cli, phase_analysis
 from oracles import (
     F_END,
     F_START,
@@ -392,3 +392,61 @@ class TestLedgerAgreesWithSampledSignal:
             )
             error = abs(lab.wrap_phase(measured - expected))
             assert error < 0.1, f"{label}: {error:.4f} rad"
+
+
+class TestOutputStep:
+    """The stitched output steps by wrap(-2*pi*B*tau) where channel 1 takes
+    over, whatever f_center*T is; the ledger's jump, tx(tau) - lo(tau), is
+    that step plus wrap(-2*pi*f_center*T), so the two agree only when
+    f_center*T is an integer.
+
+    The step is read from the phase of a numpy-FFT analytic signal of the
+    whole stitched sum, around the mid-record handoff.  On each side a line
+    of the beat's slope, 2*pi*B*tau/T, is fitted to the unwrapped phase over
+    the stretch clear of the filter's span (half of it each side of the
+    handoff and of the sweep resets), and the step is the difference of the
+    two lines.  The slope is the beat's, not fitted: the leak ripple on the
+    29-40 ms stretch before the handoff biases a fitted slope by up to
+    0.7 Hz.  Tolerance fixed before the first run: 0.005 pi."""
+
+    TOL = 0.005 * math.pi
+
+    @staticmethod
+    def analytic(samples):
+        spectrum = np.fft.fft(samples)
+        gain = np.zeros(samples.size)
+        gain[0] = 1.0
+        gain[1 : (samples.size + 1) // 2] = 2.0
+        if samples.size % 2 == 0:
+            gain[samples.size // 2] = 1.0
+        return np.fft.ifft(spectrum * gain)
+
+    @pytest.mark.parametrize("tau", [0.093, 0.096, 0.104])
+    @pytest.mark.parametrize(
+        "values",
+        [{}, {"tx.f_start": "105", "tx.f_end": "205", "lo.f_end": "245"}],
+        ids=["paper-fcT-45", "fcT-46.5"],
+    )
+    def test_the_output_steps_by_the_bandwidth_delay_product(
+        self, paper_config_path, values, tau
+    ):
+        config = lab.derive(lab.load_config(paper_config_path), {**values, "echoes.0.delay": tau})
+        output = cli.measure(config).output("ddctfm")
+        times = output.times()
+        period, k = config.tx.duration, config.cycles // 2
+        half_span = config.lowpass.impulse_duration / 2
+        handoff = k * period + tau + config.lowpass.group_delay
+        bandwidth = config.tx.f_end - config.tx.f_start
+        beat = 2.0 * math.pi * bandwidth * tau / period * (times - handoff)
+        residual = np.unwrap(np.angle(self.analytic(output.samples))) - beat
+        sides = [
+            (handoff - tau + half_span, handoff - half_span),
+            (handoff + half_span, handoff + period - tau - half_span),
+        ]
+        left, right = (residual[(times >= low) & (times <= high)].mean() for low, high in sides)
+        step = lab.wrap_phase(right - left)
+        expected = lab.wrap_phase(-2.0 * math.pi * bandwidth * tau)
+        assert abs(lab.wrap_phase(step - expected)) <= self.TOL
+        center_turns = 0.5 * (config.tx.f_start + config.tx.f_end) * period
+        ledger = lab.boundary_jump(config.schedule, tau, k)
+        assert abs(lab.wrap_phase(ledger - step + 2.0 * math.pi * center_turns)) <= self.TOL

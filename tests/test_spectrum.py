@@ -768,13 +768,9 @@ class TestBandMagnitude:
 
 
 class TestDftRoute:
-    """``dft_magnitude`` takes one rfft of a grid whose prime factors are all
-    at most ``_DIRECT_PRIME_LIMIT``, and zooms every bin of any other grid by
-    chirp-z.  Tolerances fixed before tuning: magnitudes within 1e-12 of the
-    rfft grid's maximum, as for the zooms, and bin frequencies bit for bit."""
-
-    MAG_TOL = 1e-12
-    LIMIT = spectrum_module._DIRECT_PRIME_LIMIT
+    """``dft_magnitude``'s whole grid is one rfft, whatever the transform
+    length's prime factors: magnitudes and bin frequencies bit for bit the
+    full rfft grid's."""
 
     @staticmethod
     def counting_rfft(monkeypatch):
@@ -794,41 +790,39 @@ class TestDftRoute:
         rate=st.sampled_from([4000.0, 3333.3, 7.5]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    @example(prime=409, multiple=3, factor=1, rate=4000.0, seed=0)  # routed, odd
+    @example(prime=409, multiple=3, factor=1, rate=4000.0, seed=0)  # odd
     @example(prime=2803, multiple=5, factor=4, rate=4000.0, seed=0)  # paper.cfg's grid
-    @example(prime=401, multiple=3, factor=3, rate=4000.0, seed=0)  # direct, odd
-    @example(prime=401, multiple=2, factor=8, rate=4000.0, seed=0)  # direct, even
+    @example(prime=2083, multiple=5, factor=4, rate=4000.0, seed=0)  # 9 cycles' grid
+    @example(prime=401, multiple=3, factor=3, rate=4000.0, seed=0)  # odd
+    @example(prime=401, multiple=2, factor=8, rate=4000.0, seed=0)  # even
     @settings(max_examples=60, deadline=None)
     def test_matches_the_rfft(self, prime, multiple, factor, rate, seed):
-        """White noise on records of ``prime * multiple`` samples: the grid
-        has a prime factor past the limit exactly when ``prime`` is past it."""
+        """White noise on records of ``prime * multiple`` samples, with
+        primes each side of where numpy's pocketfft takes its own Bluestein
+        pass (about 400 at 48k points)."""
         samples = prime * multiple
         signal = lab.SampledSignal(rate, np.random.default_rng(seed).standard_normal(samples))
-        points = factor * samples
-        routed = spectrum_module._has_prime_factor_above(points, self.LIMIT)
-        assert routed == (prime > self.LIMIT)
         spec = lab.dft_magnitude(signal, factor)
-        full = full_rfft(signal, points)
+        full = full_rfft(signal, factor * samples)
         assert spec.bin_frequencies.tobytes() == full.bin_frequencies.tobytes()
         assert spec.zero_pad_factor == factor and spec.record_duration == signal.duration
-        error = np.max(np.abs(spec.magnitudes - full.magnitudes))
-        assert error <= self.MAG_TOL * full.magnitudes.max()
+        assert spec.magnitudes.tobytes() == full.magnitudes.tobytes()
 
     @pytest.mark.parametrize(
-        "samples, factor, rffts",
-        [(14015, 4, 0), (1200, 64, 1)],
+        "samples, factor",
+        [(14015, 4), (1200, 64)],
         ids=["paper-record-56060-points", "paper-window-76800-points"],
     )
-    def test_route(self, monkeypatch, samples, factor, rffts):
+    def test_route(self, monkeypatch, samples, factor):
         """At the first read of its magnitudes, ``paper.cfg``'s record,
-        4 x 14,015 = 2**2 * 5 * 2803 points, takes no rfft; a 1,200-sample
-        window at 64x, 2**10 * 3 * 5**2, takes one.  ``dft_magnitude`` itself
+        4 x 14,015 = 2**2 * 5 * 2803 points, and a 1,200-sample window at
+        64x, 2**10 * 3 * 5**2, each take one rfft.  ``dft_magnitude`` itself
         takes none, and a second read takes none."""
         calls = self.counting_rfft(monkeypatch)
         spec = lab.dft_magnitude(tone(32.0, samples / SAMPLE_RATE), factor)
         assert calls == []
         assert spec.magnitudes is spec.magnitudes
-        assert calls == [(factor * samples,)] * rffts
+        assert calls == [(factor * samples,)]
 
     @pytest.mark.parametrize("samples, factor", [(14015, 4), (1200, 64)])
     def test_records_of_one_length_share_one_grid(self, samples, factor):
@@ -938,15 +932,15 @@ class TestLazySpectrum:
     def test_a_lobe_past_the_head_reads_the_whole_grid(self, monkeypatch):
         """A tone just under the band's top, read with a span narrower than
         its lobe: the head ends inside the lobe, so ``sidelobe_report`` reads
-        the whole grid (409 x 64 points, zoomed since 409 is past the limit),
-        which drops the record and the head."""
+        the whole grid, one rfft of 409 x 64 points after the head's one
+        zoom, which drops the record and the head."""
         signal = tones(self.RATE, 409, [(139.86, 1.0, 0.3)])
         band, search_span = (0.0, 140.0), 0.2 * self.RATE / 409
+        rffts = TestDftRoute.counting_rfft(monkeypatch)
         zoomed = self.recording_zoom(monkeypatch)
         spec = lab.dft_magnitude(signal, 64)
         report = self.readout(spec, band, search_span, -40.0)
-        size = spec.bin_frequencies.size
-        assert [len(bins) for bins in zoomed] == [3688, size]
+        assert [len(bins) for bins in zoomed] == [3688] and rffts == [(64 * 409,)]
         assert "magnitudes" in vars(spec) and not {"_source", "_kept"} & set(vars(spec))
         reference = self.readout(full_rfft(signal, 64 * 409), band, search_span, -40.0)
         assert_same_readout(report, reference)
@@ -964,24 +958,22 @@ class TestLazySpectrum:
         assert not {"_source", "_kept"} & set(vars(spec))
         assert spec._head(3) is spec and lab.find_peak(spec, (10.0, 50.0)) == pytest.approx(peak)
 
-    @pytest.mark.parametrize(
-        "samples, factor, head",
-        [
-            (1207, 1, False),
-            (1207, 2, False),
-            (1207, 3, False),
-            (1207, 4, True),  # 4 x 17 x 71 points: 3F <= points
-            (1200, 4, False),  # 2**6 x 3 x 5**2 points: 4F > points
-            (1200, 8, True),
-            (1200, 64, True),
-        ],
-    )
-    def test_a_head_is_read_when_it_costs_less(self, samples, factor, head):
-        """A head on a 7-smooth F is read when 4F <= the transform length, or
-        3F when that length has a prime factor past 7: never below factor 4,
-        where F >= N already passes N x factor / 3."""
-        spec = lab.dft_magnitude(tone(32.0, samples / SAMPLE_RATE), factor)
-        assert (spec._head(61) is not spec) == head
+    @pytest.mark.parametrize("stop, bins", [(3, 16), (597, 597), (598, None), (602, None)])
+    def test_a_head_that_would_hold_every_bin_is_the_grid(self, stop, bins):
+        """The 300-sample, 100 Hz record of ``TestSidelobeReport`` at 4x, 601
+        bins: a head zooms the F - 299 bins of the least 7-smooth F >= 299 +
+        ``stop``, so stop 3 reads 16 (F = 315) and stop 597 reads 597
+        (F = 896); from stop 598, F = 900 would hold all 601, and the head is
+        the grid itself."""
+        t = np.arange(300) / 100.0
+        samples = np.cos(2 * np.pi * 5.0 * t) + 0.3 * np.cos(2 * np.pi * 12.0 * t)
+        spec = lab.dft_magnitude(lab.SampledSignal(100.0, samples), 4)
+        assert spec.bin_frequencies.size == 601
+        head = spec._head(stop)
+        if bins is None:
+            assert head is spec and "magnitudes" not in vars(spec)
+        else:
+            assert head is not spec and head.bin_frequencies.size == bins
 
     def test_smooth_length_is_the_least_7_smooth_at_or_above(self):
         def smooth(n):
@@ -1250,14 +1242,14 @@ class TestRunZoom:
 
     def test_a_record_with_no_shorter_run_keeps_its_bytes(self, paper_config_path):
         """The ideal record at a 96.1234 ms delay has no shorter run: its band
-        spectrum, its lazy head and its full-grid zoom (4 x 14,015 points,
-        past the prime limit) are byte for byte the single-row zoom's."""
+        spectrum and its lazy head are byte for byte the single-row zoom's,
+        and its whole grid (4 x 14,015 points) the rfft's."""
         config, record, spec = self.band_record(
             paper_config_path, {"echoes.0.delay": "0.0961234"}, "ideal"
         )
         n, factor = len(record), config.zero_pad_factor
         assert record._copies() == (0, n, 1)
-        points, size, _ = spectrum_module.readout_grid(n, config.sample_rate, factor)
+        points, _, _ = spectrum_module.readout_grid(n, config.sample_rate, factor)
         first = round(spec.bin_frequencies[0] * points / config.sample_rate)
         bins = range(first, first + spec.bin_frequencies.size)
         fft = 1 << (n + len(bins) - 2).bit_length()
@@ -1268,8 +1260,7 @@ class TestRunZoom:
         fft = spectrum_module._smooth_length(n + 900 - 1)
         expected = self.single_row_zoom(record.samples, points, range(fft - n + 1), fft)
         assert head is not lazy and head.magnitudes.tobytes() == expected.tobytes()
-        fft = 1 << (n + size - 2).bit_length()
-        expected = self.single_row_zoom(record.samples, points, range(size), fft)
+        expected = np.abs(np.fft.rfft(record.samples, points))
         assert lazy.magnitudes.tobytes() == expected.tobytes()
 
 

@@ -17,7 +17,14 @@ advances 480,617/60,000,000 cycles a sample, so it has no run shorter
 than the record.  It prints one ``path digest`` line per CSV file (186 in
 all), one ``stdout:path digest`` line per command (12 in all), and one
 ``readout:case/mode peak width sidelobe`` line per row of each ``compare.csv``,
-each number in ``repr`` (12 in all), so a moved readout shows how far it moved.  Paths are relative to that directory, and each
+each number in ``repr`` (12 in all), so a moved readout shows how far it moved.  It
+also reads ``paper.cfg`` at every cycle count from 8 to 16, each built with
+``derive``, as the benchmark's ``analysis-sweep`` reads it: the ddctfm
+settled record at ``zero_pad_factor`` and the ddctfm window at 64x, each
+through ``dft_magnitude``, ``find_peak`` and ``sidelobe_report`` (a 3/T
+span and a -12 dB floor), and prints one ``readout:dft/cycles-NN/record``
+and ``/window`` line each, with the peak, width and strongest sidelobe in
+``repr`` (18 in all).  Paths are relative to that directory, and each
 stdout has the directory replaced by ``<out>``.  The bundled configurations have whole-sample delays, so it
 also builds the cases of ``RECEIVER_CASES`` with the library, fractional
 delays on the 1,200-sample and the 1,200.5-sample grid, over 12 cycles and
@@ -45,7 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import ctfm_lab as lab  # noqa: E402
-from ctfm_lab.cli import MODES, main  # noqa: E402
+from ctfm_lab.cli import MODES, SIDELOBE_FLOOR_DB, main, measure  # noqa: E402
 
 CONFIGS = ("paper.cfg", "paper_phase.cfg")
 
@@ -137,6 +144,7 @@ def main_digests() -> None:
             for path in out.rglob("*.csv")
         ]
         lines += readout_lines(out)
+    lines += dft_readout_lines(paper)
     lines += receiver_digests()
     texts = {name: (ROOT / "configs" / name).read_text() for name in CONFIGS}
     texts["three-echoes"] = SERIALIZE_TEXT
@@ -157,6 +165,29 @@ def readout_lines(out: Path) -> list[str]:
             mode, *cells = row.split(",")
             numbers = " ".join(repr(float(cell)) if cell else "-" for cell in cells)
             lines.append(f"readout:{path.parent.parent.name}/{mode} {numbers}")
+    return lines
+
+
+def dft_readout_lines(paper) -> list[str]:
+    """One ``readout:dft/cycles-NN/record`` and ``/window`` line per cycle
+    count from 8 to 16: ``dft_magnitude``'s peak, width and strongest
+    sidelobe (``-`` for none) of the ddctfm record and window, in ``repr``."""
+    lines = []
+    for cycles in range(8, 17):
+        config = lab.derive(paper, {"cycles": cycles})
+        output, spans = measure(config).output("ddctfm"), config.analysis_spans()
+        cuts = {
+            "record": (spans["record"], config.zero_pad_factor),
+            "window": (spans["ddctfm"], config.width_pad_factor),
+        }
+        for cut, (span, factor) in cuts.items():
+            spec = lab.dft_magnitude(lab.time_slice(output, *span), factor)
+            peak = lab.find_peak(spec, config.band)
+            report = lab.sidelobe_report(spec, peak, 3.0 / config.tx.duration, SIDELOBE_FLOOR_DB)
+            lobe = max((lobe.ratio_db for lobe in report.sidelobes), default=None)
+            numbers = (report.peak_frequency, report.mainlobe_width_3db, lobe)
+            text = " ".join("-" if x is None else repr(x) for x in numbers)
+            lines.append(f"readout:dft/cycles-{cycles:02d}/{cut} {text}")
     return lines
 
 
