@@ -27,7 +27,7 @@ _VERTEX_MARGIN_DB = 4.0
 # Chirp-z plans, and bin-frequency grids, kept, least recently used dropped
 # first: a sweep reads many records of a few lengths, and a ``compare``
 # builds four to six plans.  A plan holds 16 * (max(lead, run) + FFT length
-# + bins) bytes and its grid 8 * bins, at most about 160 per record sample for
+# + bins) bytes and its grid 8 * bins, at most about 115 per record sample for
 # a full grid at factor 4.
 _PLANS = 16
 
@@ -111,30 +111,22 @@ class Spectrum:
         """A spectrum of at least the grid's first ``stop`` bins (all, if
         fewer), read as the grid reads them.
 
-        A spectrum with its ``magnitudes`` is its own head.  A lazy one zooms
-        its record as ``_zoom`` does, split into a lead-in and copies of one
-        run (``SampledSignal._copies``), so it reads only the record's first
-        lead + run samples.  It zooms bins [0, M), M every bin the least
-        7-smooth FFT F >= max(lead, run) + ``stop`` - 1 holds (numpy's
-        pocketfft runs such lengths on its fastest passes), on a view of
-        its grid, and keeps that head for the next read.  A head that would
-        hold every bin is the grid itself: a read of it transforms its
-        ``magnitudes``.
+        A spectrum with its ``magnitudes`` is its own head, and so is a lazy
+        one asked for every bin: a read of it transforms its ``magnitudes``.
+        Any other lazy spectrum zooms bins [0, ``stop``) alone (``_zoom``),
+        on a view of its grid, and keeps that head for the next read that it
+        holds.
         """
-        if "magnitudes" in self.__dict__:
+        if "magnitudes" in self.__dict__ or stop >= self.bin_frequencies.size:
             return self
         kept = self.__dict__.get("_kept")
         if kept is not None and kept.bin_frequencies.size >= stop:
             return kept
         signal, points = self._source
-        lead, run, _ = signal._copies()
-        n = max(lead, run)
-        fft = _smooth_length(n + stop - 1)
-        bins = range(fft - n + 1)
-        if bins.stop >= self.bin_frequencies.size:
-            return self
-        freqs = self.bin_frequencies[: bins.stop]
-        head = _zoom(signal, points, bins, self.zero_pad_factor, freqs, fft)
+        mags = _zoom(signal, points, range(stop))
+        head = Spectrum._fresh(
+            self.bin_frequencies[:stop], mags, self.record_duration, self.zero_pad_factor
+        )
         object.__setattr__(self, "_kept", head)
         return head
 
@@ -216,7 +208,8 @@ def band_magnitude(signal: SampledSignal, zero_pad_factor: int, band) -> Spectru
     points, size, freq = readout_grid(len(signal), signal.sample_rate, factor)
     run = band_bins(size, freq, band)
     bins = range(max(run.start - 1, 0), min(run.stop + 1, size))
-    return _zoom(signal, points, bins, factor)
+    freqs = _bin_frequencies(points, signal.sample_rate, bins.start, bins.stop)
+    return Spectrum._fresh(freqs, _zoom(signal, points, bins), signal.duration, factor)
 
 
 def band_bins(size: int, freq, band) -> range:
@@ -455,7 +448,7 @@ def mainlobe_width(
 
 
 @functools.lru_cache(maxsize=_PLANS)
-def _zoom_plan(lead: int, run: int, copies: int, points: int, start: int, stop: int, fft: int):
+def _zoom_plan(lead: int, run: int, copies: int, points: int, start: int, stop: int):
     """(weights, kernel, comb) that ``_zoom`` zooms any record split into
     ``lead``, ``run`` and ``copies`` (``SampledSignal._copies``) with,
     read-only and shared: |DFT| of ``points`` points on bins ``start`` to
@@ -470,17 +463,19 @@ def _zoom_plan(lead: int, run: int, copies: int, points: int, start: int, stop: 
     on the comb lines.  ``comb`` is w^(ka) · D_Q[k].  With k = k0 + m, A
     and B are each e^(-iπm²/L) · sum_n y[n] e^(-iπ(n² + 2·k0·n)/L) ·
     e^(iπ(m - n)²/L) for their row y, one Bluestein chirp-z pass (Rabiner,
-    Schafer & Rader, 1969) with FFTs of ``fft`` >= max(a, r) + M - 1
-    points; the leading chirp has unit modulus and is common to both rows,
-    so it is skipped.  Each integer phase is reduced mod L or 2L in int64
-    before it is scaled, so it is exact at any k0 for L < 2**31.
+    Schafer & Rader, 1969) with FFTs of the ``kernel``'s length, the least
+    7-smooth F >= max(a, r) + M - 1 (``_smooth_length``; numpy's pocketfft
+    runs such lengths on its fastest passes); the leading chirp has unit
+    modulus and is common to both rows, so it is skipped.  Each integer
+    phase is reduced mod L or 2L in int64 before it is scaled, so it is
+    exact at any k0 for L < 2**31.
     """
     n, m, k0 = max(lead, run), stop - start, start
     i, d = np.arange(n, dtype=np.int64), np.arange(1 - n, m, dtype=np.int64)
     radians = np.pi / points
     weights = np.exp(-1j * radians * ((i * i + 2 * k0 * i) % (2 * points)))
     chirp = np.exp(1j * radians * (d * d % (2 * points)))
-    kernel = np.fft.fft(chirp, fft)
+    kernel = np.fft.fft(chirp, _smooth_length(n + m - 1))
     k = np.arange(start, stop, dtype=np.int64)
     j = (k * run + points // 2) % points - points // 2  # θ = j / L
     gain = np.sin(radians * ((copies * j + points) % (2 * points) - points))
@@ -502,7 +497,6 @@ def _bin_frequencies(points: int, sample_rate: float, start: int, stop: int) -> 
     return freqs
 
 
-@functools.lru_cache(maxsize=_PLANS)
 def _smooth_length(n: int) -> int:
     """The least 7-smooth integer >= ``n`` >= 1."""
     while True:
@@ -515,31 +509,24 @@ def _smooth_length(n: int) -> int:
         n += 1
 
 
-def _zoom(
-    signal: SampledSignal, points: int, bins: range, factor: int, freqs=None, fft=None
-) -> Spectrum:
-    """``signal``'s ``points``-point |DFT| on ``bins`` alone, as a ``Spectrum``
-    of ``factor``, through the cached ``_zoom_plan`` of its split
-    (``SampledSignal._copies``): the lead-in and one run, read from the
-    record's ``_head`` and never tiled further, as the rows of one FFT pair
-    of ``fft`` points (by default the least power of two >= max(lead, run)
-    + M - 1), then |A + comb · B|.  A record with no shorter run is one row
-    and one copy, whose ``comb`` is exactly 1.  The bins' frequencies are
-    ``freqs``, or else the cached ``_bin_frequencies``."""
+def _zoom(signal: SampledSignal, points: int, bins: range) -> np.ndarray:
+    """``signal``'s ``points``-point |DFT| on ``bins`` alone, through the
+    cached ``_zoom_plan`` of its split (``SampledSignal._copies``): the
+    lead-in and one run, read from the record's ``_head`` and never tiled
+    further, as the rows of one FFT pair of the plan's ``kernel.size``
+    points, then |A + comb · B|.  A record with no shorter run is one row
+    and one copy, whose ``comb`` is exactly 1."""
     lead, run, copies = signal._copies()
     n = max(lead, run)
-    fft = fft or 1 << (n + len(bins) - 2).bit_length()
-    weights, kernel, comb = _zoom_plan(lead, run, copies, points, bins.start, bins.stop, fft)
-    if freqs is None:
-        freqs = _bin_frequencies(points, signal.sample_rate, bins.start, bins.stop)
+    weights, kernel, comb = _zoom_plan(lead, run, copies, points, bins.start, bins.stop)
     head = signal._head(lead + run)
     rows = np.zeros((2 if lead else 1, n), dtype=complex)  # the lead-in, if any, and the run
     rows[0, :lead] = head[:lead] * weights[:lead]
     rows[-1, :run] = head[lead:] * weights[:run]
-    work = np.fft.fft(rows, fft)
+    work = np.fft.fft(rows, kernel.size)
     work *= kernel
     zoomed = np.fft.ifft(work)[:, n - 1 : n - 1 + len(bins)]
     total = zoomed[-1] * comb
     if lead:
         total += zoomed[0]
-    return Spectrum._fresh(freqs, np.abs(total), signal.duration, factor)
+    return np.abs(total)

@@ -346,8 +346,8 @@ def _tile(block: np.ndarray, start: int, count: int) -> np.ndarray:
     """The ``count``-sample record whose first ``len(block)`` are ``block``.
 
     Later samples repeat ``block[start:]``, copied in doubling chunks, of
-    any dtype (samples, masks, and the positions a repeating column is
-    written at).  A block that already spans the record is cut to it.
+    any dtype (samples, masks, row positions and a repeating column's
+    texts).  A block that already spans the record is cut to it.
     """
     if block.size >= count:
         return block[:count]
@@ -391,8 +391,8 @@ def _cells(column, sep: str, cache: dict) -> list[str]:
     """One column's texts, each followed by ``sep``."""
     if isinstance(column, SampledSignal):
         start, run = column._repeat
-        block = column._head(start + run)
-        column = Rows(block, _tile(np.arange(block.size), start, column._count))
+        texts = np.array(_formatted(column._head(start + run), sep, cache), dtype=object)
+        return _tile(texts, start, column._count).tolist()
     if isinstance(column, Rows):
         texts = np.array(_formatted(column.values, sep, cache), dtype=object)
         return texts[column.rows].tolist()
@@ -408,8 +408,8 @@ def csv_columns(header: str, *columns, cache: dict | None = None) -> str:
     become text.
 
     A column is an array of numbers; the ``Rows`` of an array, whose values
-    are formatted once and read at its rows; a ``SampledSignal``, written as
-    the ``Rows`` of its run, tiled over the record; or a list, written cell
+    are formatted once and read at its rows; a ``SampledSignal``, whose
+    run's texts are tiled over the record; or a list, written cell
     by cell: a ``str`` as it stands, ``None`` as an empty cell, and its
     numbers formatted in one pass.  Every number is in round-trip ``.17g``
     and carries its separator, a comma or the line break, so each row is

@@ -607,9 +607,10 @@ class TestWidthZoom:
         if second >= first * (1.0 - 1e-9) or first < 1e-3 * np.abs(signal.samples).sum():
             return False
         lo, hi = max(run.start - 2, 0), min(run.stop + 2, freqs.size)
-        zoom = spectrum_module._zoom(signal, points, range(lo, hi), factor)
-        np.testing.assert_array_equal(zoom.bin_frequencies, freqs[lo:hi])
-        error = np.max(np.abs(zoom.magnitudes - full.magnitudes[lo:hi]))
+        zoom = spectrum_module._zoom(signal, points, range(lo, hi))
+        grid = spectrum_module._bin_frequencies(points, signal.sample_rate, lo, hi)
+        np.testing.assert_array_equal(grid, freqs[lo:hi])
+        error = np.max(np.abs(zoom - full.magnitudes[lo:hi]))
         assert error <= self.MAG_TOL * first
         peak_bin = spectrum_module._peak_bin(full, lab.find_peak(full, band))
         expected = spectrum_module._mainlobe_extent(full, peak_bin)[0]
@@ -931,16 +932,18 @@ class TestLazySpectrum:
 
     def test_a_lobe_past_the_head_reads_the_whole_grid(self, monkeypatch):
         """A tone just under the band's top, read with a span narrower than
-        its lobe: the head ends inside the lobe, so ``sidelobe_report`` reads
-        the whole grid, one rfft of 409 x 64 points after the head's one
-        zoom, which drops the record and the head."""
+        its lobe: ``find_peak``'s head zooms the band's 3,665 bins and one
+        more, ``sidelobe_report``'s span reaches past them, so it zooms
+        3,675, and that head ends inside the lobe, so it reads the whole
+        grid, one rfft of 409 x 64 points, which drops the record and the
+        head."""
         signal = tones(self.RATE, 409, [(139.86, 1.0, 0.3)])
         band, search_span = (0.0, 140.0), 0.2 * self.RATE / 409
         rffts = TestDftRoute.counting_rfft(monkeypatch)
         zoomed = self.recording_zoom(monkeypatch)
         spec = lab.dft_magnitude(signal, 64)
         report = self.readout(spec, band, search_span, -40.0)
-        assert [len(bins) for bins in zoomed] == [3688] and rffts == [(64 * 409,)]
+        assert [len(bins) for bins in zoomed] == [3666, 3675] and rffts == [(64 * 409,)]
         assert "magnitudes" in vars(spec) and not {"_source", "_kept"} & set(vars(spec))
         reference = self.readout(full_rfft(signal, 64 * 409), band, search_span, -40.0)
         assert_same_readout(report, reference)
@@ -958,13 +961,14 @@ class TestLazySpectrum:
         assert not {"_source", "_kept"} & set(vars(spec))
         assert spec._head(3) is spec and lab.find_peak(spec, (10.0, 50.0)) == pytest.approx(peak)
 
-    @pytest.mark.parametrize("stop, bins", [(3, 16), (597, 597), (598, None), (602, None)])
+    @pytest.mark.parametrize(
+        "stop, bins", [(3, 3), (598, 598), (600, 600), (601, None), (602, None)]
+    )
     def test_a_head_that_would_hold_every_bin_is_the_grid(self, stop, bins):
         """The 300-sample, 100 Hz record of ``TestSidelobeReport`` at 4x, 601
-        bins: a head zooms the F - 299 bins of the least 7-smooth F >= 299 +
-        ``stop``, so stop 3 reads 16 (F = 315) and stop 597 reads 597
-        (F = 896); from stop 598, F = 900 would hold all 601, and the head is
-        the grid itself."""
+        bins: a head zooms bins [0, ``stop``) alone, so stop 3 reads 3 and
+        stop 598 reads 598; from stop 601 it would hold all 601, and the
+        head is the grid itself."""
         t = np.arange(300) / 100.0
         samples = np.cos(2 * np.pi * 5.0 * t) + 0.3 * np.cos(2 * np.pi * 12.0 * t)
         spec = lab.dft_magnitude(lab.SampledSignal(100.0, samples), 4)
@@ -1041,20 +1045,20 @@ class TestLazySpectrum:
 
     def test_a_sweep_builds_each_plan_and_grid_once(self, paper_sweep, monkeypatch):
         """Over the nine record lengths and their 1,200-sample windows every
-        ``_zoom_plan``, ``_bin_frequencies`` and ``_smooth_length`` entry is
-        built once, within the caches' 16 entries, and a second pass builds
-        none.  A plan is keyed by its record's split (``_copies``): the
-        records share a lead-in of 815 samples and a 1,200-sample run, with
-        one copy fewer than their cycles, and each builds its own plan for
-        its own transform length; the windows, one run with no lead-in,
-        share one.  Every plan array is read-only."""
+        ``_zoom_plan`` and ``_bin_frequencies`` entry is built once, within
+        the caches' 16 entries, and a second pass builds none.  A plan is
+        keyed by its record's split (``_copies``): the records share a
+        lead-in of 815 samples and a 1,200-sample run, with one copy fewer
+        than their cycles, and each builds its own plan for its own
+        transform length; the windows, one run with no lead-in, share one.
+        Every plan array is read-only."""
         plan, keys = spectrum_module._zoom_plan, []
 
         def recording_plan(*key):
             keys.append(key)
             return plan(*key)
 
-        caches = (plan, spectrum_module._bin_frequencies, spectrum_module._smooth_length)
+        caches = (plan, spectrum_module._bin_frequencies)
         for cache in caches:
             cache.cache_clear()
         monkeypatch.setattr(spectrum_module, "_zoom_plan", recording_plan)
@@ -1242,8 +1246,9 @@ class TestRunZoom:
 
     def test_a_record_with_no_shorter_run_keeps_its_bytes(self, paper_config_path):
         """The ideal record at a 96.1234 ms delay has no shorter run: its band
-        spectrum and its lazy head are byte for byte the single-row zoom's,
-        and its whole grid (4 x 14,015 points) the rfft's."""
+        spectrum and its lazy head are byte for byte the single-row zoom's on
+        the least 7-smooth FFT, and its whole grid (4 x 14,015 points) the
+        rfft's."""
         config, record, spec = self.band_record(
             paper_config_path, {"echoes.0.delay": "0.0961234"}, "ideal"
         )
@@ -1252,16 +1257,53 @@ class TestRunZoom:
         points, _, _ = spectrum_module.readout_grid(n, config.sample_rate, factor)
         first = round(spec.bin_frequencies[0] * points / config.sample_rate)
         bins = range(first, first + spec.bin_frequencies.size)
-        fft = 1 << (n + len(bins) - 2).bit_length()
+        fft = spectrum_module._smooth_length(n + len(bins) - 1)
         expected = self.single_row_zoom(record.samples, points, bins, fft)
         assert spec.magnitudes.tobytes() == expected.tobytes()
         lazy = lab.dft_magnitude(record, factor)
         head = lazy._head(900)
         fft = spectrum_module._smooth_length(n + 900 - 1)
-        expected = self.single_row_zoom(record.samples, points, range(fft - n + 1), fft)
+        expected = self.single_row_zoom(record.samples, points, range(900), fft)
         assert head is not lazy and head.magnitudes.tobytes() == expected.tobytes()
         expected = np.abs(np.fft.rfft(record.samples, points))
         assert lazy.magnitudes.tobytes() == expected.tobytes()
+
+
+class TestZoomLength:
+    """Every chirp-z zoom takes one FFT length, its plan's ``kernel``'s: the
+    least 7-smooth F >= max(lead, run) + M - 1 (``_smooth_length``)."""
+
+    @pytest.mark.parametrize(
+        "values, widths",
+        [
+            ({}, [2100, 1470, 9261]),
+            ({"sample_rate": "4802", "tx.duration": "0.25", "lo.f_end": "248"}, None),
+        ],
+        ids=["paper", "paper-1200.5"],
+    )
+    def test_every_zoom_takes_the_least_7_smooth_fft(
+        self, paper_config_path, monkeypatch, values, widths
+    ):
+        """Every plan ``measure`` builds in every mode: the records' band
+        spectra and the windows' width zooms.  On ``paper.cfg`` the width
+        zooms (ddctfm, ctfm, ideal) take 2,100, 1,470 and 9,261 points,
+        where the least powers of two are 4,096, 2,048 and 16,384."""
+        plan, keys = spectrum_module._zoom_plan, []
+
+        def recording_plan(*key):
+            keys.append(key)
+            return plan(*key)
+
+        monkeypatch.setattr(spectrum_module, "_zoom_plan", recording_plan)
+        cli.measure(lab.derive(lab.load_config(paper_config_path), values), cli.MODES)
+        sizes = [plan(*key)[1].size for key in keys]
+        assert len(keys) >= 2 * len(cli.MODES)
+        for (lead, run, _, _, start, stop), size in zip(keys, sizes):
+            assert size == spectrum_module._smooth_length(max(lead, run) + stop - start - 1)
+        if widths is not None:
+            record_points = keys[0][3]  # every record's band spectrum: one length
+            found = [size for key, size in zip(keys, sizes) if key[3] != record_points]
+            assert found == widths
 
 
 class TestStitchedOutputSpectrum:
