@@ -37,7 +37,7 @@ from pathlib import Path
 from .demod import LowpassSpec, check_cutoff
 from .errors import ConfigLoadError, CtfmLabError
 from .phase_analysis import check_ledger_delay
-from .scene import Echo, Scene
+from .scene import Echo, Scene, check_delay
 from .spectrum import band_bins, readout_grid
 from .waveform import CONTINUITY_TOL, ChirpSpec, SweepSchedule, make_schedule, sample_count
 from .waveform import _check_sample_rate, _slice_indices, sweep_phase, sweep_rate
@@ -201,11 +201,7 @@ def _collect_echoes(values: dict, period: float) -> tuple[Echo, ...]:
         if key not in values:
             gap = f" (at least one echo, indices contiguous from 0, got {indices})"
             raise ConfigLoadError("missing required key" + ("" if n in indices else gap), field=key)
-        if not 0.0 <= values[key] < period:
-            raise ConfigLoadError(
-                f"echo delay must be < sweep duration ({period} s) and >= 0, got {values[key]} s",
-                field=key,
-            )
+        _domain(key, lambda: check_delay(values[key], period))
         echoes.append(Echo(values[key], values.get(f"echoes.{n}.amplitude", 1.0)))
     amplitudes: dict[float, list[float]] = {}
     for echo in echoes:

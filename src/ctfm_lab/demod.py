@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, DomainError, ShapeError
 from .waveform import SampledSignal, SweepSchedule, _check_aligned, _require_finite, sweep_rate
 
 
@@ -62,8 +62,13 @@ def design_lowpass(spec: LowpassSpec) -> np.ndarray:
 
 
 def frequency_response(coeffs: np.ndarray, freqs_hz, sample_rate: float) -> np.ndarray:
-    """Complex response of an FIR filter at the given frequencies."""
+    """Complex response of an FIR filter at the given frequencies, which must
+    be finite, for a finite and positive ``sample_rate``."""
+    if _require_finite("sample_rate", sample_rate) <= 0.0:
+        raise DomainError(f"sample_rate must be positive, got {sample_rate}")
     freqs = np.atleast_1d(np.asarray(freqs_hz, dtype=float))
+    if not np.isfinite(freqs).all():
+        raise DomainError(f"frequencies must be finite, got {freqs_hz!r}")
     n = np.arange(len(coeffs))
     phase = -2j * np.pi * np.outer(freqs, n) / sample_rate
     return np.exp(phase) @ np.asarray(coeffs)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedRangeError
+from .scene import check_delay
 # wrap_phase is defined with the sweeps and re-exported from here.
 from .waveform import TWO_PI, SweepSchedule, csv_columns, cycle_split
 from .waveform import lo_phase, tx_phase, wrap_phase
@@ -66,17 +67,8 @@ def _split_left(t: float, period: float) -> tuple[int, float]:
     return k, local
 
 
-def _check_tau(schedule: SweepSchedule, tau: float) -> None:
-    if not math.isfinite(tau) or tau < 0.0:
-        raise DomainError(f"echo delay must be finite and >= 0, got {tau}")
-    if tau >= schedule.period:
-        raise UnsupportedRangeError(
-            f"echo delay {tau} s must be below the sweep period {schedule.period} s"
-        )
-
-
 def _check_instant(schedule: SweepSchedule, tau: float, t: float) -> None:
-    _check_tau(schedule, tau)
+    check_delay(tau, schedule.period)
     if not 0.0 <= t <= schedule.total_duration:
         raise DomainError(
             f"t = {t} s outside the simulated span [0, {schedule.total_duration}] s"
@@ -136,23 +128,20 @@ def boundary_jump(schedule: SweepSchedule, tau: float, k: int) -> float:
     output steps by this jump plus that, wrap(-2*pi*B*tau), and the two agree
     only when center_frequency*period is an integer.  The result is the same
     for every valid ``k``; the index only asserts that the handoff exists.
+    Past the oscillator window none exists: ``check_ledger_delay`` refuses
+    such a delay with ``UnsupportedRangeError``.
     """
-    _check_tau(schedule, tau)
-    if not isinstance(k, int) or not 1 <= k <= schedule.cycles - 1:
+    check_ledger_delay(schedule, tau)
+    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= schedule.cycles - 1:
         raise DomainError(
             f"cycle index must satisfy 1 <= k <= {schedule.cycles - 1}, got {k}"
-        )
-    if tau > schedule.lo.duration:
-        raise DomainError(
-            f"no channel handoff exists at delay {tau} s: the oscillator window "
-            f"ends after {schedule.lo.duration} s"
         )
     return wrap_phase(tx_phase(schedule.tx, tau) - lo_phase(schedule.lo, tau))
 
 
 def boundary_jump_closed_form(schedule: SweepSchedule, tau: float) -> float:
     """The jump predicted algebraically: wrap(-2*pi*(B*tau + f_center*T))."""
-    _check_tau(schedule, tau)
+    check_delay(tau, schedule.period)
     bandwidth = schedule.tx.f_end - schedule.tx.f_start
     f_center = 0.5 * (schedule.tx.f_start + schedule.tx.f_end)
     return wrap_phase(-TWO_PI * (bandwidth * tau + f_center * schedule.period))
@@ -193,11 +182,10 @@ class PhaseReport:
 
 
 def check_ledger_delay(schedule: SweepSchedule, tau: float) -> None:
-    """Reject a delay whose handoff falls after the oscillator window closes.
-
-    The loader applies this bound to the first echo, so every configuration
-    that loads has a ledger.
-    """
+    """The one window rule: refuse a delay that ``scene.check_delay`` refuses,
+    or whose handoff falls after the oscillator window closes.  The loader
+    applies it to the first echo, so every loaded configuration has a ledger."""
+    check_delay(tau, schedule.period)
     if tau > schedule.lo.duration:
         raise UnsupportedRangeError(
             f"echo delay {tau} s must not exceed the oscillator window "
@@ -214,7 +202,6 @@ def phase_table(schedule: SweepSchedule, tau: float) -> PhaseReport:
     handoff, so ``boundary_jump`` is evaluated once and repeated at each
     k*T + tau.
     """
-    _check_tau(schedule, tau)
     check_ledger_delay(schedule, tau)
     if schedule.cycles < 2:
         raise DomainError("the ledger needs at least two cycles")

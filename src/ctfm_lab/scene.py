@@ -25,8 +25,7 @@ class Echo:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.delay) or self.delay < 0.0:
-            raise DomainError(f"echo delay must be finite and >= 0, got {self.delay}")
+        check_delay(self.delay)
         if not math.isfinite(self.amplitude):
             raise DomainError(f"echo amplitude must be finite, got {self.amplitude}")
 
@@ -67,20 +66,24 @@ def _received(schedule: SweepSchedule, scene: Scene, sample_rate: float, grid, c
     ``grid.copies(schedule.tx)`` in scene order."""
     _check_sample_rate(sample_rate, schedule.tx)
     for i, echo in enumerate(scene.echoes):
-        if echo.delay >= schedule.period:
-            raise UnsupportedRangeError(
-                f"echo {i} delay {echo.delay} s must be below the sweep period "
-                f"{schedule.period} s; longer delays leave no valid beat segment"
-            )
+        check_delay(echo.delay, schedule.period, f"echo {i} delay")
     block = np.zeros(grid.stop)
     for (first, term), echo in zip(copies, scene.echoes):
         block[first:] += term * echo.amplitude
     return SampledSignal._fresh(sample_rate, block, start=grid.start, count=grid.count)
 
 
-def _check_delay(delay: float) -> None:
+def check_delay(delay: float, period: float = math.inf, name: str = "echo delay") -> None:
+    """The one echo-delay rule: ``DomainError`` unless ``delay`` is finite and
+    >= 0, ``UnsupportedRangeError`` unless it is below ``period``, the sweep
+    period.  ``name`` labels the delay in the message."""
     if not math.isfinite(delay) or delay < 0.0:
-        raise DomainError(f"delay must be finite and >= 0, got {delay}")
+        raise DomainError(f"{name} must be finite and >= 0, got {delay}")
+    if delay >= period:
+        raise UnsupportedRangeError(
+            f"{name} must be < the sweep period ({period} s), got {delay} s: "
+            "longer delays leave no valid beat segment"
+        )
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -92,13 +95,13 @@ def beat_frequency(sweep_slope: float, delay: float) -> float:
     """Difference frequency slope * delay produced by a settled echo."""
     if not math.isfinite(sweep_slope):
         raise DomainError(f"sweep_slope must be finite, got {sweep_slope}")
-    _check_delay(delay)
+    check_delay(delay, name="delay")
     return sweep_slope * delay
 
 
 def delay_to_range(delay: float, sound_speed: float = 1500.0) -> float:
     """Two-way travel: range = sound_speed * delay / 2."""
-    _check_delay(delay)
+    check_delay(delay, name="delay")
     _check_positive("sound_speed", sound_speed)
     return sound_speed * delay / 2.0
 

@@ -134,7 +134,7 @@ class SweepSchedule:
     cycles: int
 
     def __post_init__(self):
-        if not isinstance(self.cycles, int) or self.cycles < 1:
+        if isinstance(self.cycles, bool) or not isinstance(self.cycles, int) or self.cycles < 1:
             raise DomainError(f"cycles must be a positive integer, got {self.cycles}")
         tx, lo = self.tx, self.lo
         if lo.duration > tx.duration:

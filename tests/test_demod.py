@@ -80,6 +80,19 @@ class TestDesignLowpass:
         theirs = np.array([10 ** (response_db(h, f) / 20.0) for f in freqs])
         np.testing.assert_allclose(ours, theirs, rtol=1e-9)
 
+    @pytest.mark.parametrize("rate", [0.0, -4000.0, math.nan, math.inf])
+    def test_frequency_response_refuses_a_bad_sample_rate(self, reference_lowpass, rate):
+        """A zero rate used to divide by zero, and a negative one to pass."""
+        h = lab.design_lowpass(reference_lowpass)
+        with pytest.raises(lab.DomainError, match="sample_rate"):
+            lab.frequency_response(h, [32.0], rate)
+
+    @pytest.mark.parametrize("freq", [math.nan, math.inf, -math.inf])
+    def test_frequency_response_refuses_a_non_finite_frequency(self, reference_lowpass, freq):
+        h = lab.design_lowpass(reference_lowpass)
+        with pytest.raises(lab.DomainError, match="frequencies must be finite"):
+            lab.frequency_response(h, [0.0, freq], SAMPLE_RATE)
+
 
 def make_signal(samples, rate=SAMPLE_RATE, t0=0.0):
     return lab.SampledSignal(rate, np.asarray(samples, dtype=float), t0)

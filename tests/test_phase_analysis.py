@@ -206,7 +206,7 @@ class TestBoundaryJump:
             )
             assert abs(lab.wrap_phase(via_channels - direct)) < 1e-9, k
 
-    @pytest.mark.parametrize("k", [0, 12, -1])
+    @pytest.mark.parametrize("k", [0, 12, -1, True])
     def test_rejects_cycles_without_a_handoff(self, reference_schedule, k):
         with pytest.raises(lab.DomainError):
             lab.boundary_jump(reference_schedule, LEDGER_DELAY, k)

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 import ctfm_lab as lab
 from ctfm_lab import waveform
+from ctfm_lab.config import parse_config
 from oracles import (
+    CYCLES,
+    F_END,
+    F_START,
+    LO_DURATION,
+    LO_F_END,
+    PERIOD,
     SAMPLE_RATE,
     SYNTHESIS_GRIDS,
     cos_of_pi_units,
@@ -37,6 +44,69 @@ class TestEchoValidation:
     def test_nonpositive_sound_speed_rejected(self):
         with pytest.raises(lab.DomainError):
             lab.Scene(echoes=(lab.Echo(0.01),), sound_speed=0.0)
+
+
+# Every entry point that takes an echo delay, called on the reference
+# schedule with ``delay``; the loader reads it as ``echoes.0.delay``.
+DELAY_ENTRY_POINTS = {
+    "Echo": lambda s, d: lab.Echo(d),
+    "beat_frequency": lambda s, d: lab.beat_frequency(lab.sweep_rate(s.tx), d),
+    "delay_to_range": lambda s, d: lab.delay_to_range(d),
+    "synthesize_received": lambda s, d: lab.synthesize_received(
+        s, single_echo_scene(d), SAMPLE_RATE
+    ),
+    "channel1_phase": lambda s, d: lab.channel1_phase(s, d, PERIOD + 0.05),
+    "channel2_phase": lambda s, d: lab.channel2_phase(s, d, PERIOD + 0.05),
+    "boundary_jump": lambda s, d: lab.boundary_jump(s, d, 1),
+    "boundary_jump_closed_form": lab.boundary_jump_closed_form,
+    "phase_table": lab.phase_table,
+    "parse_config": lambda s, d: parse_config(
+        f"tx.f_start = {F_START}\ntx.f_end = {F_END}\ntx.duration = {PERIOD}\n"
+        f"lo.f_end = {LO_F_END}\nlo.duration = {LO_DURATION}\ncycles = {CYCLES}\n"
+        f"echoes.0.delay = {d}\n"
+    ),
+}
+# The phase_analysis entry points.
+PHASE_ENTRIES = [
+    "channel1_phase", "channel2_phase", "boundary_jump", "boundary_jump_closed_form", "phase_table"
+]
+# (entry point, delay, error, message).  A delay that is not finite or is
+# below 0 is refused everywhere; ``synthesize_received`` never sees one, as
+# ``Echo`` refuses it first.  A delay at or past the period is refused
+# wherever a schedule is given, and one past the oscillator window wherever a
+# ledger is built.  The loader raises ``ConfigLoadError`` for each library
+# error, and refuses "nan" and "inf" as text ("a finite decimal number").
+DELAY_CASES = [
+    *[
+        (entry, delay, lab.DomainError, "finite")
+        for entry in ["Echo", "beat_frequency", "delay_to_range", *PHASE_ENTRIES, "parse_config"]
+        for delay in (math.nan, math.inf, -0.01)
+    ],
+    *[
+        (entry, delay, lab.UnsupportedRangeError, "sweep period")
+        for entry in ["synthesize_received", *PHASE_ENTRIES, "parse_config"]
+        for delay in (PERIOD, PERIOD + 0.05)
+    ],
+    *[
+        (entry, LO_DURATION + 0.01, lab.UnsupportedRangeError, "oscillator window")
+        for entry in ["boundary_jump", "phase_table", "parse_config"]
+    ],
+]
+
+
+@pytest.mark.parametrize(
+    "entry, delay, error, match", DELAY_CASES, ids=[f"{c[0]}-{c[1]!r}" for c in DELAY_CASES]
+)
+def test_one_delay_rule_at_every_entry_point(reference_schedule, entry, delay, error, match):
+    """``scene.check_delay`` and ``phase_analysis.check_ledger_delay`` decide
+    every delay: each entry point refuses the same delays with the same
+    error, and the loader names the key."""
+    if entry == "parse_config":
+        error = lab.ConfigLoadError
+    with pytest.raises(error, match=match) as excinfo:
+        DELAY_ENTRY_POINTS[entry](reference_schedule, delay)
+    if entry == "parse_config":
+        assert excinfo.value.field == "echoes.0.delay"
 
 
 class TestSynthesizeReceived:

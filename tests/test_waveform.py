@@ -143,7 +143,7 @@ class TestScheduleInvariants:
         with pytest.raises(lab.ConfigurationError, match="window"):
             lab.make_schedule(reference_chirp(), 540.0, 0.32, 2)
 
-    @pytest.mark.parametrize("cycles", [0, -1, 2.0])
+    @pytest.mark.parametrize("cycles", [0, -1, 2.0, True])
     def test_rejects_bad_cycle_counts(self, cycles):
         with pytest.raises(lab.DomainError):
             lab.make_schedule(reference_chirp(), 240.0, 0.12, cycles)
