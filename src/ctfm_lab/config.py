@@ -16,8 +16,9 @@ echo amplitudes at some delay must not sum to zero, so that the echoes do
 not cancel and the spectra have a peak, and
 every analysis window (``SimConfig.analysis_spans``) must put at least
 three bins of its readout transform in the band, which may not reach past
-that transform's last bin.  Values are plain ASCII decimal; non-finite
-numbers are refused.
+that transform's last bin; a transform with more bins than ``sys.maxsize``
+is refused under ``tx.duration``.  Values are plain ASCII decimal;
+non-finite numbers are refused.
 
 Keys, defaults and canonical order: ``_SWEEP_KEYS`` and ``_RECEIVER_KEYS``
 below, the one key table that the parser and ``serialize_config`` both read.
@@ -34,13 +35,15 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .demod import LowpassSpec, check_cutoff
 from .errors import ConfigLoadError, CtfmLabError
 from .phase_analysis import check_ledger_delay
 from .scene import Echo, Scene, check_delay
 from .spectrum import band_bins, readout_grid
 from .waveform import CONTINUITY_TOL, ChirpSpec, SweepSchedule, make_schedule, sample_count
-from .waveform import _check_sample_rate, _slice_indices, sweep_phase, sweep_rate
+from .waveform import _slice_indices, check_sample_rate, sweep_phase, sweep_rate
 
 # The key table.  Each global key maps to its default (None: required) and
 # to how a ``SimConfig`` gives its value back; the order is the canonical
@@ -235,7 +238,8 @@ def _build(values: dict) -> SimConfig:
         f"below 2**23 rad in magnitude, so float64 holds it to {CONTINUITY_TOL} rad",
     )
     tx = ChirpSpec(values["tx.f_start"], values["tx.f_end"], values["tx.duration"], phase0)
-    end = sweep_phase(tx, tx.duration)  # the oscillator's start phase
+    with np.errstate(over="ignore"):  # an overflow is refused on the next line
+        end = sweep_phase(tx, tx.duration)  # the oscillator's start phase
     _check(values, "tx.duration", math.isfinite(end), "short enough to end on a finite phase")
     echoes = _collect_echoes(values, tx.duration)
     cycles = values["cycles"]
@@ -256,8 +260,7 @@ def _build(values: dict) -> SimConfig:
     schedule = make_schedule(tx, lo_f_end, lo_duration, cycles)
     _domain("echoes.0.delay", lambda: check_ledger_delay(schedule, echoes[0].delay))
     sample_rate = values["sample_rate"]
-    for sweep in (schedule.tx, schedule.lo):
-        _domain("sample_rate", lambda: _check_sample_rate(sample_rate, sweep))
+    _domain("sample_rate", lambda: check_sample_rate(sample_rate, schedule.tx, schedule.lo))
     taps = values["lowpass.taps"]
     if taps < 3 or taps % 2 == 0:
         raise ConfigLoadError(f"must be an odd integer >= 3, got {taps}", field="lowpass.taps")
@@ -267,10 +270,7 @@ def _build(values: dict) -> SimConfig:
     )
     _domain("lowpass.cutoff", lambda: check_cutoff(schedule, lowpass))
     zero_pad_factor = values["spectrum.zero_pad_factor"]
-    if zero_pad_factor < 1:
-        raise ConfigLoadError(
-            f"must be >= 1, got {zero_pad_factor}", field="spectrum.zero_pad_factor"
-        )
+    _check(values, "spectrum.zero_pad_factor", zero_pad_factor >= 1, ">= 1")
     band = (values["spectrum.band_low"], values["spectrum.band_high"])
     if not 0.0 <= band[0] < band[1] <= sample_rate / 2.0:
         raise ConfigLoadError(
@@ -311,7 +311,7 @@ def _build(values: dict) -> SimConfig:
             ) from exc
         # The walk reads the record's spectrum and each window's -3 dB width.
         factor = zero_pad_factor if name == "record" else config.width_pad_factor
-        _, size, freq = readout_grid(i1 - i0, sample_rate, factor)
+        _, size, freq = _domain("tx.duration", lambda: readout_grid(i1 - i0, sample_rate, factor))
         top = freq(size - 1)
         if band[1] > top:
             raise ConfigLoadError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, ShapeError
-from .waveform import SampledSignal, SweepSchedule, _check_aligned, _require_finite, sweep_rate
+from .waveform import SampledSignal, SweepSchedule, _check_aligned, check_sample_rate, sweep_rate
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,7 @@ class LowpassSpec:
     sample_rate: float = 4000.0
 
     def __post_init__(self):
-        if _require_finite("sample_rate", self.sample_rate, ConfigurationError) <= 0.0:
-            raise ConfigurationError(
-                f"sample_rate must be positive, got {self.sample_rate}"
-            )
+        check_sample_rate(self.sample_rate)
         if not 0.0 < self.cutoff < self.sample_rate / 2.0:
             raise ConfigurationError(
                 f"cutoff must lie in (0, Nyquist) = (0, {self.sample_rate / 2}), "
@@ -64,8 +61,7 @@ def design_lowpass(spec: LowpassSpec) -> np.ndarray:
 def frequency_response(coeffs: np.ndarray, freqs_hz, sample_rate: float) -> np.ndarray:
     """Complex response of an FIR filter at the given frequencies, which must
     be finite, for a finite and positive ``sample_rate``."""
-    if _require_finite("sample_rate", sample_rate) <= 0.0:
-        raise DomainError(f"sample_rate must be positive, got {sample_rate}")
+    check_sample_rate(sample_rate)
     freqs = np.atleast_1d(np.asarray(freqs_hz, dtype=float))
     if not np.isfinite(freqs).all():
         raise DomainError(f"frequencies must be finite, got {freqs_hz!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedRangeError
-from .waveform import SampledSignal, SweepSchedule, _check_sample_rate, sample_grid
+from .waveform import SampledSignal, SweepSchedule, check_sample_rate, sample_grid
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def synthesize_received(
 def _received(schedule: SweepSchedule, scene: Scene, sample_rate: float, grid, copies):
     """The echoes of ``scene`` summed from ``copies``, their rows of
     ``grid.copies(schedule.tx)`` in scene order."""
-    _check_sample_rate(sample_rate, schedule.tx)
+    check_sample_rate(sample_rate, schedule.tx)
     for i, echo in enumerate(scene.echoes):
         check_delay(echo.delay, schedule.period, f"echo {i} delay")
     block = np.zeros(grid.stop)

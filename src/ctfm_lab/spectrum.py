@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -223,10 +224,16 @@ def band_bins(size: int, freq, band) -> range:
 def readout_grid(samples: int, sample_rate: float, factor: int):
     """(points, size, freq) of a readout transform: ``factor`` times the record,
     ``size`` one-sided bins, ``freq(k)`` their ``k * step`` Hz, computed on
-    demand."""
+    demand.  ``DomainError`` for more bins than ``sys.maxsize``, past any index."""
     points = factor * samples
+    size = points // 2 + 1
+    if size > sys.maxsize:
+        raise DomainError(
+            f"a {points}-point readout transform has {size} bins, more than sys.maxsize: "
+            "lower cycles, sample_rate or zero_pad_factor"
+        )
     step = 1.0 / (points * (1.0 / sample_rate))  # numpy's rounding of its rfft grid
-    return points, points // 2 + 1, lambda k: k * step
+    return points, size, lambda k: k * step
 
 
 def _check_padding(name: str, factor) -> int:

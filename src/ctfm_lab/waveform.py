@@ -29,10 +29,10 @@ CONTINUITY_TOL = 1e-9
 GRID_SLACK = 1e-9
 
 
-def _require_finite(name: str, value: float, error: type = DomainError) -> float:
+def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
-        raise error(f"{name} must be finite, got {value!r}")
+        raise DomainError(f"{name} must be finite, got {value!r}")
     return value
 
 
@@ -224,8 +224,7 @@ class SampledSignal:
         self._adopt(arr, 0, arr.size)
 
     def _adopt(self, block: np.ndarray, start: int, count: int) -> None:
-        if _require_finite("sample_rate", self.sample_rate) <= 0.0:
-            raise DomainError(f"sample_rate must be positive, got {self.sample_rate}")
+        check_sample_rate(self.sample_rate)
         _require_finite("t0", self.t0)
         if block.ndim != 1 or block.size < 1:
             raise ShapeError(
@@ -465,14 +464,17 @@ def _slice_indices(
     return i0, i1
 
 
-def _check_sample_rate(sample_rate: float, spec) -> None:
-    _require_finite("sample_rate", sample_rate)
-    f_max = max(spec.f_start, spec.f_end)
-    if sample_rate < 4.0 * f_max:
-        raise ConfigurationError(
-            f"sample rate {sample_rate} Hz is below 4x the peak instantaneous "
-            f"frequency ({f_max} Hz)"
-        )
+def check_sample_rate(sample_rate: float, *sweeps: ChirpSpec) -> None:
+    """The one sample-rate rule: ``DomainError`` unless finite and positive, then
+    ``ConfigurationError`` for the first of ``sweeps`` peaking above rate / 4."""
+    if not 0.0 < sample_rate < math.inf:
+        raise DomainError(f"sample_rate must be finite and positive, got {sample_rate!r}")
+    for spec in sweeps:
+        if sample_rate < 4.0 * (f_max := max(spec.f_start, spec.f_end)):
+            raise ConfigurationError(
+                f"sample rate {sample_rate} Hz is below 4x the peak instantaneous "
+                f"frequency ({f_max} Hz)"
+            )
 
 
 def sample_count(schedule: SweepSchedule, sample_rate: float) -> int:
@@ -534,7 +536,7 @@ def sample_grid(
     delay's local times come from one pass over its row and no further,
     each element through the same float operations as one delay's on its own.
     """
-    _require_finite("sample_rate", sample_rate)
+    check_sample_rate(sample_rate)
     count = sample_count(schedule, sample_rate)
     run = (schedule.period * sample_rate).as_integer_ratio()[0]
     shifts = [d * sample_rate for d in delays]
@@ -550,14 +552,14 @@ def sample_grid(
 def _transmit(schedule: SweepSchedule, sample_rate: float, grid: SampleGrid, copies):
     """The transmit sweep from ``grid.copies(schedule.tx)``: its first row,
     which has delay 0, over its own run ``(0, run)``."""
-    _check_sample_rate(sample_rate, schedule.tx)
+    check_sample_rate(sample_rate, schedule.tx)
     return SampledSignal._fresh(sample_rate, copies[0][1][: grid.run], count=grid.count)
 
 
 def _oscillator(schedule: SweepSchedule, sample_rate: float, grid: SampleGrid):
     """The oscillator on ``grid``'s first row, which has delay 0, over its
     own run ``(0, run)``: zero outside its window."""
-    _check_sample_rate(sample_rate, schedule.lo)
+    check_sample_rate(sample_rate, schedule.lo)
     local = grid.rows(grid.local)[0][1][: grid.run]
     active = local < schedule.lo.duration
     block = np.zeros_like(local)

@@ -149,6 +149,27 @@ def exact_ideal_beat(count, sample_rate, f_start, f_end, period, echoes) -> list
     return values
 
 
+def segment_lines(config, tau, n) -> float:
+    """Line n of the stitched (ddctfm) output under the segment law, divided
+    by the filter's gain |H(n / T)| there: 1/2 * A * |sinc(B * tau - n)|,
+    with sinc(x) = sin(pi x) / (pi x), in mpmath.
+
+    Over each period the stitched output is one unbroken beat tone over
+    [tau, T + tau), periodically extended, so its line at n / T has
+    amplitude 1/2 * A * |H(n / T)| * |sinc(B * tau - n)|.  A is the one
+    echo's amplitude and B the sweep bandwidth; B * tau - n is exact.
+    """
+    import mpmath
+
+    tx = config.tx
+    offset = (frac(tx.f_end) - frac(tx.f_start)) * frac(tau) - n
+    amplitude = frac(config.echoes[0].amplitude)
+    with mpmath.workdps(40):
+        x = mpmath.mpf(offset.numerator) / offset.denominator
+        half = mpmath.mpf(amplitude.numerator) / (2 * amplitude.denominator)
+        return float(half * abs(mpmath.sincpi(x)))
+
+
 def dft_magnitudes(samples, points, bins, dps=40) -> list[float]:
     """|X[k]| of the ``points``-point DFT of ``samples`` (zero padded), at
     each bin k of ``bins``, summed directly over every sample in mpmath at

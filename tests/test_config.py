@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -483,6 +484,43 @@ class TestDerive:
         )
         assert result.exit_code == 2, result.output
         assert "tx.duration" in result.output
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("cycles", 10**15), ("spectrum.zero_pad_factor", 10**16), ("sample_rate", 1e17)],
+    )
+    def test_a_transform_too_large_to_index_is_refused(self, paper, key, value):
+        """The ideal window's width transform, 64 times the record, has more
+        bins than ``sys.maxsize``: ``band_bins`` failed with an
+        ``OverflowError``, and the loader now refuses the record under
+        ``tx.duration``, as it refuses one too long to count."""
+        with pytest.raises(lab.ConfigLoadError, match="more than sys.maxsize") as excinfo:
+            derive(paper, {key: value})
+        assert excinfo.value.field == "tx.duration"
+        assert "lower cycles, sample_rate or zero_pad_factor" in str(excinfo.value)
+
+    def test_a_long_record_that_can_be_indexed_loads(self, paper):
+        assert derive(paper, {"cycles": 30000}).cycles == 30000
+
+    def test_compare_refuses_a_transform_too_large_to_index(self, paper_config_path, tmp_path):
+        text = re.sub(
+            r"^sample_rate = .*$", "sample_rate = 1e20", paper_config_path.read_text(), flags=re.M
+        )
+        path = tmp_path / "fast.cfg"
+        path.write_text(text)
+        result = CliRunner().invoke(
+            cli.main, ["compare", "--config", str(path), "--out", str(tmp_path / "out")]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("configuration error: tx.duration: ")
+        assert len(result.output.splitlines()) == 1, result.output
+
+    def test_an_end_phase_that_overflows_is_refused_without_a_warning(self, paper):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(lab.ConfigLoadError) as excinfo:
+                derive(paper, {"tx.duration": "1e308"})
+        assert excinfo.value.field == "tx.duration"
 
     def test_echoes_that_cancel_at_one_delay_beside_another_load(self, paper):
         values = {"echoes.1.delay": 0.096, "echoes.1.amplitude": -1.0, "echoes.2.delay": 0.06}

@@ -8,17 +8,21 @@ lattice of echo delays on ``paper.cfg``.  Tolerances were fixed before the
 readouts were taken: 0.01 Hz for every peak, 5b's own +/-1.5 dB for the lobe.
 Over the same lattice, each readout from the band spectrum, and from
 ``dft_magnitude``'s spectrum, is the full rfft grid's, within
-``full_grid.READOUT_TOL``.
+``full_grid.READOUT_TOL``.  The comb's strongest lines follow the segment
+law of ``oracles.segment_lines``, within 2.0 dB fixed before the first run.
 """
 
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ctfm_lab as lab
 from ctfm_lab import cli, spectrum
 import sweeps
 from full_grid import assert_same_readout, full_grid_report, main_record, main_report
+from oracles import segment_lines
 
 PEAK_TOL_HZ = 0.01
 LOBE_DB, LOBE_TOL_DB = -7.26, 1.5  # acceptance check 5b
@@ -98,3 +102,42 @@ class TestDelayLattice:
                 record = main_record(config, state.output(mode))
                 whole = spectrum.dft_magnitude(record, config.zero_pad_factor)
                 assert_same_readout(main_report(config, whole), reference)
+
+
+SEGMENT_LAW_TOL_DB = 2.0  # fixed before the first run
+FC_46_5 = {"tx.f_start": "105", "tx.f_end": "205", "lo.f_end": "245"}  # f_c * T = 46.5
+SEGMENT_CASES = [
+    *[({}, tau) for tau in (0.083, 0.093, 0.096, 0.104, 0.108)],
+    *[(FC_46_5, tau) for tau in (0.093, 0.096)],
+]
+
+
+@pytest.mark.parametrize(
+    "values, tau",
+    SEGMENT_CASES,
+    ids=[f"{'fcT-46.5' if values else 'paper'}-{tau * 1e3:g}ms" for values, tau in SEGMENT_CASES],
+)
+def test_the_stitched_lines_follow_the_segment_law(paper_config_path, values, tau):
+    """The three strongest in-band lines of one settled period of the
+    stitched output, each divided by the filter's gain there, lie within
+    ``SEGMENT_LAW_TOL_DB`` of ``oracles.segment_lines``, whether or not
+    f_c * T is an integer.  The period [k T, (k + 1) T) starts a period
+    after the first echo's arrival and the filter's delay and span."""
+    config = lab.derive(lab.load_config(paper_config_path), {**values, "echoes.0.delay": tau})
+    period, rate, lowpass = config.tx.duration, config.sample_rate, config.lowpass
+    k = math.ceil((tau + lowpass.group_delay + lowpass.impulse_duration) / period) + 1
+    output = cli.measure(config).output("ddctfm")
+    samples = lab.time_slice(output, k * period, (k + 1) * period).samples
+    assert samples.size == round(period * rate)
+    n = np.arange(samples.size // 2 + 1)
+    freqs = n * rate / samples.size  # line n at n / T
+    low, high = config.band
+    band = n[(freqs >= low) & (freqs <= high)]
+    gain = np.abs(lab.frequency_response(lab.design_lowpass(lowpass), freqs[band], rate))
+    lines = 2.0 * np.abs(np.fft.rfft(samples))[band] / samples.size / gain
+    for i in np.argsort(lines)[::-1][:3]:
+        law = segment_lines(config, tau, int(band[i]))
+        error_db = 20.0 * math.log10(lines[i] / law)
+        assert abs(error_db) <= SEGMENT_LAW_TOL_DB, (
+            f"line {band[i]} ({freqs[band[i]]:.3f} Hz): {error_db:+.2f} dB from the law"
+        )

@@ -30,7 +30,7 @@ class TestLowpassSpec:
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
     def test_sample_rate_must_be_finite(self, rate):
-        with pytest.raises(lab.ConfigurationError, match="sample_rate must be finite"):
+        with pytest.raises(lab.DomainError, match="sample_rate must be finite"):
             lab.LowpassSpec(cutoff=50.0, tap_count=257, sample_rate=rate)
 
     @pytest.mark.parametrize("taps", [256, 2, 1, -3])

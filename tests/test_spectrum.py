@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -323,6 +324,13 @@ class TestReadoutGrid:
         assert spectrum_module.readout_grid(1, SAMPLE_RATE, 1)[0] == 1
         spec = lab.dft_magnitude(signal, 4)
         assert spec.bin_frequencies.size == 4 * 800 // 2 + 1
+
+    def test_a_transform_with_more_bins_than_an_index_holds_is_refused(self):
+        """2**63 + 1 bins is one past ``sys.maxsize``; ``band_bins`` could not
+        bisect them, and failed with an ``OverflowError``."""
+        with pytest.raises(lab.DomainError, match="more than sys.maxsize"):
+            spectrum_module.readout_grid(2**64, 4000.0, 1)
+        assert spectrum_module.readout_grid(2**64 - 4, 4000.0, 1)[1] == sys.maxsize
 
 
 class TestSpectrumFields:

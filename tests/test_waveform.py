@@ -298,6 +298,54 @@ class TestNonFiniteRates:
             lab.SampledSignal._fresh(4000.0, np.ones(8), t0)
 
 
+# Each entry point that takes a sample rate, called with ``rate``; the loader
+# reads it as ``sample_rate`` beside the reference sweep.
+RATE_ENTRY_POINTS = {
+    "synthesize_transmit": lambda rate: lab.synthesize_transmit(reference_schedule(), rate),
+    "synthesize_lo": lambda rate: lab.synthesize_lo(reference_schedule(), rate),
+    "synthesize_received": lambda rate: lab.synthesize_received(
+        reference_schedule(), lab.Scene((lab.Echo(0.096),)), rate
+    ),
+    "SampledSignal": lambda rate: lab.SampledSignal(rate, np.ones(4)),
+    "SampledSignal._fresh": lambda rate: lab.SampledSignal._fresh(rate, np.ones(4)),
+    "LowpassSpec": lambda rate: lab.LowpassSpec(50.0, 257, rate),
+    "frequency_response": lambda rate: lab.frequency_response(np.ones(3), [32.0], rate),
+    "parse_config": lambda rate: lab.parse_config(
+        "tx.f_start = 100\ntx.f_end = 200\ntx.duration = 0.3\nlo.f_end = 240\n"
+        f"lo.duration = 0.12\ncycles = 12\nechoes.0.delay = 0.096\nsample_rate = {rate!r}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("rate", [0.0, -4000.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", RATE_ENTRY_POINTS)
+def test_one_sample_rate_rule_at_every_entry_point(entry, rate):
+    """``waveform.check_sample_rate`` decides every rate: each entry point
+    refuses the same rates with the same ``DomainError``, which names the
+    rate and not the period it would have broken, and the loader names the
+    key.  The loader refuses "nan" and "inf" as text."""
+    if entry == "parse_config" and not math.isfinite(rate):
+        with pytest.raises(lab.ConfigLoadError, match="finite decimal number"):
+            RATE_ENTRY_POINTS[entry](rate)
+        return
+    error = lab.ConfigLoadError if entry == "parse_config" else lab.DomainError
+    with pytest.raises(error, match="sample_rate must be finite and positive") as excinfo:
+        RATE_ENTRY_POINTS[entry](rate)
+    assert "period" not in str(excinfo.value)
+    if entry == "parse_config":
+        assert excinfo.value.field == "sample_rate"
+
+
+@pytest.mark.parametrize(
+    "rate, peak", [(700.0, 200.0), (900.0, 240.0)], ids=["below-tx", "below-lo-alone"]
+)
+def test_the_first_undersampled_sweep_is_named(rate, peak):
+    schedule = reference_schedule()
+    with pytest.raises(lab.ConfigurationError, match=f"sample rate {rate} Hz .*\\({peak} Hz\\)"):
+        waveform.check_sample_rate(rate, schedule.tx, schedule.lo)
+    waveform.check_sample_rate(rate)  # no sweep: the rate alone
+
+
 class TestSynthesizeTransmit:
     def test_first_sample_is_unity(self, reference_tx):
         assert reference_tx.samples[0] == 1.0
